@@ -61,35 +61,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar. Python scalars are wrapped as constants.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 class Node:
     __slots__ = ("inputs", "output", "backward_fn", "name")
@@ -119,20 +90,6 @@ class Tape:
 
     def __len__(self):
         return len(self.nodes)
-
-    def validate(self) -> None:
-        """Check the topological invariant: inputs precede their consumers."""
-        produced: set[int] = set()
-        produced_anywhere = {id(n.output) for n in self.nodes}
-        for i, node in enumerate(self.nodes):
-            if id(node.output) in produced:
-                raise GraphError(f"node {i} ({node.name}) rewrites an existing output")
-            for inp in node.inputs:
-                if id(inp) in produced_anywhere and id(inp) not in produced:
-                    raise GraphError(
-                        f"node {i} ({node.name}) consumes a value produced later: cycle"
-                    )
-            produced.add(id(node.output))
 
     def backward(self, loss: Tensor) -> None:
         backward(self, loss)
@@ -241,10 +198,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return record(out, (a, b), bwd, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    return record(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

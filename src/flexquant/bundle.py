@@ -12,7 +12,8 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
   per learnable layer: name | code bit-width u8 (0 = full precision)
                        dims | packed codes + mean_b1 f64, or raw f64 weights
   bank: n_bits u8, bit u8 each; per bit: per BN layer gamma/beta/mean/var
-        f64 arrays, then per quantized layer alpha f64
+        f64 arrays, then per quantized layer alpha f64 (the bank-entry
+        layout checkpoints share, see serialize.write_bank_entry)
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
 from .quantizers import QuantizedWeightView, quantize_weights_dorefa
-from .serialize import ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes, read_file
+from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
+                        read_bank_entry, read_file, write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -62,28 +64,18 @@ class DeploymentBundle:
     def __init__(self, arch: ArchSpec, bits: BitWidthSet,
                  views: dict[str, QuantizedWeightView],
                  fp_weights: dict[str, np.ndarray],
-                 bank_values: dict[int, dict],
+                 bank: PrecisionBank,
                  size_report: SizeReport):
         self.arch = arch
         self.bits = bits
         self.views = views
         self.fp_weights = fp_weights
-        self.bank_values = bank_values
+        self.bank = bank
         self.size_report = size_report
 
-    def build_network(self, bn_momentum: float = 0.1) -> QuantNet:
-        bank = PrecisionBank(self.bits, self.arch, bn_momentum=bn_momentum)
-        for b, entry_vals in self.bank_values.items():
-            entry = bank.entry(b)
-            for name, (gamma, beta, mean, var) in entry_vals["bn"].items():
-                st = entry.bn[name]
-                st.gamma.data = gamma.copy()
-                st.beta.data = beta.copy()
-                st.running_mean = mean.copy()
-                st.running_var = var.copy()
-            for name, alpha in entry_vals["alpha"].items():
-                entry.alpha[name].data = np.asarray(alpha)
-        return QuantNet.from_codes(self.arch, self.bits, bank, self.views, self.fp_weights)
+    def build_network(self) -> QuantNet:
+        """Eval-only network over the bundle's bank (eval never writes to it)."""
+        return QuantNet.from_codes(self.arch, self.bits, self.bank, self.views, self.fp_weights)
 
 
 def export_bundle(path: str, net: QuantNet, bits: BitWidthSet | None = None) -> SizeReport:
@@ -120,13 +112,7 @@ def export_bundle(path: str, net: QuantNet, bits: BitWidthSet | None = None) -> 
     for b in bits:
         w.u8(b)
     for b in bits:
-        entry = net.bank.entry(b)
-        for name in arch.bn_names:
-            st = entry.bn[name]
-            for arr in (st.gamma.data, st.beta.data, st.running_mean, st.running_var):
-                w.f64_array(arr)
-        for name in arch.quantized_names:
-            w.f64(float(entry.alpha[name].data))
+        write_bank_entry(w, net.bank.entry(b), arch)
     bank_payload = w.size - bank_start
     blob = w.finish()
     atomic_write_bytes(path, blob)
@@ -166,17 +152,11 @@ def load_bundle(path: str) -> DeploymentBundle:
     pos_before_bank = r.pos
     n_bits = r.u8()
     bits = BitWidthSet([r.u8() for _ in range(n_bits)])
-    bank_values: dict[int, dict] = {}
+    bank = PrecisionBank(bits, arch)
     for b in bits:
-        entry = {"bn": {}, "alpha": {}}
-        for name in arch.bn_names:
-            gamma, beta, mean, var = (r.f64_array() for _ in range(4))
-            entry["bn"][name] = (gamma, beta, mean, var)
-        for name in arch.quantized_names:
-            entry["alpha"][name] = r.f64()
-        bank_values[b] = entry
+        read_bank_entry(r, bank.entry(b), arch)
     bank_payload = r.pos - pos_before_bank
     r.done()
     framing = len(buf) - code_payload - fp_payload - bank_payload
     report = SizeReport(code_payload, fp_payload, bank_payload, framing)
-    return DeploymentBundle(arch, bits, views, fp_weights, bank_values, report)
+    return DeploymentBundle(arch, bits, views, fp_weights, bank, report)

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .config import RunConfig
-from .serialize import ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes, read_file
+from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
+                        read_bank_entry, read_file, write_bank_entry)
 
 MAGIC = b"AQCK"
 VERSION = 1
@@ -34,13 +33,7 @@ def save_checkpoint(path: str, trainer) -> None:
     w.u8(len(bits))
     for b in bits:
         w.u8(b)
-        entry = bank.entries[b]
-        for name in trainer.arch.bn_names:
-            st = entry.bn[name]
-            for arr in (st.gamma.data, st.beta.data, st.running_mean, st.running_var):
-                w.f64_array(arr)
-        for name in trainer.arch.quantized_names:
-            w.f64(float(entry.alpha[name].data))
+        write_bank_entry(w, bank.entries[b], trainer.arch)
 
     velocity = trainer.optimizer.state()
     w.u32(len(velocity))
@@ -85,15 +78,7 @@ def load_checkpoint(path: str):
         b = r.u8()
         if not trainer.bank.has(b):
             trainer.bank.ensure_entry(b, borrow_from=trainer.bits.b1)
-        entry = trainer.bank.entry(b)
-        for name in trainer.arch.bn_names:
-            st = entry.bn[name]
-            st.gamma.data = r.f64_array()
-            st.beta.data = r.f64_array()
-            st.running_mean = r.f64_array()
-            st.running_var = r.f64_array()
-        for name in trainer.arch.quantized_names:
-            entry.alpha[name].data = np.asarray(r.f64())
+        read_bank_entry(r, trainer.bank.entry(b), trainer.arch)
 
     n_vel = r.u32()
     velocity = {}

@@ -17,10 +17,9 @@ from . import numerics
 from .bundle import export_bundle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, DatasetSpec, RunConfig
-from .metrics import (atomic_write_text, eval_summary_json, histogram_from_metrics,
-                      read_eval_summary, read_metrics_csv)
+from .metrics import eval_summary_json, histogram_csv, histogram_from_metrics, read_metrics_csv
 from .network import MissingBankError
-from .serialize import CorruptFileError
+from .serialize import CorruptFileError, atomic_write_bytes, read_file
 from .training import Trainer, delta_b, load_dataset
 
 
@@ -31,28 +30,23 @@ def _parse_bits(text: str) -> list[int]:
         raise ConfigError(f"--bits expects a comma-separated list, got {text!r}") from None
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.deterministic is not None:
-        config.deterministic = args.deterministic
-    return config.validate()
-
-
 def _write_run_outputs(out_dir: str, trainer: Trainer, accuracies: dict[int, float]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "metrics.csv"), trainer.log.metrics_csv_text())
-    atomic_write_text(os.path.join(out_dir, "teacher_histogram.csv"),
-                      trainer.log.histogram_csv_text())
-    atomic_write_text(
+    atomic_write_bytes(os.path.join(out_dir, "metrics.csv"),
+                       trainer.log.metrics_csv_text().encode())
+    atomic_write_bytes(os.path.join(out_dir, "teacher_histogram.csv"),
+                       trainer.log.histogram_csv_text().encode())
+    atomic_write_bytes(
         os.path.join(out_dir, "eval_summary.json"),
-        eval_summary_json(accuracies, trainer.calibrated_bits, trainer.config.mode),
+        eval_summary_json(accuracies, trainer.calibrated_bits, trainer.config.mode).encode(),
     )
     save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), trainer)
 
 
 def cmd_train(args) -> int:
-    config = _apply_overrides(RunConfig.load(args.config), args)
+    config = RunConfig.load(args.config)
+    if args.seed is not None:
+        config.seed = args.seed
     if args.resume:
         trainer = load_checkpoint(args.resume)
         if trainer.config.to_json() != config.to_json():
@@ -68,12 +62,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     trainer = load_checkpoint(args.ckpt)
-    if args.seed is not None or args.deterministic is not None:
-        _apply_overrides(trainer.config, args)
     accuracies = {b: trainer.evaluate(b) for b in _parse_bits(args.bits)}
     text = eval_summary_json(accuracies, trainer.calibrated_bits, trainer.config.mode)
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_bytes(args.out, text.encode())
     print(text, end="")
     return 0
 
@@ -111,20 +103,16 @@ def cmd_report(args) -> int:
     out_dir = args.out or os.path.dirname(os.path.abspath(args.metrics))
     os.makedirs(out_dir, exist_ok=True)
 
-    hist_rows = histogram_from_metrics(rows)
-    hist = io.StringIO()
-    writer = csv.writer(hist, lineterminator="\n")
-    writer.writerow(("epoch", "student_b", "teacher_b", "count"))
-    writer.writerows(hist_rows)
-    atomic_write_text(os.path.join(out_dir, "report_teacher_histogram.csv"), hist.getvalue())
+    atomic_write_bytes(os.path.join(out_dir, "report_teacher_histogram.csv"),
+                       histogram_csv(histogram_from_metrics(rows)).encode())
 
     summary_path = args.summary or os.path.join(
         os.path.dirname(os.path.abspath(args.metrics)), "eval_summary.json")
     table_rows = []
     delta = None
     if os.path.exists(summary_path):
-        summary = read_eval_summary(summary_path)
-        reference = read_eval_summary(args.reference)["bits"] if args.reference else {}
+        summary = json.loads(read_file(summary_path))
+        reference = json.loads(read_file(args.reference))["bits"] if args.reference else {}
         for b_str in sorted(summary["bits"], key=int, reverse=True):
             info = summary["bits"][b_str]
             ref_acc = reference.get(b_str, {}).get("accuracy")
@@ -145,7 +133,7 @@ def cmd_report(args) -> int:
         writer.writerow(["" if v is None else v for v in row])
     if delta is not None:
         writer.writerow(("delta_b", "", "", "", repr(delta)))
-    atomic_write_text(os.path.join(out_dir, "report_table.csv"), table.getvalue())
+    atomic_write_bytes(os.path.join(out_dir, "report_table.csv"), table.getvalue().encode())
 
     for row in table_rows:
         tag = " (zero-shot)" if row[2] else ""
@@ -162,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and run a single network at multiple bit-widths.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    det = parser.add_mutually_exclusive_group()
-    det.add_argument("--deterministic", dest="deterministic", action="store_true",
-                     default=None, help="force deterministic execution (the default)")
-    det.add_argument("--no-deterministic", dest="deterministic", action="store_false",
-                     default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a run from a config file")

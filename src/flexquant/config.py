@@ -138,7 +138,6 @@ class RunConfig:
     epochs: int = 30
     batch_size: int = 128
     seed: int = 0
-    deterministic: bool = True
     bn_momentum: float = 0.1
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
     alpha: AlphaSettings = field(default_factory=AlphaSettings)
@@ -199,6 +198,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        # "deterministic" is a legacy v1 key: accepted and ignored, since runs
+        # are always deterministic
         allowed = {"schema_version", "mode", "bits", "dataset", "arch", "lambda",
                    "p1_initial", "epochs", "batch_size", "seed", "deterministic",
                    "bn_momentum", "optimizer", "alpha"}
@@ -217,7 +218,6 @@ class RunConfig:
             epochs=int(d.get("epochs", 30)),
             batch_size=int(d.get("batch_size", 128)),
             seed=int(d.get("seed", 0)),
-            deterministic=bool(d.get("deterministic", True)),
             bn_momentum=float(d.get("bn_momentum", 0.1)),
             optimizer=OptimizerSettings.from_dict(dict(d.get("optimizer", {}))),
             alpha=AlphaSettings.from_dict(dict(d.get("alpha", {}))),
@@ -236,7 +236,6 @@ class RunConfig:
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "seed": self.seed,
-            "deterministic": self.deterministic,
             "bn_momentum": self.bn_momentum,
             "optimizer": {"lr": self.optimizer.lr, "momentum": self.optimizer.momentum,
                           "weight_decay": self.optimizer.weight_decay,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field
 
 METRICS_COLUMNS = ("epoch", "batch", "mode", "b", "loss", "ce", "kl",
@@ -56,7 +55,6 @@ class EpochRecord:
     eval_accuracy: dict[int, float] = field(default_factory=dict)
     teacher_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     swap_student_fraction: dict[int, float] = field(default_factory=dict)
-    delta_b: float | None = None
 
 
 class MetricsLog:
@@ -65,14 +63,16 @@ class MetricsLog:
         self.mode = mode
         self.batch_rows: list[BatchRecord] = []
         self.epochs: list[EpochRecord] = []
+        self._epoch_start = 0  # index of the current epoch's first batch row
 
     def add_batch(self, record: BatchRecord) -> None:
         self.batch_rows.append(record)
 
-    def end_epoch(self, epoch: int, eval_accuracy: dict[int, float],
-                  delta_b: float | None = None) -> EpochRecord:
-        rows = [r for r in self.batch_rows if r.epoch == epoch]
-        rec = EpochRecord(epoch=epoch, eval_accuracy=dict(eval_accuracy), delta_b=delta_b)
+    def end_epoch(self, epoch: int, eval_accuracy: dict[int, float]) -> EpochRecord:
+        """Aggregate the rows added since the previous end_epoch."""
+        rows = self.batch_rows[self._epoch_start:]
+        self._epoch_start = len(self.batch_rows)
+        rec = EpochRecord(epoch=epoch, eval_accuracy=dict(eval_accuracy))
         bits = sorted({r.b for r in rows}, reverse=True)
         for b in bits:
             sub = [r for r in rows if r.b == b]
@@ -107,16 +107,19 @@ class MetricsLog:
         return rows
 
     def histogram_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(HISTOGRAM_COLUMNS)
-        for row in self.histogram_rows():
-            writer.writerow(row)
-        return out.getvalue()
+        return histogram_csv(self.histogram_rows())
 
 
-def eval_summary_json(accuracies: dict[int, float], zero_shot_bits=(),
-                      mode: str = "", delta_b: float | None = None) -> str:
+def histogram_csv(rows) -> str:
+    """(epoch, student_b, teacher_b, count) rows as CSV text with a header."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HISTOGRAM_COLUMNS)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def eval_summary_json(accuracies: dict[int, float], zero_shot_bits=(), mode: str = "") -> str:
     body = {
         "mode": mode,
         "bits": {
@@ -124,22 +127,7 @@ def eval_summary_json(accuracies: dict[int, float], zero_shot_bits=(),
             for b in sorted(accuracies, reverse=True)
         },
     }
-    if delta_b is not None:
-        body["delta_b"] = delta_b
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
-
-
-def read_eval_summary(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return data
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def read_metrics_csv(path: str) -> tuple[dict, list[dict]]:

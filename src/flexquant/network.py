@@ -309,12 +309,12 @@ class PrecisionBank:
     def has(self, b: int) -> bool:
         return int(b) in self.entries
 
-    def ensure_entry(self, b: int, borrow_from: int, include_stats: bool = False) -> BankEntry:
+    def ensure_entry(self, b: int, borrow_from: int) -> BankEntry:
         """Create a bank entry for b, borrowing the learned values (BN affine
         parameters and the clipping value) from the borrow bit-width.
 
-        Running statistics stay at initialization unless include_stats is
-        set: statistics belong to calibration, not to parameter borrowing.
+        Running statistics stay at initialization: statistics belong to
+        calibration, not to parameter borrowing.
         """
         b = int(b)
         if b in self.entries:
@@ -324,9 +324,6 @@ class PrecisionBank:
         for name, st in entry.bn.items():
             st.gamma.data = src.bn[name].gamma.data.copy()
             st.beta.data = src.bn[name].beta.data.copy()
-            if include_stats:
-                st.running_mean = src.bn[name].running_mean.copy()
-                st.running_var = src.bn[name].running_var.copy()
         for name, a in entry.alpha.items():
             a.data = src.alpha[name].data.copy()
         self.entries[b] = entry

@@ -28,10 +28,6 @@ def set_finite_checks(enabled: bool) -> None:
     _finite_checks = bool(enabled)
 
 
-def finite_checks_enabled() -> bool:
-    return _finite_checks
-
-
 def check_finite(arr: np.ndarray, where: str) -> None:
     """Raise NonFiniteError if arr contains NaN or Inf.
 

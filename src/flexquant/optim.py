@@ -102,27 +102,3 @@ def step_decay_factor(epoch: int, total_epochs: int) -> float:
     if epoch >= total_epochs * 0.75:
         factor *= 0.1
     return factor
-
-
-def sgd_step(params: list[Tensor], grads: list[np.ndarray], lr: float,
-             momentum: float = 0.0, weight_decay: float = 0.0,
-             velocities: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """One functional SGD update over explicit (param, grad) pairs.
-
-    Returns the updated velocity buffers; convenient for tests and scripts
-    that do not want the grouped optimizer.
-    """
-    if lr <= 0.0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if velocities is None:
-        velocities = [np.zeros_like(p.data) for p in params]
-    out = []
-    for p, g, v in zip(params, grads, velocities):
-        if not np.all(np.isfinite(g)):
-            raise StepError("non-finite gradient; step aborted")
-        v = momentum * v + g + weight_decay * p.data
-        p.data = p.data - lr * v
-        out.append(v)
-    return out

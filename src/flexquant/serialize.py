@@ -1,8 +1,8 @@
 """Little-endian length-prefixed binary framing with a CRC32 trailer.
 
-Shared by the deployment bundle and checkpoint formats. Writers accumulate
-bytes and finish with a CRC over everything written; readers verify the
-CRC before yielding any field.
+Shared by the deployment bundle and checkpoint formats, as is the layout of
+one precision-bank entry. Writers accumulate bytes and finish with a CRC
+over everything written; readers verify the CRC before yielding any field.
 """
 
 from __future__ import annotations
@@ -108,6 +108,29 @@ class ByteReader:
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise CorruptFileError(f"{len(self.buf) - self.pos} unread bytes after last field")
+
+
+def write_bank_entry(w: ByteWriter, entry, arch) -> None:
+    """One bank entry: BN gamma/beta/mean/var per BN layer, then the
+    clipping value per quantized layer, both in architecture order."""
+    for name in arch.bn_names:
+        st = entry.bn[name]
+        for arr in (st.gamma.data, st.beta.data, st.running_mean, st.running_var):
+            w.f64_array(arr)
+    for name in arch.quantized_names:
+        w.f64(float(entry.alpha[name].data))
+
+
+def read_bank_entry(r: ByteReader, entry, arch) -> None:
+    """Overwrite entry in place with the fields write_bank_entry wrote."""
+    for name in arch.bn_names:
+        st = entry.bn[name]
+        st.gamma.data = r.f64_array()
+        st.beta.data = r.f64_array()
+        st.running_mean = r.f64_array()
+        st.running_var = r.f64_array()
+    for name in arch.quantized_names:
+        entry.alpha[name].data = np.asarray(r.f64())
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

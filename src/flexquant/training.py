@@ -219,7 +219,6 @@ class Trainer:
         self.log = MetricsLog(config.to_json(), config.mode)
         self.epoch = 0
         self.calibrated_bits: set[int] = set()
-        self.teacher_choices: list[TeacherChoice] = []
 
     # -- per-mode bit lists ---------------------------------------------------
 
@@ -266,7 +265,6 @@ class Trainer:
                     candidates = {t: probs_by_bit[t].data for t in self.bits.teachers_of(b)}
                     choice = select_teacher(b, candidates, cfg.lam,
                                             self.net.model_distance, epoch, batch_index)
-                    self.teacher_choices.append(choice)
                     mask = sample_swap_mask(num_blocks, p1, self.streams["swap"])
                     swap_fraction = mask.student_fraction
                     logits = self.net.forward_at(

@@ -89,7 +89,13 @@ class TestValidation:
         assert cfg.lam == 0.1
         assert cfg.p1_initial == 0.5
         assert cfg.alpha.init == 6.0
-        assert cfg.deterministic is True
+
+    def test_legacy_deterministic_key_accepted_and_ignored(self):
+        legacy = blob_config()
+        legacy["deterministic"] = True
+        cfg = RunConfig.from_dict(legacy)
+        assert cfg.to_json() == RunConfig.from_dict(blob_config()).to_json()
+        assert "deterministic" not in cfg.to_dict()
 
     def test_canonical_json_is_stable(self):
         a = RunConfig.from_dict(blob_config()).to_json()

@@ -111,6 +111,21 @@ class TestBundle:
         with pytest.raises(CorruptFileError, match="magic"):
             load_bundle(path)
 
+    def test_loaded_bank_equals_source_every_bit(self, trained, tmp_path):
+        path = str(tmp_path / "m.aqdb")
+        export_bundle(path, trained.net)
+        bank = load_bundle(path).build_network().bank
+        for b in trained.bits:
+            src, got = trained.bank.entry(b), bank.entry(b)
+            for name, st in src.bn.items():
+                for field in ("gamma", "beta"):
+                    np.testing.assert_array_equal(getattr(got.bn[name], field).data,
+                                                  getattr(st, field).data)
+                np.testing.assert_array_equal(got.bn[name].running_mean, st.running_mean)
+                np.testing.assert_array_equal(got.bn[name].running_var, st.running_var)
+            for name, a in src.alpha.items():
+                np.testing.assert_array_equal(got.alpha[name].data, a.data)
+
     def test_loaded_network_is_eval_only(self, trained, tmp_path):
         path = str(tmp_path / "m.aqdb")
         export_bundle(path, trained.net)
@@ -188,6 +203,16 @@ class TestCheckpoint:
         save_checkpoint(pa, a)
         save_checkpoint(pb, b)
         assert open(pa, "rb").read() == open(pb, "rb").read()
+
+    @pytest.mark.parametrize("mode", ["coquant", "joint"])
+    def test_save_load_save_identical_bytes(self, mode, tmp_path):
+        trainer = Trainer(RunConfig.from_dict(blob_config(mode=mode, epochs=1)))
+        trainer.run()
+        trainer.calibrate(3)  # an entry beyond the configured bits
+        first, second = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(first, trainer)
+        save_checkpoint(second, load_checkpoint(first))
+        assert open(first, "rb").read() == open(second, "rb").read()
 
     def test_calibrated_entries_survive(self, trained, tmp_path):
         path = str(tmp_path / "cal.ckpt")

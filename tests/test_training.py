@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
-from flexquant import numerics
+from flexquant import numerics, training
 from flexquant.autograd import Tape, Tensor
 from flexquant.config import RunConfig
 from flexquant.metrics import BatchRecord, MetricsLog
@@ -331,15 +331,25 @@ class TestTrainStep:
     def test_teacher_legality_across_run(self):
         trainer = make_trainer(mode="coquant", epochs=2)
         trainer.run()
-        assert trainer.teacher_choices, "coquant must log teacher choices"
-        for choice in trainer.teacher_choices:
-            assert choice.teacher_b > choice.student_b
-            assert choice.teacher_b in trainer.bits
+        students = [r for r in trainer.log.batch_rows if r.b != trainer.bits.b1]
+        assert students, "coquant must log teacher choices"
+        for r in students:
+            assert r.teacher_b is not None
+            assert r.teacher_b > r.b
+            assert r.teacher_b in trainer.bits
 
-    def test_selection_score_reproduces_argmin(self):
+    def test_selection_score_reproduces_argmin(self, monkeypatch):
+        choices = []
+
+        def recording_select_teacher(*args, **kwargs):
+            choices.append(select_teacher(*args, **kwargs))
+            return choices[-1]
+
+        monkeypatch.setattr(training, "select_teacher", recording_select_teacher)
         trainer = make_trainer(mode="coquant", epochs=2)
         trainer.run()
-        for choice in trainer.teacher_choices:
+        assert choices
+        for choice in choices:
             scores = {t: e + choice.lam * d for t, (e, d) in choice.candidates.items()}
             best = min(sorted(scores, reverse=True), key=lambda t: scores[t])
             assert choice.teacher_b == best
@@ -383,6 +393,19 @@ class TestTrainStep:
                 continue
             total = sum(c for (s, _), c in rec.teacher_counts.items() if s == b)
             assert total == n_batches
+
+    def test_each_epoch_aggregates_only_its_own_rows(self):
+        trainer = make_trainer(mode="coquant", epochs=3, samples=600, batch_size=100)
+        trainer.run()
+        assert [rec.epoch for rec in trainer.log.epochs] == [0, 1, 2]
+        for rec in trainer.log.epochs:
+            rows = [r for r in trainer.log.batch_rows if r.epoch == rec.epoch]
+            for b in trainer.bits:
+                sub = [r for r in rows if r.b == b]
+                assert len(sub) == 6
+                assert rec.train_loss[b] == sum(r.loss for r in sub) / len(sub)
+                if b != trainer.bits.b1:
+                    assert sum(c for (s, _), c in rec.teacher_counts.items() if s == b) == 6
 
 
 class TestBankSharingByMode:
