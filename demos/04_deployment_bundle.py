@@ -31,34 +31,35 @@ print("Training a small run to export...")
 trainer = Trainer(cfg)
 trainer.run()
 
-path = os.path.join(tempfile.mkdtemp(), "model.aqdb")
-size = export_bundle(path, trainer.net)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.aqdb")
+    size = export_bundle(path, trainer.net)
 
-n_coded = sum(trainer.net.weights[n].data.size for n in trainer.arch.quantized_names)
-n_total = sum(w.data.size for w in trainer.net.weights.values())
-print(f"\nwrote {path}")
-print(f"  quantized weights : {n_coded} -> {size.code_payload} bytes "
-      f"({100 * size.code_payload / (4 * n_coded):.0f}% of float32)")
-print(f"  full-prec layers  : {size.fp_weight_payload} bytes (first/last, f64)")
-print(f"  BN + clip banks   : {size.bank_payload} bytes")
-print(f"  framing + CRC     : {size.framing} bytes")
-print(f"  total             : {size.total} bytes "
-      f"(float32 dump of all weights would be {4 * n_total})")
+    n_coded = sum(trainer.net.weights[n].data.size for n in trainer.arch.quantized_names)
+    n_total = sum(w.data.size for w in trainer.net.weights.values())
+    print(f"\nwrote {path}")
+    print(f"  quantized weights : {n_coded} -> {size.code_payload} bytes "
+          f"({100 * size.code_payload / (4 * n_coded):.0f}% of float32)")
+    print(f"  full-prec layers  : {size.fp_weight_payload} bytes (first/last, f64)")
+    print(f"  BN + clip banks   : {size.bank_payload} bytes")
+    print(f"  framing + CRC     : {size.framing} bytes")
+    print(f"  total             : {size.total} bytes "
+          f"(float32 dump of all weights would be {4 * n_total})")
 
-print("\nReloading and comparing against the live network:")
-net = load_bundle(path).build_network()
-x = trainer.eval_set.features[:200]
-for b in (8, 4, 2):
-    with no_grad():
-        live = trainer.net.forward_at(x, b, mode="eval").data
-        shipped = net.forward_at(x, b, mode="eval").data
-    print(f"  {b}-bit max |logit difference| = {np.max(np.abs(live - shipped)):.2e}")
+    print("\nReloading and comparing against the live network:")
+    net = load_bundle(path).build_network()
+    x = trainer.eval_set.features[:200]
+    for b in (8, 4, 2):
+        with no_grad():
+            live = trainer.net.forward_at(x, b, mode="eval").data
+            shipped = net.forward_at(x, b, mode="eval").data
+        print(f"  {b}-bit max |logit difference| = {np.max(np.abs(live - shipped)):.2e}")
 
-print("\nFlip one byte and the CRC catches it:")
-blob = bytearray(open(path, "rb").read())
-blob[100] ^= 0xFF
-open(path, "wb").write(bytes(blob))
-try:
-    load_bundle(path)
-except Exception as e:
-    print(f"  {type(e).__name__}: {e}")
+    print("\nFlip one byte and the CRC catches it:")
+    blob = bytearray(open(path, "rb").read())
+    blob[100] ^= 0xFF
+    open(path, "wb").write(bytes(blob))
+    try:
+        load_bundle(path)
+    except Exception as e:
+        print(f"  {type(e).__name__}: {e}")

@@ -149,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flexquant",
         description="Train and run a single network at multiple bit-widths.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a run from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--out", default="run", help="output directory")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint at given bit-widths")

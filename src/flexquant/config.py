@@ -65,6 +65,17 @@ class AlphaSettings:
         return s
 
 
+# Per dataset kind: the keys it reads and writes (besides "kind"), and the
+# subset a config must give.
+_DATASET_KEYS = {
+    "synthetic_blobs": (("classes", "samples", "dim", "spread", "seed", "center_scale",
+                         "center_offset", "eval_samples"), {"classes", "samples", "dim"}),
+    "idx_images": (("train_images", "train_labels", "test_images", "test_labels",
+                    "mean", "std", "classes"), {"train_images", "train_labels"}),
+    "csv_table": (("path", "eval_path", "classes"), {"path", "classes"}),
+}
+
+
 @dataclass
 class DatasetSpec:
     kind: str
@@ -91,21 +102,11 @@ class DatasetSpec:
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
         kind = d.get("kind")
-        if kind == "synthetic_blobs":
-            allowed = {"kind", "classes", "samples", "dim", "spread", "seed",
-                       "center_scale", "center_offset", "eval_samples"}
-            required = {"kind", "classes", "samples", "dim"}
-        elif kind == "idx_images":
-            allowed = {"kind", "train_images", "train_labels", "test_images",
-                       "test_labels", "mean", "std", "classes"}
-            required = {"kind", "train_images", "train_labels"}
-        elif kind == "csv_table":
-            allowed = {"kind", "path", "eval_path", "classes"}
-            required = {"kind", "path", "classes"}
-        else:
-            raise ConfigError(f"dataset.kind must be one of synthetic_blobs, "
-                              f"idx_images, csv_table; got {kind!r}")
-        _require_keys(d, allowed, required, "dataset")
+        if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+            raise ConfigError(f"dataset.kind must be one of {', '.join(_DATASET_KEYS)}; "
+                              f"got {kind!r}")
+        keys, required = _DATASET_KEYS[kind]
+        _require_keys(d, {"kind", *keys}, {"kind", *required}, "dataset")
         spec = DatasetSpec(**d)
         if kind == "synthetic_blobs":
             if spec.eval_samples <= 0:
@@ -113,18 +114,8 @@ class DatasetSpec:
         return spec
 
     def to_dict(self) -> dict:
-        if self.kind == "synthetic_blobs":
-            return {"kind": self.kind, "classes": self.classes, "samples": self.samples,
-                    "dim": self.dim, "spread": self.spread, "seed": self.seed,
-                    "center_scale": self.center_scale, "center_offset": self.center_offset,
-                    "eval_samples": self.eval_samples}
-        if self.kind == "idx_images":
-            return {"kind": self.kind, "train_images": self.train_images,
-                    "train_labels": self.train_labels, "test_images": self.test_images,
-                    "test_labels": self.test_labels, "mean": self.mean, "std": self.std,
-                    "classes": self.classes}
-        return {"kind": self.kind, "path": self.path, "eval_path": self.eval_path,
-                "classes": self.classes}
+        keys, _ = _DATASET_KEYS[self.kind]
+        return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
 
 
 @dataclass

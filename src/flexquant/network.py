@@ -1,7 +1,11 @@
 """A shared-weight network executable at any supported bit-width.
 
-One set of latent full-precision weights serves every precision: each
-forward quantizes them on the fly at the requested bit-width. Per-precision
+One set of latent full-precision weights serves every precision.
+QuantNet.weight_at(layer, b) is the one way to read a quantized block: it
+codes the latent weights at b1 and derives b from the codes (a net loaded
+from codes derives b from its stored codes). Results are cached per
+(layer, b) for the active tape; a new tape starts a fresh cache, and
+after_update() drops it when the latent weights change. Per-precision
 state (batch-norm parameters and statistics, activation clipping values)
 lives in a PrecisionBank keyed by bit-width. The first and last learnable
 layers always run in full precision; the learnable layers between them are
@@ -20,13 +24,10 @@ from .autograd import Tensor
 from .quantizers import (
     BitWidthError,
     QuantizedWeightView,
-    dequantize_codes,
-    mean_align,
-    quantize_weights_at,
-    quantize_weights_dorefa,
     quantize_activation,
-    truncate_codes,
-    weight_forward,
+    quantize_weights_at,
+    weight_forward,  # unused here; kept importable because span tracers wrap it
+    weights_from_codes,
 )
 
 
@@ -229,10 +230,6 @@ class SwapMask:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=bool)
 
-    @staticmethod
-    def all_student(num_blocks: int) -> "SwapMask":
-        return SwapMask(np.ones(num_blocks, dtype=bool))
-
     @property
     def student_fraction(self) -> float:
         return float(np.mean(self.beta)) if self.beta.size else 1.0
@@ -397,10 +394,11 @@ class QuantNet:
         self.bits = bits
         self.bank = bank
         self.weights: dict[str, Tensor] = {}
-        self._frozen_views: dict[str, QuantizedWeightView] | None = None
-        self._frozen_fp: dict[str, np.ndarray] | None = None
-        self._value_cache: dict[tuple[str, int], np.ndarray] = {}
-        self._node_cache: dict[tuple[str, int], Tensor] = {}
+        self.frozen = False
+        self._views: dict[str, QuantizedWeightView] = {}
+        # quantized weights by (layer, b), valid only under the tape that filled it
+        self._cache: dict[tuple[str, int], Tensor] = {}
+        self._cache_tape: ag.Tape | None = None
         if rng is not None:
             for name in arch.learnable_names:
                 shape = arch.weight_shape(name)
@@ -414,59 +412,40 @@ class QuantNet:
                    fp_weights: dict[str, np.ndarray]) -> "QuantNet":
         """Eval-only network reconstructed from stored integer codes."""
         net = cls(arch, bits, bank, rng=None)
-        net._frozen_views = views
-        net._frozen_fp = {k: np.asarray(v, dtype=np.float64) for k, v in fp_weights.items()}
+        net.frozen = True
+        net._views = views
+        net.weights = {name: Tensor(w) for name, w in fp_weights.items()}
         return net
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen_views is not None
 
     def named_weights(self) -> dict[str, Tensor]:
         return {f"weights.{name}": w for name, w in self.weights.items()}
 
-    def begin_step(self) -> None:
-        """Drop recorded quantizer nodes from the previous step."""
-        self._node_cache.clear()
-
     def after_update(self) -> None:
-        """Invalidate caches after latent weights changed."""
-        self._node_cache.clear()
-        self._value_cache.clear()
+        """Drop cached quantized weights after latent weights changed."""
+        self._cache.clear()
+        self._cache_tape = None
 
-    # -- weight access ------------------------------------------------------
+    def weight_at(self, name: str, b: int) -> Tensor:
+        """Quantized weights of one block at bit-width b.
 
-    def weight_values(self, name: str, b: int) -> np.ndarray:
-        """Quantized weight values for one layer, no gradient tracking."""
+        Live nets code their latent weights (recording a straight-through node
+        while a tape is active); nets loaded from codes derive b from the
+        stored codes. Results are cached per (layer, b) until the active tape
+        changes or after_update() is called.
+        """
+        tape = ag.active_tape()
+        if tape is not self._cache_tape:
+            self._cache.clear()
+            self._cache_tape = tape
         key = (name, int(b))
-        vals = self._value_cache.get(key)
-        if vals is None:
+        w = self._cache.get(key)
+        if w is None:
             if self.frozen:
-                view = self._frozen_views[name]
-                vals = mean_align(
-                    dequantize_codes(truncate_codes(view, b), b), view.mean_b1
-                )
+                w = Tensor(weights_from_codes(self._views[name], b))
             else:
-                vals = weight_forward(self.weights[name].data, b, self.bits.b1)
-            self._value_cache[key] = vals
-        return vals
-
-    def _weight_node(self, name: str, b: int) -> Tensor:
-        if self.frozen:
-            return Tensor(self.weight_values(name, b))
-        if ag.active_tape() is None:
-            return Tensor(self.weight_values(name, b))
-        key = (name, int(b))
-        node = self._node_cache.get(key)
-        if node is None:
-            node = quantize_weights_at(self.weights[name], b, self.bits.b1)
-            self._node_cache[key] = node
-        return node
-
-    def _fp_weight(self, name: str) -> Tensor:
-        if self.frozen:
-            return Tensor(self._frozen_fp[name])
-        return self.weights[name]
+                w = quantize_weights_at(self.weights[name], b, self.bits.b1)
+            self._cache[key] = w
+        return w
 
     # -- execution ----------------------------------------------------------
 
@@ -507,14 +486,14 @@ class QuantNet:
             if kind in _LEARNABLE:
                 block = self.arch.block_index.get(name)
                 if block is None:
-                    w = self._fp_weight(name)
+                    w = self.weights[name]
                     owner = b
                 else:
                     student = mask is None or bool(mask.beta[block - 1])
                     b_eff = b if student else teacher_b
                     alpha = self.bank.entry(b_eff).alpha[name]
                     cur = quantize_activation(cur, alpha, b_eff)
-                    w = self._weight_node(name, b_eff)
+                    w = self.weight_at(name, b_eff)
                     owner = b_eff
                 if kind == "dense":
                     cur = ag.matmul(cur, w)
@@ -552,7 +531,7 @@ class QuantNet:
             return 0.0
         total = 0.0
         for name in self.arch.quantized_names:
-            wi = self.weight_values(name, bi)
-            wj = self.weight_values(name, bj)
+            wi = self.weight_at(name, bi).data
+            wj = self.weight_at(name, bj).data
             total += float(np.mean(np.abs(wi - wj)))
         return total

@@ -53,10 +53,6 @@ def event_counts() -> dict[str, int]:
     return dict(_event_counts)
 
 
-def reset_events() -> None:
-    _event_counts.clear()
-
-
 def clamped_log(x: np.ndarray, event: str = "log_clamp") -> np.ndarray:
     """log(max(x, EPS)), counting how many entries needed the clamp."""
     n_clamped = int(np.count_nonzero(x < EPS))

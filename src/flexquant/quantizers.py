@@ -109,14 +109,18 @@ def mean_align(w_b: np.ndarray, mean_ref: float) -> np.ndarray:
     return w_b + (mean_ref - np.mean(w_b))
 
 
+def weights_from_codes(view: QuantizedWeightView, b: int) -> np.ndarray:
+    """Weight values at bit-width b from b1 codes: truncate, dequantize,
+    align the mean to the b1 tensor."""
+    return mean_align(dequantize_codes(truncate_codes(view, b), b), view.mean_b1)
+
+
 def weight_forward(wd: np.ndarray, b: int, b1: int) -> np.ndarray:
-    """The full quantized-weight value at bit-width b: code at b1, truncate,
-    dequantize, align the mean to the b1 tensor."""
+    """The full quantized-weight value at bit-width b: code at b1, then
+    derive b from the codes."""
     if b > b1:
         raise BitWidthError(f"b={b} exceeds b1={b1}")
-    view = quantize_weights_dorefa(wd, b1)
-    codes_b = truncate_codes(view, b)
-    return mean_align(dequantize_codes(codes_b, b), view.mean_b1)
+    return weights_from_codes(quantize_weights_dorefa(wd, b1), b)
 
 
 def quantize_weights_at(w: Tensor, b: int, b1: int) -> Tensor:

@@ -251,7 +251,6 @@ class Trainer:
         cfg = self.config
         coquant = cfg.mode_kind == "coquant"
         active = self._phase_bits(epoch)
-        self.net.begin_step()
         records: list[BatchRecord] = []
         num_blocks = self.arch.num_blocks
         p1 = self.swap_schedule.p1_at(epoch)

@@ -7,11 +7,8 @@ from flexquant import numerics
 
 
 @pytest.fixture(autouse=True)
-def _reset_numeric_events():
-    numerics.reset_events()
+def _finite_checks_on():
     numerics.set_finite_checks(True)
-    yield
-    numerics.reset_events()
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

@@ -51,9 +51,15 @@ class TestTrain:
     def test_seed_override_changes_run(self, config_path, tmp_path):
         a, b = run_dir(tmp_path, "a"), run_dir(tmp_path, "b")
         main(["train", "--config", config_path, "--out", a])
-        main(["--seed", "123", "train", "--config", config_path, "--out", b])
+        main(["train", "--seed", "123", "--config", config_path, "--out", b])
         assert (open(os.path.join(a, "checkpoint.ckpt"), "rb").read()
                 != open(os.path.join(b, "checkpoint.ckpt"), "rb").read())
+
+    def test_seed_rejected_outside_train(self, tmp_path):
+        # only train reads a seed; eval must not accept one it would ignore
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--seed", "1", "--ckpt", str(tmp_path / "x.ckpt"), "--bits", "8"])
+        assert exc.value.code == 2
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

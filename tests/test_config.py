@@ -102,6 +102,27 @@ class TestValidation:
         b = RunConfig.from_dict(blob_config()).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("dataset, expected", [
+        ({"kind": "synthetic_blobs", "classes": 4, "samples": 600, "dim": 8, "seed": 7},
+         '{"center_offset": 0.0, "center_scale": 3.0, "classes": 4, "dim": 8, '
+         '"eval_samples": 150, "kind": "synthetic_blobs", "samples": 600, "seed": 7, '
+         '"spread": 1.0}'),
+        ({"kind": "idx_images", "train_images": "tr.idx", "train_labels": "trl.idx",
+          "mean": 0.5, "classes": 4},
+         '{"classes": 4, "kind": "idx_images", "mean": 0.5, "std": 1.0, "test_images": "", '
+         '"test_labels": "", "train_images": "tr.idx", "train_labels": "trl.idx"}'),
+        ({"kind": "csv_table", "path": "t.csv", "classes": 3},
+         '{"classes": 3, "eval_path": "", "kind": "csv_table", "path": "t.csv"}'),
+    ], ids=["synthetic_blobs", "idx_images", "csv_table"])
+    def test_dataset_json_bytes_per_kind(self, dataset, expected):
+        # every key of the kind, defaults included, and no other kind's keys
+        text = RunConfig.from_dict(blob_config(dataset=dataset)).to_json()
+        assert f'"dataset": {expected}, ' in text
+
+    def test_non_string_dataset_kind_rejected(self):
+        with pytest.raises(ConfigError, match="dataset.kind"):
+            RunConfig.from_dict(blob_config(dataset={"kind": ["csv_table"]}))
+
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             RunConfig.from_json("epochs: 12")

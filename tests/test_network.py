@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
-from flexquant.autograd import Tape, no_grad
+from flexquant.autograd import Tape, Tensor, no_grad
 from flexquant.network import (
     ArchSpec,
     BatchNorm,
@@ -89,7 +89,7 @@ class TestBitWidthSet:
 class TestForwardContracts:
     def test_all_student_mask_matches_plain_forward(self, batch):
         net = make_net()
-        mask = SwapMask.all_student(net.arch.num_blocks)
+        mask = SwapMask(np.ones(net.arch.num_blocks, dtype=bool))
         with no_grad():
             plain = net.forward_at(batch, 8, mode="eval").data
             masked = net.forward_at(batch, 8, mask=mask, mode="eval").data
@@ -161,14 +161,44 @@ class TestSharedWeights:
                 after = net.forward_at(batch, b, mode="eval").data
                 assert np.any(after != before[b]), f"bit-width {b} ignored the weight change"
 
-    def test_first_and_last_layers_identical_across_bits(self):
+    def test_first_and_last_layers_identical_across_bits(self, batch):
         net = make_net()
         first = net.arch.learnable_names[0]
         last = net.arch.learnable_names[-1]
         # unquantized layers execute the latent tensor itself at every b
-        for name in (first, last):
-            assert name not in net.arch.block_index
-            assert net._fp_weight(name) is net.weights[name]
+        for b in (8, 4, 2):
+            with Tape() as tape:
+                net.forward_at(batch, b, mode="train")
+            used = {id(t) for node in tape.nodes if node.name == "matmul" for t in node.inputs}
+            for name in (first, last):
+                assert name not in net.arch.block_index
+                assert id(net.weights[name]) in used
+
+    def test_successive_tapes_each_reach_quantized_weights(self, batch):
+        # no hook between tapes: a second tape must not reuse the first
+        # tape's quantizer nodes, or its backward never reaches the latents
+        net = make_net()
+        for _ in range(2):
+            for w in net.weights.values():
+                w.zero_grad()
+            with Tape() as tape:
+                logits = net.forward_at(batch, 4, mode="train")
+                loss = ag.mean(ag.mul(logits, logits))
+            tape.backward(loss)
+            for name in net.arch.quantized_names:
+                assert net.weights[name].grad is not None, name
+
+    def test_weight_cache_follows_active_tape(self):
+        net = make_net()
+        name = net.arch.quantized_names[0]
+        with no_grad():
+            plain = net.weight_at(name, 4)
+            assert net.weight_at(name, 4) is plain
+        with Tape():
+            node = net.weight_at(name, 4)
+            assert node is not plain and node.requires_grad
+            assert net.weight_at(name, 4) is node
+        np.testing.assert_array_equal(node.data, plain.data)
 
     def test_gradients_flow_through_swapped_teacher_blocks(self, batch):
         net = make_net(hidden=(16, 16, 16))
@@ -244,7 +274,7 @@ class TestModelDistance:
             8: np.array([0.6, -0.2]),
             4: np.array([0.6, -0.0667]),
         }
-        monkeypatch.setattr(net, "weight_values", lambda name, b: fixed[b])
+        monkeypatch.setattr(net, "weight_at", lambda name, b: Tensor(fixed[b]))
         assert net.model_distance(8, 4) == pytest.approx(0.06665, abs=1e-12)
 
     def test_matches_independent_sum(self):

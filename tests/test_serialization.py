@@ -76,7 +76,7 @@ class TestBundle:
             with no_grad():
                 a = trained.net.forward_at(x, b, mode="eval").data
                 c = net.forward_at(x, b, mode="eval").data
-            np.testing.assert_allclose(a, c, atol=1e-9)
+            np.testing.assert_array_equal(a, c)
 
     def test_bundle_accuracy_matches(self, trained, tmp_path):
         path = str(tmp_path / "m.aqdb")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
-from flexquant import numerics, training
+from flexquant import numerics, quantizers, training
 from flexquant.autograd import Tape, Tensor
 from flexquant.config import RunConfig
 from flexquant.metrics import BatchRecord, MetricsLog
@@ -293,7 +293,6 @@ class TestTrainStep:
 
         summed = {}
         zero_all()
-        trainer.net.begin_step()
         with Tape() as tape:
             total = None
             for b in trainer.bits:
@@ -306,7 +305,6 @@ class TestTrainStep:
         separate = {name: 0.0 for name in trainer.net.weights}
         for b in trainer.bits:
             zero_all()
-            trainer.net.begin_step()
             with Tape() as tape:
                 loss = forward_loss(b)
             tape.backward(loss)
@@ -315,11 +313,26 @@ class TestTrainStep:
         for name in summed:
             np.testing.assert_allclose(summed[name], separate[name], atol=1e-9)
 
+    def test_coquant_step_codes_each_layer_once_per_bit(self, monkeypatch):
+        trainer = make_trainer(mode="coquant", epochs=1)
+        calls = []
+        real = quantizers.quantize_weights_dorefa
+
+        def counting(w, b1):
+            calls.append(b1)
+            return real(w, b1)
+
+        monkeypatch.setattr(quantizers, "quantize_weights_dorefa", counting)
+        xb = trainer.train_set.features[:32]
+        yb = trainer.train_set.labels[:32]
+        trainer.train_step(xb, yb, epoch=0, batch_index=0)
+        # one coding per (quantized layer, bit-width) per step
+        assert len(calls) <= trainer.arch.num_blocks * len(trainer.bits)
+
     def test_teacher_kl_contributes_no_teacher_gradient(self):
         # KL alone: the teacher-only bank parameters receive no gradient
         trainer = make_trainer(mode="coquant", epochs=1)
         xb = trainer.train_set.features[:16]
-        trainer.net.begin_step()
         with Tape() as tape:
             p_teacher = ag.softmax(trainer.net.forward_at(xb, 8, mode="train"))
             p_student = ag.softmax(trainer.net.forward_at(xb, 2, mode="train"))
