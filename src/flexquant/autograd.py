@@ -9,7 +9,9 @@ Recording model: while a Tape is active (``with tape:``), every op whose
 inputs require gradients appends one node. Nodes are appended in execution
 order, which is already a topological order, so ``backward`` is a single
 reverse sweep. Backward rules receive the upstream gradient and return one
-array (or None) per input; the engine owns accumulation.
+array per input; the engine owns accumulation. A rule may return None for an
+input that needs no gradient (one with requires_grad False, such as the data
+fed to a first conv layer) and skip computing it; the engine skips None.
 """
 
 from __future__ import annotations
@@ -179,15 +181,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return record(out, (a, b), bwd, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -249,16 +242,6 @@ def sum_(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, a.data.shape),)
 
     return record(out, (a,), bwd, "sum")
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(np.sum(a.data) / n)
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, a.data.shape),)
-
-    return record(out, (a,), bwd, "mean")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -373,23 +356,27 @@ def batchnorm(
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     if mode == "train":
-        mu = np.mean(xd, axis=axes)
-        var = np.var(xd, axis=axes)
+        # np.mean is a sum then a true divide, and np.var squares the
+        # centred input: the same operations here, in the same order, give
+        # the same bits with the centred input computed once.
+        m = xd.size // pshape[1]
+        mu = np.add.reduce(xd, axes) / m
+        xc = xd - mu.reshape(pshape)
+        var = np.add.reduce(xc * xc, axes) / m
         if update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
         s = np.sqrt(var.reshape(pshape) + numerics.EPS)
-        x_hat = (xd - mu.reshape(pshape)) / s
+        x_hat = xc / s
         out = gam * x_hat + bet
-        m = xd.size // pshape[1]
 
         def bwd(g):
-            dgamma = np.sum(g * x_hat, axis=axes)
-            dbeta = np.sum(g, axis=axes)
-            g_mean = np.mean(g, axis=axes).reshape(pshape)
-            gx_mean = np.mean(g * x_hat, axis=axes).reshape(pshape)
+            dgamma = np.add.reduce(g * x_hat, axes)
+            dbeta = np.add.reduce(g, axes)
+            g_mean = (dbeta / m).reshape(pshape)
+            gx_mean = (dgamma / m).reshape(pshape)
             dx = (gam / s) * (g - g_mean - x_hat * gx_mean)
             return dx, dgamma, dbeta
 
@@ -457,22 +444,31 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
         dw = (g2.T @ cols).reshape(f, c, kh, kw)
+        if not x.requires_grad:
+            return None, dw
         dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
-        dxp = np.zeros_like(xp)
+        # col2im into a channel-last (N, H, W, C) buffer, so each window
+        # offset adds a block with contiguous channels; the (i, j) order
+        # fixes the order of every overlapping sum.
+        dxp = np.zeros((n, xp.shape[2], xp.shape[3], c))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
-                    dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
+                    dcols[..., i, j]
                 )
         if padding:
-            return dxp[:, :, padding:-padding, padding:-padding], dw
-        return dxp, dw
+            dxp = dxp[:, padding:-padding, padding:-padding]
+        return np.ascontiguousarray(dxp.transpose(0, 3, 1, 2)), dw
 
     return record(np.ascontiguousarray(out), (x, w), bwd, "conv2d")
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride == window); trailing rows/cols drop."""
+    """Non-overlapping max pooling (stride == window); trailing rows/cols drop.
+
+    Output and gradient go to the first maximum of each window in row-major
+    window order, as argmax would pick it (ties include -0.0 == 0.0).
+    """
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"maxpool2d expects 4-D input, got {xd.shape}")
@@ -480,22 +476,28 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     ho, wo = h // k, w // k
     if ho == 0 or wo == 0:
         raise DimensionError(f"pool window {k} larger than input {h}x{w}")
-    trimmed = xd[:, :, : ho * k, : wo * k]
-    blocks = trimmed.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, ho, wo, k * k
-    )
-    arg = np.argmax(blocks, axis=-1)
-    out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    # One (n, c, ho, wo) view per window offset, in window order.
+    offsets = [(i, j) for i in range(k) for j in range(k)]
+    views = [xd[:, :, i : ho * k : k, j : wo * k : k] for i, j in offsets]
+    top = views[0].copy()
+    for v in views[1:]:
+        np.maximum(top, v, out=top)
+    # np.maximum may keep either zero of a -0.0/0.0 tie, so the output is
+    # copied from the routed entries rather than taken from `top`.
+    out = np.empty((n, c, ho, wo))
+    free = np.ones((n, c, ho, wo), dtype=bool)
+    firsts = []
+    for v in views:
+        first = v == top
+        first &= free
+        free ^= first
+        np.copyto(out, v, where=first)
+        firsts.append(first)
 
     def bwd(g):
-        dblocks = np.zeros((n, c, ho, wo, k * k))
-        np.put_along_axis(dblocks, arg[..., None], g[..., None], axis=-1)
         dx = np.zeros_like(xd)
-        dx[:, :, : ho * k, : wo * k] = (
-            dblocks.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-                n, c, ho * k, wo * k
-            )
-        )
+        for (i, j), first in zip(offsets, firsts):
+            np.copyto(dx[:, :, i : ho * k : k, j : wo * k : k], g, where=first)
         return (dx,)
 
-    return record(np.ascontiguousarray(out), (x,), bwd, "maxpool2d")
+    return record(out, (x,), bwd, "maxpool2d")

@@ -28,6 +28,12 @@ class Dataset:
             raise FormatError(
                 f"{self.features.shape[0]} samples vs {self.labels.shape[0]} labels"
             )
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.classes))
+        if bad.size:
+            row = int(bad[0])
+            raise FormatError(
+                f"label {self.labels[row]} at row {row} is outside [0, {self.classes})"
+            )
 
     def __len__(self):
         return self.features.shape[0]

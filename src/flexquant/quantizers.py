@@ -147,7 +147,11 @@ def quantize_activation(a: Tensor, alpha: Tensor, b: int) -> Tensor:
         alpha_val = numerics.ALPHA_FLOOR
     ad = a.data
     clipped = np.clip(ad, 0.0, alpha_val)
-    out = alpha_val * quantize_levels(clipped / alpha_val, b)
+    # clipped / alpha_val already lies in [0, 1], where quantize_levels'
+    # range check and clip change nothing and rounding half away from zero
+    # is floor(v + 0.5).
+    n = (1 << b) - 1
+    out = alpha_val * (np.floor(n * (clipped / alpha_val) + 0.5) / n)
     pass_mask = (ad >= 0.0) & (ad <= alpha_val)
     sat_mask = ad > alpha_val
 

@@ -75,6 +75,13 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx_labels(str(p))
 
+    def test_label_beyond_classes_rejected(self, tmp_path):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx_labels(lp, np.array([0, 1, 3]))
+        with pytest.raises(FormatError, match="label 3 at row 2 "):
+            load_idx(str(ip), str(lp), classes=3)
+
     def test_labels_round_trip(self, tmp_path):
         p = tmp_path / "lab"
         write_idx_labels(p, np.array([3, 1, 4, 1, 5]))
@@ -128,3 +135,10 @@ class TestBlobs:
     def test_dataset_length_mismatch_rejected(self):
         with pytest.raises(FormatError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("labels,row", [([0, -1, 1], 1), ([0, 1, 2, 2], 2)],
+                             ids=["negative", "equal_to_classes"])
+    def test_out_of_range_label_rejected(self, labels, row):
+        labels = np.array(labels, dtype=np.int64)
+        with pytest.raises(FormatError, match=f"label {labels[row]} at row {row} "):
+            Dataset(np.zeros((len(labels), 2)), labels, 2)

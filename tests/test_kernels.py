@@ -1,0 +1,240 @@
+"""Bitwise oracles for the training kernels.
+
+Each reference below is the earlier, plainer formulation of a kernel
+(np.mean/np.var batch statistics, a channel-first col2im, an argmax max-pool,
+and activation rounding through the general level quantizer). The library
+kernels compute the same floating-point operations in the same order with
+fewer array passes, so their outputs and gradients must match these
+references bit for bit, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+
+from flexquant import autograd as ag
+from flexquant import numerics
+from flexquant.autograd import Tape, Tensor
+from flexquant.quantizers import quantize_activation
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def forward_backward(op, g):
+    """Run op() under a tape; return its output and its node's gradients for g."""
+    with Tape() as tape:
+        out = op()
+    return out.data, tape.nodes[-1].backward_fn(g)
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+def ref_batchnorm_train(xd, gamma, beta, running_mean, running_var, momentum, g):
+    axes = (0,) if xd.ndim == 2 else (0, 2, 3)
+    pshape = (1, xd.shape[1]) if xd.ndim == 2 else (1, xd.shape[1], 1, 1)
+    gam, bet = gamma.reshape(pshape), beta.reshape(pshape)
+    mu = np.mean(xd, axis=axes)
+    var = np.var(xd, axis=axes)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    s = np.sqrt(var.reshape(pshape) + numerics.EPS)
+    x_hat = (xd - mu.reshape(pshape)) / s
+    out = gam * x_hat + bet
+    dgamma = np.sum(g * x_hat, axis=axes)
+    dbeta = np.sum(g, axis=axes)
+    g_mean = np.mean(g, axis=axes).reshape(pshape)
+    gx_mean = np.mean(g * x_hat, axis=axes).reshape(pshape)
+    dx = (gam / s) * (g - g_mean - x_hat * gx_mean)
+    return out, dx, dgamma, dbeta
+
+
+def ref_conv2d(xd, wd, stride, padding, g):
+    n, c, h, wid = xd.shape
+    f, _, kh, kw = wd.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wid + 2 * padding - kw) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, ho, wo, kh, kw),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False)
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * ho * wo, c * kh * kw)
+    wmat = wd.reshape(f, c * kh * kw)
+    out = np.ascontiguousarray((cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+    dw = (g2.T @ cols).reshape(f, c, kh, kw)
+    dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
+                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            )
+    dx = dxp[:, :, padding : padding + h, padding : padding + wid]
+    return out, dx, dw
+
+
+def ref_maxpool2d(xd, k, g):
+    n, c, h, w = xd.shape
+    ho, wo = h // k, w // k
+    trimmed = xd[:, :, : ho * k, : wo * k]
+    blocks = trimmed.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, ho, wo, k * k)
+    arg = np.argmax(blocks, axis=-1)
+    out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    dblocks = np.zeros((n, c, ho, wo, k * k))
+    np.put_along_axis(dblocks, arg[..., None], g[..., None], axis=-1)
+    dx = np.zeros_like(xd)
+    dx[:, :, : ho * k, : wo * k] = dblocks.reshape(n, c, ho, wo, k, k).transpose(
+        0, 1, 2, 4, 3, 5).reshape(n, c, ho * k, wo * k)
+    return out, dx
+
+
+def ref_quantize_activation(ad, alpha, b):
+    if alpha <= 0.0:
+        alpha = numerics.ALPHA_FLOOR
+    x = np.clip(np.clip(ad, 0.0, alpha) / alpha, 0.0, 1.0)
+    n = (1 << b) - 1
+    v = n * x
+    return alpha * (np.sign(v) * np.floor(np.abs(v) + 0.5) / n)
+
+
+def with_signed_zeros(rng, a, frac=0.2):
+    """Replace a random fraction of entries by -0.0 and another by +0.0."""
+    a = a.copy()
+    pick = rng.random(a.shape)
+    a[pick < frac / 2] = -0.0
+    a[(pick >= frac / 2) & (pick < frac)] = 0.0
+    return a
+
+
+# ---------------------------------------------------------------------------
+# batch-norm, train mode
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 3), (3, 4, 5, 6), (2, 3, 1, 7)])
+@pytest.mark.parametrize("seed", range(4))
+def test_batchnorm_train_matches_reference(shape, seed):
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    xd = rng.normal(10.0 * seed, 1.0 + seed, size=shape)
+    gamma = rng.uniform(0.5, 1.5, size=c)
+    beta = rng.normal(size=c)
+    g = with_signed_zeros(rng, rng.normal(size=shape))
+    rm0, rv0 = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+
+    rm, rv = rm0.copy(), rv0.copy()
+    out, (dx, dgamma, dbeta) = forward_backward(
+        lambda: ag.batchnorm(Tensor(xd, requires_grad=True), Tensor(gamma, requires_grad=True),
+                             Tensor(beta, requires_grad=True), rm, rv, 0.1, "train"), g)
+    ref_rm, ref_rv = rm0.copy(), rv0.copy()
+    want = ref_batchnorm_train(xd, gamma, beta, ref_rm, ref_rv, 0.1, g)
+
+    for got_arr, want_arr in zip((out, dx, dgamma, dbeta, rm, rv),
+                                 (*want, ref_rm, ref_rv)):
+        assert_bitwise(got_arr, want_arr)
+
+
+# ---------------------------------------------------------------------------
+# conv2d
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_conv2d_matches_reference(stride, padding, kernel):
+    rng = np.random.default_rng(100 * stride + 10 * padding + kernel)
+    xd = rng.normal(size=(2, 3, 7, 9))
+    wd = rng.normal(size=(4, 3, kernel, kernel))
+    ho = (7 + 2 * padding - kernel) // stride + 1
+    wo = (9 + 2 * padding - kernel) // stride + 1
+    g = with_signed_zeros(rng, rng.normal(size=(2, 4, ho, wo)))
+    want_out, want_dx, want_dw = ref_conv2d(xd, wd, stride, padding, g)
+
+    for input_grad in (True, False):
+        out, (dx, dw) = forward_backward(
+            lambda: ag.conv2d(Tensor(xd, requires_grad=input_grad),
+                              Tensor(wd, requires_grad=True), stride, padding), g)
+        assert_bitwise(out, want_out)
+        assert_bitwise(dw, want_dw)
+        if input_grad:
+            assert_bitwise(dx, want_dx)
+            assert dx.flags.c_contiguous
+        else:
+            assert dx is None
+
+
+# ---------------------------------------------------------------------------
+# max-pool
+# ---------------------------------------------------------------------------
+
+def post_relu_input(rng, shape):
+    """ReLU-like input on a coarse grid: many tied zeros of both signs and
+    tied positive maxima inside a window."""
+    x = np.maximum(np.round(rng.normal(size=shape) * 2.0) / 2.0, 0.0)
+    return with_signed_zeros(rng, x, frac=0.3)
+
+
+@pytest.mark.parametrize("k,shape", [
+    (2, (2, 3, 8, 8)),
+    (2, (2, 3, 7, 9)),
+    (3, (2, 2, 9, 9)),
+    (3, (1, 3, 10, 11)),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_maxpool2d_matches_reference(k, shape, seed):
+    rng = np.random.default_rng(seed)
+    for xd in (rng.normal(size=shape), post_relu_input(rng, shape), np.zeros(shape),
+               np.full(shape, -0.0)):
+        g = with_signed_zeros(rng, rng.normal(size=(shape[0], shape[1],
+                                                    shape[2] // k, shape[3] // k)))
+        want_out, want_dx = ref_maxpool2d(xd, k, g)
+        out, (dx,) = forward_backward(
+            lambda: ag.maxpool2d(Tensor(xd, requires_grad=True), k), g)
+        assert_bitwise(out, want_out)
+        assert_bitwise(dx, want_dx)
+
+
+# ---------------------------------------------------------------------------
+# activation quantizer
+# ---------------------------------------------------------------------------
+
+def exact_half_levels(alpha, b):
+    """Inputs whose scaled ratio n * (x / alpha) is exactly k + 0.5."""
+    n = (1 << b) - 1
+    cands = (np.arange(n) + 0.5) * alpha / n
+    return cands[n * (cands / alpha) == np.arange(n) + 0.5]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 0.7, 6.0, 0.0, -1.0])
+def test_quantize_activation_matches_reference(b, alpha):
+    rng = np.random.default_rng(b)
+    eff = alpha if alpha > 0.0 else numerics.ALPHA_FLOOR
+    halves = exact_half_levels(eff, b)
+    special = np.array([0.0, -0.0, eff, np.nextafter(eff, 0.0), np.nextafter(eff, 2.0 * eff),
+                        2.0 * eff, -eff, -1e-300, 1e-300])
+    ad = np.concatenate([halves, special, rng.uniform(-0.5 * eff, 1.5 * eff, size=200)])
+    ad = with_signed_zeros(rng, ad, frac=0.05)
+    g = with_signed_zeros(rng, rng.normal(size=ad.shape))
+
+    out, (da, dalpha) = forward_backward(
+        lambda: quantize_activation(Tensor(ad, requires_grad=True),
+                                    Tensor(alpha, requires_grad=True), b), g)
+    assert_bitwise(out, ref_quantize_activation(ad, alpha, b))
+    assert_bitwise(da, g * ((ad >= 0.0) & (ad <= eff)))
+    assert_bitwise(dalpha, np.asarray(np.sum(g, where=ad > eff)))
+
+
+def test_exact_half_levels_exist():
+    assert exact_half_levels(3.0, 2).size > 0
+    assert exact_half_levels(2.0, 1).size > 0

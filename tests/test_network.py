@@ -183,7 +183,7 @@ class TestSharedWeights:
                 w.zero_grad()
             with Tape() as tape:
                 logits = net.forward_at(batch, 4, mode="train")
-                loss = ag.mean(ag.mul(logits, logits))
+                loss = ag.sum_(ag.mul(logits, logits))
             tape.backward(loss)
             for name in net.arch.quantized_names:
                 assert net.weights[name].grad is not None, name
@@ -205,7 +205,7 @@ class TestSharedWeights:
         mask = SwapMask(np.array([False, False]))
         with Tape() as tape:
             logits = net.forward_at(batch, 2, mask=mask, teacher_b=8, mode="train")
-            loss = ag.mean(ag.mul(logits, logits))
+            loss = ag.sum_(ag.mul(logits, logits))
         tape.backward(loss)
         for name in net.arch.quantized_names:
             assert net.weights[name].grad is not None

@@ -518,6 +518,19 @@ class TestOtherDataKinds:
         np.testing.assert_array_equal(train.labels, np.arange(12) % 3)
         assert test is train  # no eval_path given
 
+    @pytest.mark.parametrize("bad_label", [-1, 3])
+    def test_csv_table_label_out_of_range_rejected(self, tmp_path, bad_label):
+        from flexquant.config import DatasetSpec
+        from flexquant.datasets import FormatError
+        from flexquant.training import load_dataset
+        rows = np.hstack([np.zeros((4, 2)), np.array([[0], [1], [bad_label], [2]])])
+        path = tmp_path / "data.csv"
+        np.savetxt(path, rows, delimiter=",")
+        spec = DatasetSpec.from_dict({"kind": "csv_table", "path": str(path),
+                                      "classes": 3})
+        with pytest.raises(FormatError, match=f"label {bad_label} at row 2 "):
+            load_dataset(spec)
+
     def test_cnn_config_trains_on_idx(self, tmp_path):
         from test_datasets import write_idx_images, write_idx_labels
         rng = np.random.default_rng(1)
