@@ -11,7 +11,7 @@ order, which is already a topological order, so ``backward`` is a single
 reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
-fed to a first conv layer) and skip computing it; the engine skips None.
+fed to a first dense or conv layer) and skip computing it; the engine skips None.
 """
 
 from __future__ import annotations
@@ -117,13 +117,12 @@ class no_grad:
 
 
 def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tensor:
-    """Create the output tensor of an op, check it, and record the node.
+    """Create the output tensor of an op and record its node on the active tape.
 
     ``backward_fn(grad)`` must return one gradient array (or None) per input.
     Returned arrays may alias anything; the engine copies on first
     accumulation.
     """
-    numerics.check_finite(out_data, name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -201,7 +200,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
 
     return record(out, (a, b), bwd, "matmul")
 

@@ -78,9 +78,9 @@ class DeploymentBundle:
         return QuantNet.from_codes(self.arch, self.bits, self.bank, self.views, self.fp_weights)
 
 
-def export_bundle(path: str, net: QuantNet, bits: BitWidthSet | None = None) -> SizeReport:
+def export_bundle(path: str, net: QuantNet) -> SizeReport:
     """Write the network's codes and banks; returns the byte accounting."""
-    bits = bits or net.bits
+    bits = net.bits
     arch = net.arch
     b1 = bits.b1
     w = ByteWriter()

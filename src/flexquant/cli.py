@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import numerics
 from .bundle import export_bundle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, DatasetSpec, RunConfig
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    numerics.set_finite_checks(True)
     try:
         return args.fn(args)
     except (ConfigError, MissingBankError, CorruptFileError, FileNotFoundError) as e:

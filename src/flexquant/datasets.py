@@ -34,6 +34,11 @@ class Dataset:
             raise FormatError(
                 f"label {self.labels[row]} at row {row} is outside [0, {self.classes})"
             )
+        # one sum answers for clean data; the row is located only on failure
+        if not np.isfinite(np.sum(self.features)):
+            bad = ~np.isfinite(self.features.reshape(len(self), -1)).all(axis=1)
+            if bad.any():
+                raise FormatError(f"non-finite feature at row {int(np.argmax(bad))}")
 
     def __len__(self):
         return self.features.shape[0]

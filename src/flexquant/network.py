@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
+from . import numerics
 from .autograd import Tensor
 from .quantizers import (
     BitWidthError,
@@ -457,7 +458,7 @@ class QuantNet:
         Swapped blocks execute entirely at the teacher precision: teacher
         weights, teacher clipping value, teacher BN entry. Unquantized
         first/last layers keep full-precision weights but use the student
-        bit-width's BN entries.
+        bit-width's BN entries. Eval-mode logits are checked for NaN/Inf.
         """
         b = int(b)
         if mode not in ("train", "eval", "calibrate"):
@@ -518,6 +519,8 @@ class QuantNet:
                 cur = ag.flatten(cur)
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
+        if mode == "eval":
+            numerics.check_finite(cur.data, f"forward_at b={b} eval logits")
         return cur
 
     def model_distance(self, bi: int, bj: int) -> float:

@@ -2,6 +2,13 @@
 
 Every epsilon clamp in the library goes through this module so runs can
 report how often the guards actually fired.
+
+NaN/Inf is checked where a value enters the program or lands in kept
+state, not after every op: dataset features (``Dataset``), latent weights
+(``quantize_weights_dorefa``), the training loss (``Trainer.train_step``,
+which names the first non-finite op on the tape), gradients
+(``SGD.step``), calibration statistics (``Trainer.calibrate``) and
+eval-mode logits (``QuantNet.forward_at``).
 """
 
 from __future__ import annotations
@@ -14,18 +21,11 @@ EPS = 1e-12
 # Learnable clipping values are re-projected to at least this after each step.
 ALPHA_FLOOR = 1e-3
 
-_finite_checks = True
 _event_counts: dict[str, int] = {}
 
 
 class NonFiniteError(ArithmeticError):
-    """An operation produced NaN or Inf."""
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle per-op NaN/Inf detection (on by default)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
+    """A checked value holds NaN or Inf."""
 
 
 def check_finite(arr: np.ndarray, where: str) -> None:
@@ -34,8 +34,6 @@ def check_finite(arr: np.ndarray, where: str) -> None:
     Cheap path: the sum of an array is non-finite iff the array contains a
     non-finite entry (Inf + -Inf collapses to NaN), so one reduction suffices.
     """
-    if not _finite_checks:
-        return
     if arr.size and not np.isfinite(np.sum(arr)):
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         if bad == 0:

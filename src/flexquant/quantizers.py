@@ -152,12 +152,11 @@ def quantize_activation(a: Tensor, alpha: Tensor, b: int) -> Tensor:
     # is floor(v + 0.5).
     n = (1 << b) - 1
     out = alpha_val * (np.floor(n * (clipped / alpha_val) + 0.5) / n)
-    pass_mask = (ad >= 0.0) & (ad <= alpha_val)
-    sat_mask = ad > alpha_val
 
     def bwd(g):
-        da = g * pass_mask
-        dalpha = np.asarray(np.sum(g, where=sat_mask)).reshape(alpha.data.shape)
+        # the masks are built here, so forwards without a tape never pay for them
+        da = g * ((ad >= 0.0) & (ad <= alpha_val))
+        dalpha = np.asarray(np.sum(g, where=ad > alpha_val)).reshape(alpha.data.shape)
         return da, dalpha
 
     return record(out, (a, alpha), bwd, "quantize_activation")

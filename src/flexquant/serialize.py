@@ -60,17 +60,15 @@ class ByteWriter:
 
 
 class ByteReader:
-    def __init__(self, buf: bytes, check_crc: bool = True):
-        if check_crc:
-            if len(buf) < 4:
-                raise CorruptFileError("file shorter than its checksum")
-            body, trailer = buf[:-4], buf[-4:]
-            expect = struct.unpack("<I", trailer)[0]
-            got = zlib.crc32(body) & 0xFFFFFFFF
-            if got != expect:
-                raise CorruptFileError(f"CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
-            buf = body
-        self.buf = buf
+    def __init__(self, buf: bytes):
+        if len(buf) < 4:
+            raise CorruptFileError("file shorter than its checksum")
+        body, trailer = buf[:-4], buf[-4:]
+        expect = struct.unpack("<I", trailer)[0]
+        got = zlib.crc32(body) & 0xFFFFFFFF
+        if got != expect:
+            raise CorruptFileError(f"CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
+        self.buf = body
         self.pos = 0
 
     def _take(self, n: int) -> bytes:

@@ -51,8 +51,6 @@ class TeacherChoice:
     entropy_term: float
     distance_term: float
     lam: float
-    epoch: int = 0
-    batch_index: int = 0
     # every candidate's (entropy, distance), for auditing the argmin
     candidates: dict[int, tuple[float, float]] = None
 
@@ -62,7 +60,7 @@ class TeacherChoice:
 
 
 def select_teacher(student_b: int, teacher_probs: dict[int, np.ndarray], lam: float,
-                   distance_fn, epoch: int = 0, batch_index: int = 0) -> TeacherChoice:
+                   distance_fn) -> TeacherChoice:
     """Pick the candidate minimizing entropy + lam * model distance.
 
     Candidates are the probabilities already computed this batch for every
@@ -78,7 +76,7 @@ def select_teacher(student_b: int, teacher_probs: dict[int, np.ndarray], lam: fl
         ent = entropy(teacher_probs[t])
         dist = float(distance_fn(t, student_b))
         terms[t] = (ent, dist)
-        cand = TeacherChoice(student_b, t, ent, dist, lam, epoch, batch_index)
+        cand = TeacherChoice(student_b, t, ent, dist, lam)
         if best is None or cand.score < best.score:
             best = cand
     best.candidates = terms
@@ -225,9 +223,7 @@ class Trainer:
     def _phase_bits(self, epoch: int) -> list[int]:
         """Bit-widths whose losses are optimized at this epoch."""
         kind = self.config.mode_kind
-        if kind == "individual":
-            return [self.config.mode_bit]
-        if kind == "direct":
+        if kind in ("individual", "direct"):
             return [self.config.mode_bit]
         if kind in ("progressive_desc", "progressive_asc"):
             order = list(self.bits) if kind == "progressive_desc" else list(self.bits)[::-1]
@@ -262,8 +258,7 @@ class Trainer:
                 swap_fraction = 1.0
                 if coquant and b != self.bits.b1:
                     candidates = {t: probs_by_bit[t].data for t in self.bits.teachers_of(b)}
-                    choice = select_teacher(b, candidates, cfg.lam,
-                                            self.net.model_distance, epoch, batch_index)
+                    choice = select_teacher(b, candidates, cfg.lam, self.net.model_distance)
                     mask = sample_swap_mask(num_blocks, p1, self.streams["swap"])
                     swap_fraction = mask.student_fraction
                     logits = self.net.forward_at(
@@ -284,8 +279,11 @@ class Trainer:
                     swap_student_fraction=swap_fraction,
                 ))
         if not np.isfinite(total.data):
+            first = next((node.name for node in tape.nodes
+                          if not np.isfinite(node.output.data).all()), "loss")
             raise TrainingError(
-                f"non-finite loss at epoch {epoch} batch {batch_index}: {total.data}"
+                f"non-finite loss at epoch {epoch} batch {batch_index}: {total.data}; "
+                f"first non-finite op output: {first}"
             )
         tape.backward(total)
         self.optimizer.step()
@@ -355,8 +353,7 @@ class Trainer:
         if not self.bank.has(b):
             self.bank.ensure_entry(b, borrow_from=self.nearest_trained_bit(b))
 
-    def calibrate(self, b: int, dataset: Dataset | None = None,
-                  batch_size: int | None = None) -> None:
+    def calibrate(self, b: int, dataset: Dataset | None = None) -> None:
         """Zero-shot calibration: repopulate BN statistics for bit-width b.
 
         Weights and clipping values stay frozen; a missing bank entry is
@@ -369,11 +366,13 @@ class Trainer:
         self.ensure_direct_entry(b)
         entry = self.bank.entry(b)
         collector = StatsCollector()
-        bs = batch_size or self.config.batch_size
         with no_grad():
-            for xb, _ in data.batches(bs):
+            for xb, _ in data.batches(self.config.batch_size):
                 self.net.forward_at(xb, b, mode="calibrate", collector=collector)
-        for name, (mean, var) in collector.finalize().items():
-            entry.bn[name].running_mean = mean
-            entry.bn[name].running_var = var
+        stats = collector.finalize()
+        for name, (mean, var) in stats.items():  # check all before writing any
+            numerics.check_finite(mean, f"calibrate b={b} {name} running_mean")
+            numerics.check_finite(var, f"calibrate b={b} {name} running_var")
+        for name, (mean, var) in stats.items():
+            entry.bn[name].running_mean, entry.bn[name].running_var = mean, var
         self.calibrated_bits.add(b)

@@ -1,14 +1,6 @@
 """Shared test helpers: finite-difference oracle and config builders."""
 
 import numpy as np
-import pytest
-
-from flexquant import numerics
-
-
-@pytest.fixture(autouse=True)
-def _finite_checks_on():
-    numerics.set_finite_checks(True)
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

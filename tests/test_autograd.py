@@ -318,6 +318,20 @@ class TestFiniteDifferences:
             assert (x.grad is not None) == input_grad
         np.testing.assert_array_equal(grads[False], grads[True])
 
+    def test_matmul_constant_input_gets_no_gradient(self):
+        # the first dense layer's input is the data: its backward skips g @ w.T
+        rng = np.random.default_rng(52)
+        xd = rng.normal(size=(6, 4))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        g = rng.normal(size=(6, 3))
+        for input_grad in (True, False):
+            x = Tensor(xd, requires_grad=input_grad)
+            with Tape() as tape:
+                ag.matmul(x, w)
+            dx, dw = tape.nodes[-1].backward_fn(g)
+            assert (dx is not None) == input_grad
+            np.testing.assert_array_equal(dw, xd.T @ g)
+
     def test_batchnorm_all_inputs(self):
         rng = np.random.default_rng(46)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +100,36 @@ class TestTrain:
                    "--out", run_dir(tmp_path, "x")])
         assert rc == 1
         assert "different config" in capsys.readouterr().err
+
+
+def test_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
+    """The desk config (criterion 6, cut to 3 epochs) under 1 and 2 BLAS threads."""
+    config = {
+        "schema_version": 1, "mode": "coquant", "bits": [8, 4, 2],
+        "dataset": {"kind": "synthetic_blobs", "classes": 4, "samples": 4000,
+                    "dim": 16, "spread": 2.0, "seed": 11, "center_scale": 2.0,
+                    "center_offset": 10.0},
+        "arch": {"kind": "mlp", "input_dim": 16, "hidden": [64, 64], "classes": 4},
+        "epochs": 3, "batch_size": 200, "seed": 0,
+        "optimizer": {"lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4, "schedule": "step"},
+        "alpha": {"init": 1.0, "lr": 0.01, "weight_decay": 5e-4},
+    }
+    config_file = tmp_path / "desk.json"
+    config_file.write_text(json.dumps(config))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    checkpoints = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexquant.cli", "train", "--config", str(config_file),
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        checkpoints.append((out / "checkpoint.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 class TestEvalCalibrateExport:

@@ -82,6 +82,19 @@ class TestIdx:
         with pytest.raises(FormatError, match="label 3 at row 2 "):
             load_idx(str(ip), str(lp), classes=3)
 
+    @pytest.mark.parametrize("mean,std,row", [(0.0, 1e-320, 2), (0.0, -1e-320, 2),
+                                              (float("nan"), 1.0, 0)],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_feature_rejected(self, tmp_path, mean, std, row):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        images = np.zeros((3, 2, 2), dtype=np.uint8)
+        images[2, 1, 0] = 200  # divided by a subnormal std it overflows
+        write_idx_images(ip, images)
+        write_idx_labels(lp, np.array([0, 1, 0]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(FormatError, match=f"non-finite feature at row {row}$"):
+            load_idx(str(ip), str(lp), mean=mean, std=std)
+
     def test_labels_round_trip(self, tmp_path):
         p = tmp_path / "lab"
         write_idx_labels(p, np.array([3, 1, 4, 1, 5]))
@@ -142,3 +155,15 @@ class TestBlobs:
         labels = np.array(labels, dtype=np.int64)
         with pytest.raises(FormatError, match=f"label {labels[row]} at row {row} "):
             Dataset(np.zeros((len(labels), 2)), labels, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        features = np.zeros((4, 3))
+        features[2, 1] = value
+        with pytest.raises(FormatError, match="non-finite feature at row 2$"):
+            Dataset(features, np.zeros(4, dtype=np.int64), 2)
+
+    def test_finite_features_whose_sum_overflows_accepted(self):
+        features = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            assert len(Dataset(features, np.zeros(2, dtype=np.int64), 2)) == 2

@@ -108,6 +108,15 @@ def ref_quantize_activation(ad, alpha, b):
     return alpha * (np.sign(v) * np.floor(np.abs(v) + 0.5) / n)
 
 
+def ref_quantize_activation_grads(ad, alpha, g):
+    """Both gradients as the quantizer once built them: masks made in the forward."""
+    if alpha <= 0.0:
+        alpha = numerics.ALPHA_FLOOR
+    pass_mask = (ad >= 0.0) & (ad <= alpha)
+    sat_mask = ad > alpha
+    return g * pass_mask, np.asarray(np.sum(g, where=sat_mask))
+
+
 def with_signed_zeros(rng, a, frac=0.2):
     """Replace a random fraction of entries by -0.0 and another by +0.0."""
     a = a.copy()
@@ -221,8 +230,9 @@ def test_quantize_activation_matches_reference(b, alpha):
     rng = np.random.default_rng(b)
     eff = alpha if alpha > 0.0 else numerics.ALPHA_FLOOR
     halves = exact_half_levels(eff, b)
+    # +/-inf are clipped like any other value: to alpha and to 0
     special = np.array([0.0, -0.0, eff, np.nextafter(eff, 0.0), np.nextafter(eff, 2.0 * eff),
-                        2.0 * eff, -eff, -1e-300, 1e-300])
+                        2.0 * eff, -eff, -1e-300, 1e-300, np.inf, -np.inf])
     ad = np.concatenate([halves, special, rng.uniform(-0.5 * eff, 1.5 * eff, size=200)])
     ad = with_signed_zeros(rng, ad, frac=0.05)
     g = with_signed_zeros(rng, rng.normal(size=ad.shape))
@@ -231,8 +241,10 @@ def test_quantize_activation_matches_reference(b, alpha):
         lambda: quantize_activation(Tensor(ad, requires_grad=True),
                                     Tensor(alpha, requires_grad=True), b), g)
     assert_bitwise(out, ref_quantize_activation(ad, alpha, b))
-    assert_bitwise(da, g * ((ad >= 0.0) & (ad <= eff)))
-    assert_bitwise(dalpha, np.asarray(np.sum(g, where=ad > eff)))
+    assert out[ad == np.inf][0] == eff and out[ad == -np.inf][0] == 0.0
+    ref_da, ref_dalpha = ref_quantize_activation_grads(ad, alpha, g)
+    assert_bitwise(da, ref_da)
+    assert_bitwise(dalpha, ref_dalpha)
 
 
 def test_exact_half_levels_exist():

@@ -23,6 +23,7 @@ from flexquant.network import (
     mlp,
     small_cnn,
 )
+from flexquant.numerics import NonFiniteError
 from flexquant.quantizers import BitWidthError, weight_forward
 
 
@@ -116,6 +117,15 @@ class TestForwardContracts:
         net = make_net()
         with pytest.raises(MissingBankError, match="bit-width 3"):
             net.forward_at(batch, 3, mode="eval")
+
+    @pytest.mark.parametrize("field", ["running_mean", "running_var"])
+    def test_eval_logits_checked_for_nan_bank(self, batch, field):
+        net = make_net()
+        getattr(net.bank.entry(4).bn[net.arch.bn_names[0]], field)[0] = np.nan
+        with no_grad():
+            net.forward_at(batch, 8, mode="eval")  # the other entries stay usable
+            with pytest.raises(NonFiniteError, match="forward_at b=4 eval logits"):
+                net.forward_at(batch, 4, mode="eval")
 
     def test_mask_without_teacher_rejected(self, batch):
         net = make_net()

@@ -382,8 +382,7 @@ class TestTrainStep:
         name = trainer.arch.learnable_names[0]
         trainer.net.weights[name].data[0, 0] = np.nan
         trainer.net.after_update()
-        numerics.set_finite_checks(False)  # reach the trainer-level guard
-        with pytest.raises((TrainingError, numerics.NonFiniteError)):
+        with pytest.raises(TrainingError):
             trainer.train_epoch()
 
     def test_determinism_bitwise_metrics(self):
@@ -419,6 +418,76 @@ class TestTrainStep:
                 assert rec.train_loss[b] == sum(r.loss for r in sub) / len(sub)
                 if b != trainer.bits.b1:
                     assert sum(c for (s, _), c in rec.teacher_counts.items() if s == b) == 6
+
+
+class TestFiniteBoundaries:
+    """NaN/Inf is caught where it enters or would land in kept state."""
+
+    @staticmethod
+    def first_batch(trainer):
+        return next(trainer.train_set.batches(trainer.config.batch_size))
+
+    def test_nan_latent_weight_names_first_matmul(self):
+        trainer = make_trainer(mode="coquant", epochs=1)
+        first = trainer.arch.learnable_names[0]  # full precision: never coded
+        trainer.net.weights[first].data[0, 0] = np.nan
+        trainer.net.after_update()
+        xb, yb = self.first_batch(trainer)
+        with pytest.raises(TrainingError) as exc:
+            trainer.train_step(xb, yb, 2, 5)
+        message = str(exc.value)
+        assert "epoch 2 batch 5" in message
+        assert message.endswith("first non-finite op output: matmul")
+
+    def test_inf_bn_gamma_names_batchnorm(self):
+        trainer = make_trainer(mode="adabits", epochs=1)
+        last_bn = trainer.arch.bn_names[-1]  # its output is the logits
+        trainer.bank.entry(8).bn[last_bn].gamma.data[0] = np.inf
+        xb, yb = self.first_batch(trainer)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
+            trainer.train_step(xb, yb, 0, 0)
+        assert str(exc.value).endswith("first non-finite op output: batchnorm_train")
+
+    def test_readme_loop_stops_at_optimizer_with_weights_unchanged(self):
+        from flexquant import BitWidthSet, PrecisionBank, QuantNet, mlp
+        from flexquant.datasets import gen_synthetic_blobs
+        from flexquant.optim import SGD, ParamGroup, StepError
+
+        bits = BitWidthSet([8, 4, 2])
+        arch = mlp(input_dim=8, hidden=[16, 16], classes=4)
+        bank = PrecisionBank(bits, arch)
+        net = QuantNet(arch, bits, bank, rng=np.random.default_rng(0))
+        net.weights[arch.learnable_names[0]].data[0, 0] = np.nan
+        bn_params, alpha_params = bank.named_parameters()
+        params = {**net.named_weights(), **bn_params, **alpha_params}
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = SGD([ParamGroup(params, lr=0.1)])
+        batches = gen_synthetic_blobs(4, 200, 8, 1.0, seed=7).batches(100)
+        with pytest.raises(StepError, match="non-finite gradient"):
+            for xb, yb in batches:
+                with Tape() as tape:
+                    loss = ag.cross_entropy(ag.softmax(net.forward_at(xb, 4, mode="train")), yb)
+                tape.backward(loss)
+                opt.step(); opt.zero_grad()
+                net.after_update()
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+    def test_calibration_rejects_non_finite_statistics(self):
+        trainer = make_trainer(mode="adabits", epochs=1)
+        first = trainer.arch.learnable_names[0]
+        trainer.net.weights[first].data[:] = 1e200  # squares overflow
+        trainer.net.after_update()
+        entry = trainer.bank.entry(8)
+        before = {name: (st.running_mean.copy(), st.running_var.copy())
+                  for name, st in entry.bn.items()}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(numerics.NonFiniteError, match="calibrate b=8 .* running_var"):
+            trainer.calibrate(8)
+        for name, st in entry.bn.items():  # no layer's statistics are written
+            np.testing.assert_array_equal(st.running_mean, before[name][0])
+            np.testing.assert_array_equal(st.running_var, before[name][1])
+        assert 8 not in trainer.calibrated_bits
 
 
 class TestBankSharingByMode:
@@ -531,6 +600,18 @@ class TestOtherDataKinds:
         with pytest.raises(FormatError, match=f"label {bad_label} at row 2 "):
             load_dataset(spec)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_table_non_finite_feature_rejected(self, tmp_path, bad):
+        from flexquant.config import DatasetSpec
+        from flexquant.datasets import FormatError
+        from flexquant.training import load_dataset
+        path = tmp_path / "data.csv"
+        path.write_text(f"0,0,0\n0,0,1\n0,{bad},2\n0,0,0\n")
+        spec = DatasetSpec.from_dict({"kind": "csv_table", "path": str(path),
+                                      "classes": 3})
+        with pytest.raises(FormatError, match="non-finite feature at row 2$"):
+            load_dataset(spec)
+
     def test_cnn_config_trains_on_idx(self, tmp_path):
         from test_datasets import write_idx_images, write_idx_labels
         rng = np.random.default_rng(1)
@@ -641,8 +722,7 @@ class TestPreferenceShiftHistogram:
         for epoch, (p8, p4) in enumerate([(sharp, soft), (soft, sharp)]):
             for batch in range(5):
                 choice = select_teacher(2, {8: p8, 4: p4}, lam=0.0,
-                                        distance_fn=lambda t, s: 0.0,
-                                        epoch=epoch, batch_index=batch)
+                                        distance_fn=lambda t, s: 0.0)
                 log.add_batch(BatchRecord(
                     epoch=epoch, batch=batch, mode="coquant", b=2, loss=0.0,
                     ce=0.0, kl=0.0, teacher_b=choice.teacher_b,
