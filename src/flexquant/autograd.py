@@ -12,6 +12,15 @@ reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer) and skip computing it; the engine skips None.
+
+Gradient ownership: a rule never writes into its upstream gradient or into
+any array captured from its forward, so calling it twice gives the same
+result. It returns arrays it has just allocated, or views (of the upstream
+gradient or of anything else). The engine adopts a fresh array as the
+input's .grad without copying it and copies everything else: the upstream
+gradient itself, views, read-only arrays, and an array already adopted for
+another input of the same node. Later uses of the input add into that
+buffer in place.
 """
 
 from __future__ import annotations
@@ -120,8 +129,9 @@ def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tenso
     """Create the output tensor of an op and record its node on the active tape.
 
     ``backward_fn(grad)`` must return one gradient array (or None) per input.
-    Returned arrays may alias anything; the engine copies on first
-    accumulation.
+    It must not write into ``grad`` or into any array its forward captured.
+    Each returned array is either one it has just allocated, which the engine
+    may keep as the input's .grad, or a view, which the engine copies.
     """
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -146,11 +156,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if out_grad is None:
             continue
         grads = node.backward_fn(out_grad)
+        adopted = []
         for inp, g in zip(node.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
             if inp.grad is None:
-                inp.grad = np.array(g)  # own the buffer; g may alias out_grad
+                # keep what the rule just allocated; copy anything shared
+                if (g is out_grad or g.base is not None or not g.flags.writeable
+                        or any(g is a for a in adopted)):
+                    g = np.array(g)
+                inp.grad = g
+                adopted.append(g)
             else:
                 inp.grad += g
 
@@ -357,34 +373,48 @@ def batchnorm(
     if mode == "train":
         # np.mean is a sum then a true divide, and np.var squares the
         # centred input: the same operations here, in the same order, give
-        # the same bits with the centred input computed once.
+        # the same bits with the centred input computed once. Two full-size
+        # buffers: the centred input becomes x_hat in place, and the squares
+        # buffer becomes the output.
         m = xd.size // pshape[1]
         mu = np.add.reduce(xd, axes) / m
-        xc = xd - mu.reshape(pshape)
-        var = np.add.reduce(xc * xc, axes) / m
-        if update_running:
+        x_hat = xd - mu.reshape(pshape)
+        out = np.multiply(x_hat, x_hat)
+        var = np.add.reduce(out, axes) / m
+        # a non-finite batch (a step the trainer will reject) leaves the
+        # running estimates as they were
+        if update_running and np.isfinite(mu).all() and np.isfinite(var).all():
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
         s = np.sqrt(var.reshape(pshape) + numerics.EPS)
-        x_hat = xc / s
-        out = gam * x_hat + bet
+        x_hat /= s
+        np.multiply(gam, x_hat, out=out)
+        out += bet
 
         def bwd(g):
-            dgamma = np.add.reduce(g * x_hat, axes)
+            # (gam / s) * (g - g_mean - x_hat * gx_mean), with the factor
+            # applied last; IEEE multiplication commutes, so the bits match
+            buf = g * x_hat
+            dgamma = np.add.reduce(buf, axes)
             dbeta = np.add.reduce(g, axes)
             g_mean = (dbeta / m).reshape(pshape)
             gx_mean = (dgamma / m).reshape(pshape)
-            dx = (gam / s) * (g - g_mean - x_hat * gx_mean)
+            dx = g - g_mean
+            np.multiply(x_hat, gx_mean, out=buf)
+            dx -= buf
+            dx *= gam / s
             return dx, dgamma, dbeta
 
         return record(out, (x, gamma, beta), bwd, "batchnorm_train")
 
     if mode == "eval":
         s = np.sqrt(running_var.reshape(pshape) + numerics.EPS)
-        x_hat = (xd - running_mean.reshape(pshape)) / s
-        out = gam * x_hat + bet
+        x_hat = xd - running_mean.reshape(pshape)
+        x_hat /= s
+        out = gam * x_hat
+        out += bet
 
         def bwd(g):
             dgamma = np.sum(g * x_hat, axis=axes)
@@ -435,7 +465,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         )
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(wid, kw, stride, padding)
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + wid] = xd
+    else:
+        xp = xd
     cols = _im2col(xp, kh, kw, stride, ho, wo)
     wmat = wd.reshape(f, c * kh * kw)
     out = (cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)

@@ -61,13 +61,17 @@ class SGD:
                 p.grad = None
 
     def step(self) -> None:
+        # every gradient is checked before any parameter moves, so a
+        # rejected step leaves parameters and velocities as they were
+        for group in self.groups:
+            for name, p in group.params.items():
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise StepError(f"non-finite gradient on {name!r}; step aborted")
         for group in self.groups:
             for name, p in group.params.items():
                 g = p.grad
                 if g is None:
                     continue
-                if not np.all(np.isfinite(g)):
-                    raise StepError(f"non-finite gradient on {name!r}; step aborted")
                 if group.weight_decay:
                     g = g + group.weight_decay * p.data
                 v = self.velocity.get(name)

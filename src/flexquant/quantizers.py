@@ -146,12 +146,19 @@ def quantize_activation(a: Tensor, alpha: Tensor, b: int) -> Tensor:
         numerics.count_event("alpha_nonpositive")
         alpha_val = numerics.ALPHA_FLOOR
     ad = a.data
-    clipped = np.clip(ad, 0.0, alpha_val)
-    # clipped / alpha_val already lies in [0, 1], where quantize_levels'
+    # clip(ad) / alpha_val already lies in [0, 1], where quantize_levels'
     # range check and clip change nothing and rounding half away from zero
-    # is floor(v + 0.5).
+    # is floor(v + 0.5). Every step runs in one buffer; the scalings by n
+    # and alpha_val are written operand-swapped, which IEEE multiplication
+    # does not notice.
     n = (1 << b) - 1
-    out = alpha_val * (np.floor(n * (clipped / alpha_val) + 0.5) / n)
+    out = np.clip(ad, 0.0, alpha_val)
+    out /= alpha_val
+    out *= n
+    out += 0.5
+    np.floor(out, out=out)
+    out /= n
+    out *= alpha_val
 
     def bwd(g):
         # the masks are built here, so forwards without a tape never pay for them

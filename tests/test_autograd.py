@@ -195,6 +195,61 @@ class TestBackward:
         (g,) = grad_of(lambda: ag.add(ag.sum_(x), ag.sum_(ag.mul(x, x))), x)
         np.testing.assert_allclose(g, [1.0 + 4.0], rtol=1e-12)
 
+    def test_fresh_gradient_adopted_without_copy(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        returned = []
+
+        def bwd(g):
+            returned.append(g * 2.0)
+            return (returned[-1],)
+
+        with Tape() as tape:
+            loss = ag.sum_(ag.record(x.data * 2.0, (x,), bwd, "double"))
+        tape.backward(loss)
+        assert x.grad is returned[0]
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_upstream_gradient_and_views_are_copied(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = Tensor(np.ones(6), requires_grad=True)
+        with Tape() as tape:
+            same = ag.record(x.data.copy(), (x,), lambda g: (g,), "identity")
+            flat = ag.reshape(same, (6,))
+            loss = ag.sum_(ag.add(flat, y))
+        tape.backward(loss)
+        assert x.grad is not same.grad and not np.shares_memory(x.grad, same.grad)
+        assert x.grad.base is None and x.grad.flags.writeable
+        assert not np.shares_memory(same.grad, flat.grad)
+        assert not np.shares_memory(y.grad, flat.grad)
+
+    def test_add_inputs_get_separate_buffers(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            sq = ag.mul(x, x)  # runs first, so its gradient reaches x last
+            loss = ag.add(ag.sum_(sq), ag.sum_(ag.add(x, y)))
+        tape.backward(loss)
+        assert x.grad is not y.grad and not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, [1.0 + 2.0, 1.0 + 4.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_one_fresh_array_for_two_inputs_is_not_shared(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+
+        def bwd(g):
+            both = g * 1.0
+            return both, both
+
+        with Tape() as tape:
+            sq = ag.mul(x, x)
+            both = ag.record(x.data + y.data, (x, y), bwd, "add_shared")
+            loss = ag.add(ag.sum_(sq), ag.sum_(both))
+        tape.backward(loss)
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, [1.0 + 2.0, 1.0 + 4.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
@@ -412,6 +467,21 @@ class TestSGD:
         p.grad = np.array([np.nan])
         with pytest.raises(StepError):
             SGD([ParamGroup({"p": p}, lr=0.1)]).step()
+
+    def test_nan_gradient_on_later_param_updates_nothing(self):
+        a = Tensor([0.0], requires_grad=True)
+        b = Tensor([0.0], requires_grad=True)
+        opt = SGD([ParamGroup({"a": a, "b": b}, lr=0.1, momentum=0.9)])
+        a.grad, b.grad = np.ones(1), np.ones(1)
+        opt.step()
+        a_before, velocity_before = a.data.copy(), opt.state()
+        a.grad, b.grad = np.ones(1), np.array([np.nan])
+        with pytest.raises(StepError, match="'b'"):
+            opt.step()
+        assert a.data.tobytes() == a_before.tobytes()
+        assert opt.state().keys() == velocity_before.keys()
+        for name, v in opt.state().items():
+            assert v.tobytes() == velocity_before[name].tobytes(), name
 
     def test_grouped_optimizer_weight_decay(self):
         p = Tensor(np.array([2.0]), requires_grad=True)

@@ -250,3 +250,91 @@ def test_quantize_activation_matches_reference(b, alpha):
 def test_exact_half_levels_exist():
     assert exact_half_levels(3.0, 2).size > 0
     assert exact_half_levels(2.0, 1).size > 0
+
+
+# ---------------------------------------------------------------------------
+# backward rules are pure
+# ---------------------------------------------------------------------------
+
+def _bn_case(shape, mode):
+    def build(rng):
+        c = shape[1]
+        x = Tensor(rng.normal(2.0, 3.0, size=shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=c), requires_grad=True)
+        beta = Tensor(rng.normal(size=c), requires_grad=True)
+        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, mode)), (x, gamma, beta)
+    return build
+
+
+def _conv_case(rng):
+    x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    return (lambda: ag.conv2d(x, w, 2, 1)), (x, w)
+
+
+def _maxpool_case(rng):
+    x = Tensor(post_relu_input(rng, (2, 3, 7, 8)), requires_grad=True)
+    return (lambda: ag.maxpool2d(x, 2)), (x,)
+
+
+def _relu_case(rng):
+    x = Tensor(with_signed_zeros(rng, rng.normal(size=(5, 6))), requires_grad=True)
+    return (lambda: ag.relu(x)), (x,)
+
+
+def _matmul_case(rng):
+    a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    return (lambda: ag.matmul(a, b)), (a, b)
+
+
+def _quantize_activation_case(rng):
+    a = Tensor(rng.uniform(-0.5, 2.0, size=(6, 7)), requires_grad=True)
+    alpha = Tensor(1.25, requires_grad=True)
+    return (lambda: quantize_activation(a, alpha, 3)), (a, alpha)
+
+
+PURE_BACKWARD_CASES = {
+    "batchnorm_train_2d": _bn_case((9, 4), "train"),
+    "batchnorm_train_4d": _bn_case((3, 4, 5, 6), "train"),
+    "batchnorm_eval": _bn_case((3, 4, 5, 6), "eval"),
+    "conv2d": _conv_case,
+    "maxpool2d": _maxpool_case,
+    "relu": _relu_case,
+    "matmul": _matmul_case,
+    "quantize_activation": _quantize_activation_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PURE_BACKWARD_CASES))
+def test_backward_rule_is_pure(case):
+    """A rule writes into neither its upstream gradient nor its forward's
+    arrays, and keeps no reference to the fresh arrays it returns (the
+    engine adopts those as .grad and adds into them later)."""
+    rng = np.random.default_rng(7)
+    op, inputs = PURE_BACKWARD_CASES[case](rng)
+    with Tape() as tape:
+        out = op()
+    node = tape.nodes[-1]
+    g = with_signed_zeros(rng, rng.normal(size=out.shape))
+    saved_g, saved_out = g.copy(), out.data.copy()
+    saved_inputs = [t.data.copy() for t in inputs]
+
+    first = node.backward_fn(g)
+    kept = [None if a is None else np.array(a) for a in first]
+    for a in first:  # scribble over what the engine would adopt
+        if isinstance(a, np.ndarray) and a.base is None and a.flags.writeable:
+            a[...] = np.nan
+    second = node.backward_fn(g)
+
+    assert len(second) == len(inputs)
+    for got, want in zip(second, kept):
+        if want is None:
+            assert got is None
+        else:
+            assert_bitwise(got, want)
+    assert_bitwise(g, saved_g)
+    assert_bitwise(out.data, saved_out)
+    for t, saved in zip(inputs, saved_inputs):
+        assert_bitwise(t.data, saved)

@@ -439,6 +439,21 @@ class TestFiniteBoundaries:
         assert "epoch 2 batch 5" in message
         assert message.endswith("first non-finite op output: matmul")
 
+    def test_rejected_step_leaves_running_statistics(self):
+        trainer = make_trainer(mode="coquant", epochs=1)
+        first = trainer.arch.learnable_names[0]
+        trainer.net.weights[first].data[0, 0] = np.nan
+        trainer.net.after_update()
+        before = {(b, name): (st.running_mean.copy(), st.running_var.copy())
+                  for b in trainer.bits for name, st in trainer.bank.entry(b).bn.items()}
+        xb, yb = self.first_batch(trainer)
+        with pytest.raises(TrainingError):
+            trainer.train_step(xb, yb, 0, 0)
+        for (b, name), (mean, var) in before.items():
+            st = trainer.bank.entry(b).bn[name]
+            assert st.running_mean.tobytes() == mean.tobytes(), (b, name)
+            assert st.running_var.tobytes() == var.tobytes(), (b, name)
+
     def test_inf_bn_gamma_names_batchnorm(self):
         trainer = make_trainer(mode="adabits", epochs=1)
         last_bn = trainer.arch.bn_names[-1]  # its output is the logits
