@@ -53,10 +53,9 @@ print(f"{'individual':15s}{row}{100.0:10.2f}")
 
 print("\nTeacher selection counts for the 2-bit student (per epoch):")
 by_epoch = {}
-for rec in coquant_trainer.log.epochs:
-    for (student, teacher), count in rec.teacher_counts.items():
-        if student == 2:
-            by_epoch.setdefault(rec.epoch, {})[teacher] = count
+for epoch, student, teacher, count in coquant_trainer.log.histogram_rows():
+    if student == 2:
+        by_epoch.setdefault(epoch, {})[teacher] = count
 print("epoch   8-bit   4-bit")
 for epoch in sorted(by_epoch):
     counts = by_epoch[epoch]

@@ -64,14 +64,12 @@ class DeploymentBundle:
     def __init__(self, arch: ArchSpec, bits: BitWidthSet,
                  views: dict[str, QuantizedWeightView],
                  fp_weights: dict[str, np.ndarray],
-                 bank: PrecisionBank,
-                 size_report: SizeReport):
+                 bank: PrecisionBank):
         self.arch = arch
         self.bits = bits
         self.views = views
         self.fp_weights = fp_weights
         self.bank = bank
-        self.size_report = size_report
 
     def build_network(self) -> QuantNet:
         """Eval-only network over the bundle's bank (eval never writes to it)."""
@@ -132,14 +130,12 @@ def load_bundle(path: str) -> DeploymentBundle:
     arch = ArchSpec.from_json(json.loads(r.text()))
     views: dict[str, QuantizedWeightView] = {}
     fp_weights: dict[str, np.ndarray] = {}
-    code_payload = fp_payload = 0
     for _ in arch.learnable_names:
         name = r.text()
         bw = r.u8()
         if bw == 0:
             fp_weights[name] = r.f64_array()
             r.f64()  # stored mean, informational
-            fp_payload += fp_weights[name].size * 8
         else:
             ndim = r.u8()
             shape = tuple(r.u32() for _ in range(ndim))
@@ -148,15 +144,10 @@ def load_bundle(path: str) -> DeploymentBundle:
             views[name] = QuantizedWeightView(
                 codes=_unpack_codes(raw, bw, shape), b1=bw, mean_b1=mean_b1
             )
-            code_payload += len(raw)
-    pos_before_bank = r.pos
     n_bits = r.u8()
     bits = BitWidthSet([r.u8() for _ in range(n_bits)])
     bank = PrecisionBank(bits, arch)
     for b in bits:
         read_bank_entry(r, bank.entry(b), arch)
-    bank_payload = r.pos - pos_before_bank
     r.done()
-    framing = len(buf) - code_payload - fp_payload - bank_payload
-    report = SizeReport(code_payload, fp_payload, bank_payload, framing)
-    return DeploymentBundle(arch, bits, views, fp_weights, bank, report)
+    return DeploymentBundle(arch, bits, views, fp_weights, bank)

@@ -16,8 +16,9 @@ import sys
 from .bundle import export_bundle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, DatasetSpec, RunConfig
-from .metrics import eval_summary_json, histogram_csv, histogram_from_metrics, read_metrics_csv
+from .metrics import eval_summary_json, histogram_csv, read_metrics_csv, teacher_histogram
 from .network import MissingBankError
+from .quantizers import BitWidthError
 from .serialize import CorruptFileError, atomic_write_bytes, read_file
 from .training import Trainer, delta_b, load_dataset
 
@@ -98,12 +99,14 @@ def cmd_export(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config, rows = read_metrics_csv(args.metrics)
+    rows = read_metrics_csv(args.metrics)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.metrics))
     os.makedirs(out_dir, exist_ok=True)
 
+    choices = ((int(r["epoch"]), int(r["b"]), int(r["teacher_b"]))
+               for r in rows if r.get("teacher_b"))
     atomic_write_bytes(os.path.join(out_dir, "report_teacher_histogram.csv"),
-                       histogram_csv(histogram_from_metrics(rows)).encode())
+                       histogram_csv(teacher_histogram(choices)).encode())
 
     summary_path = args.summary or os.path.join(
         os.path.dirname(os.path.abspath(args.metrics)), "eval_summary.json")
@@ -191,7 +194,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MissingBankError, CorruptFileError, FileNotFoundError) as e:
+    except (ConfigError, MissingBankError, BitWidthError, CorruptFileError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ loudly instead of silently running with a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .network import ArchSpec, BitWidthSet, mlp, small_cnn
 
@@ -39,7 +39,7 @@ class OptimizerSettings:
 
     @staticmethod
     def from_dict(d: dict) -> "OptimizerSettings":
-        _require_keys(d, {"lr", "momentum", "weight_decay", "schedule"}, set(), "optimizer")
+        _require_keys(d, {f.name for f in fields(OptimizerSettings)}, set(), "optimizer")
         s = OptimizerSettings(**d)
         if s.lr <= 0:
             raise ConfigError(f"optimizer.lr must be positive, got {s.lr}")
@@ -58,7 +58,7 @@ class AlphaSettings:
 
     @staticmethod
     def from_dict(d: dict) -> "AlphaSettings":
-        _require_keys(d, {"init", "lr", "weight_decay"}, set(), "alpha")
+        _require_keys(d, {f.name for f in fields(AlphaSettings)}, set(), "alpha")
         s = AlphaSettings(**d)
         if s.init <= 0 or s.lr <= 0:
             raise ConfigError("alpha.init and alpha.lr must be positive")
@@ -116,6 +116,13 @@ class DatasetSpec:
     def to_dict(self) -> dict:
         keys, _ = _DATASET_KEYS[self.kind]
         return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
+
+
+# JSON key -> (RunConfig attribute, cast) for the optional scalar settings;
+# a key the config leaves out keeps the dataclass default.
+_SCALARS = {"lambda": ("lam", float), "p1_initial": ("p1_initial", float),
+            "epochs": ("epochs", int), "batch_size": ("batch_size", int),
+            "seed": ("seed", int), "bn_momentum": ("bn_momentum", float)}
 
 
 @dataclass
@@ -191,9 +198,8 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         # "deterministic" is a legacy v1 key: accepted and ignored, since runs
         # are always deterministic
-        allowed = {"schema_version", "mode", "bits", "dataset", "arch", "lambda",
-                   "p1_initial", "epochs", "batch_size", "seed", "deterministic",
-                   "bn_momentum", "optimizer", "alpha"}
+        allowed = {"schema_version", "mode", "bits", "dataset", "arch", "deterministic",
+                   "optimizer", "alpha", *_SCALARS}
         required = {"schema_version", "mode", "bits", "dataset", "arch"}
         _require_keys(d, allowed, required, "config")
         version = d["schema_version"]
@@ -204,14 +210,9 @@ class RunConfig:
             bits=[int(b) for b in d["bits"]],
             dataset=DatasetSpec.from_dict(d["dataset"]),
             arch=dict(d["arch"]),
-            lam=float(d.get("lambda", 0.1)),
-            p1_initial=float(d.get("p1_initial", 0.5)),
-            epochs=int(d.get("epochs", 30)),
-            batch_size=int(d.get("batch_size", 128)),
-            seed=int(d.get("seed", 0)),
-            bn_momentum=float(d.get("bn_momentum", 0.1)),
             optimizer=OptimizerSettings.from_dict(dict(d.get("optimizer", {}))),
             alpha=AlphaSettings.from_dict(dict(d.get("alpha", {}))),
+            **{attr: cast(d[key]) for key, (attr, cast) in _SCALARS.items() if key in d},
         )
         return cfg.validate()
 
@@ -222,17 +223,9 @@ class RunConfig:
             "bits": list(self.bits),
             "dataset": self.dataset.to_dict(),
             "arch": dict(self.arch),
-            "lambda": self.lam,
-            "p1_initial": self.p1_initial,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "bn_momentum": self.bn_momentum,
-            "optimizer": {"lr": self.optimizer.lr, "momentum": self.optimizer.momentum,
-                          "weight_decay": self.optimizer.weight_decay,
-                          "schedule": self.optimizer.schedule},
-            "alpha": {"init": self.alpha.init, "lr": self.alpha.lr,
-                      "weight_decay": self.alpha.weight_decay},
+            **{key: getattr(self, attr) for key, (attr, _) in _SCALARS.items()},
+            "optimizer": asdict(self.optimizer),
+            "alpha": asdict(self.alpha),
         }
 
     def to_json(self) -> str:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 METRICS_COLUMNS = ("epoch", "batch", "mode", "b", "loss", "ce", "kl",
                    "teacher_b", "entropy_term", "distance_term",
@@ -44,49 +45,21 @@ class BatchRecord:
         return [fmt(getattr(self, col)) for col in METRICS_COLUMNS]
 
 
-@dataclass
-class EpochRecord:
-    """Aggregated view of one epoch: losses, accuracies, selection counts."""
-
-    epoch: int
-    train_loss: dict[int, float] = field(default_factory=dict)
-    train_ce: dict[int, float] = field(default_factory=dict)
-    train_kl: dict[int, float] = field(default_factory=dict)
-    eval_accuracy: dict[int, float] = field(default_factory=dict)
-    teacher_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    swap_student_fraction: dict[int, float] = field(default_factory=dict)
-
-
 class MetricsLog:
-    def __init__(self, config_json: str, mode: str):
+    """The run record: one BatchRecord per batch and bit-width, plus the
+    per-epoch eval accuracies, the one fact the rows do not hold. The
+    teacher histogram and any per-epoch view derive from the rows."""
+
+    def __init__(self, config_json: str):
         self.config_json = config_json
-        self.mode = mode
         self.batch_rows: list[BatchRecord] = []
-        self.epochs: list[EpochRecord] = []
-        self._epoch_start = 0  # index of the current epoch's first batch row
+        self.eval_accuracy: dict[int, dict[int, float]] = {}  # epoch -> b -> %
 
     def add_batch(self, record: BatchRecord) -> None:
         self.batch_rows.append(record)
 
-    def end_epoch(self, epoch: int, eval_accuracy: dict[int, float]) -> EpochRecord:
-        """Aggregate the rows added since the previous end_epoch."""
-        rows = self.batch_rows[self._epoch_start:]
-        self._epoch_start = len(self.batch_rows)
-        rec = EpochRecord(epoch=epoch, eval_accuracy=dict(eval_accuracy))
-        bits = sorted({r.b for r in rows}, reverse=True)
-        for b in bits:
-            sub = [r for r in rows if r.b == b]
-            n = len(sub)
-            rec.train_loss[b] = sum(r.loss for r in sub) / n
-            rec.train_ce[b] = sum(r.ce for r in sub) / n
-            rec.train_kl[b] = sum(r.kl for r in sub) / n
-            rec.swap_student_fraction[b] = sum(r.swap_student_fraction for r in sub) / n
-            for r in sub:
-                if r.teacher_b is not None:
-                    key = (r.b, r.teacher_b)
-                    rec.teacher_counts[key] = rec.teacher_counts.get(key, 0) + 1
-        self.epochs.append(rec)
-        return rec
+    def end_epoch(self, epoch: int, eval_accuracy: dict[int, float]) -> None:
+        self.eval_accuracy[epoch] = dict(eval_accuracy)
 
     # -- serialization --------------------------------------------------------
 
@@ -100,14 +73,17 @@ class MetricsLog:
         return out.getvalue()
 
     def histogram_rows(self) -> list[tuple[int, int, int, int]]:
-        rows = []
-        for rec in self.epochs:
-            for (student_b, teacher_b), count in sorted(rec.teacher_counts.items()):
-                rows.append((rec.epoch, student_b, teacher_b, count))
-        return rows
+        return teacher_histogram((r.epoch, r.b, r.teacher_b)
+                                 for r in self.batch_rows if r.teacher_b is not None)
 
     def histogram_csv_text(self) -> str:
         return histogram_csv(self.histogram_rows())
+
+
+def teacher_histogram(choices) -> list[tuple[int, int, int, int]]:
+    """Count (epoch, student_b, teacher_b) choices into sorted
+    (epoch, student_b, teacher_b, count) rows."""
+    return [(*choice, n) for choice, n in sorted(Counter(choices).items())]
 
 
 def histogram_csv(rows) -> str:
@@ -130,33 +106,7 @@ def eval_summary_json(accuracies: dict[int, float], zero_shot_bits=(), mode: str
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def read_metrics_csv(path: str) -> tuple[dict, list[dict]]:
-    """Parse a metrics CSV back into (embedded config, row dicts)."""
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline()
-        config = {}
-        if first.startswith("#"):
-            marker = "config="
-            at = first.find(marker)
-            if at >= 0:
-                config = json.loads(first[at + len(marker):])
-            header_line = f.readline()
-        else:
-            header_line = first
-        header = next(csv.reader([header_line]))
-        rows = []
-        for parts in csv.reader(f):
-            if not parts:
-                continue
-            rows.append(dict(zip(header, parts)))
-    return config, rows
-
-
-def histogram_from_metrics(rows: list[dict]) -> list[tuple[int, int, int, int]]:
-    """Rebuild (epoch, student_b, teacher_b, count) from raw metrics rows."""
-    counts: dict[tuple[int, int, int], int] = {}
-    for r in rows:
-        if r.get("teacher_b"):
-            key = (int(r["epoch"]), int(r["b"]), int(r["teacher_b"]))
-            counts[key] = counts.get(key, 0) + 1
-    return [(e, s, t, c) for (e, s, t), c in sorted(counts.items())]
+def read_metrics_csv(path: str) -> list[dict]:
+    """Row dicts of a metrics CSV; '#' lines (the embedded config) are skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(line for line in f if not line.startswith("#")))

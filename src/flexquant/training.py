@@ -21,9 +21,10 @@ from . import numerics
 from .autograd import Tape, Tensor, no_grad
 from .config import RunConfig
 from .datasets import Dataset, gen_synthetic_blobs, load_idx
-from .metrics import BatchRecord, EpochRecord, MetricsLog
+from .metrics import BatchRecord, MetricsLog
 from .network import ContractError, PrecisionBank, QuantNet, StatsCollector, SwapMask
 from .optim import SGD, ParamGroup, step_decay_factor
+from .quantizers import BitWidthError
 from .rng import RngStreams
 
 
@@ -214,7 +215,7 @@ class Trainer:
                        min_value=numerics.ALPHA_FLOOR),
         ])
         self.swap_schedule = SwapSchedule(config.p1_initial, config.epochs)
-        self.log = MetricsLog(config.to_json(), config.mode)
+        self.log = MetricsLog(config.to_json())
         self.epoch = 0
         self.calibrated_bits: set[int] = set()
 
@@ -291,7 +292,7 @@ class Trainer:
         self.net.after_update()
         return records
 
-    def train_epoch(self) -> EpochRecord:
+    def train_epoch(self) -> None:
         epoch = self.epoch
         cfg = self.config
         if cfg.optimizer.schedule == "step":
@@ -300,10 +301,8 @@ class Trainer:
         for batch_index, (xb, yb) in enumerate(self.train_set.batches(cfg.batch_size, order)):
             for rec in self.train_step(xb, yb, epoch, batch_index):
                 self.log.add_batch(rec)
-        accuracy = {b: self.evaluate(b) for b in self._eval_bits(epoch)}
-        record = self.log.end_epoch(epoch, accuracy)
+        self.log.end_epoch(epoch, {b: self.evaluate(b) for b in self._eval_bits(epoch)})
         self.epoch += 1
-        return record
 
     def _eval_bits(self, epoch: int) -> list[int]:
         kind = self.config.mode_kind
@@ -344,12 +343,15 @@ class Trainer:
         return 100.0 * correct / len(data)
 
     def nearest_trained_bit(self, b: int) -> int:
-        """Trained bit-width closest to b; ties round up."""
-        trained = sorted(self.bank.entries)
-        return min(trained, key=lambda t: (abs(t - b), -t))
+        """Trained bit-width closest to b; ties round up. Calibrated entries
+        never lend, so calibration does not depend on the order of bits."""
+        return min(self.bits, key=lambda t: (abs(t - b), -t))
 
     def ensure_direct_entry(self, b: int) -> None:
         """Bank entry for an untrained b, borrowing the nearest trained one."""
+        if not 2 <= b <= self.bits.b1:
+            raise BitWidthError(f"cannot run bit-width {b}: codes are stored at "
+                                f"b1={self.bits.b1}, so b must be in [2, {self.bits.b1}]")
         if not self.bank.has(b):
             self.bank.ensure_entry(b, borrow_from=self.nearest_trained_bit(b))
 
@@ -363,7 +365,7 @@ class Trainer:
         if len(data) == 0:
             raise TrainingError("calibration needs a non-empty dataset")
         b = int(b)
-        self.ensure_direct_entry(b)
+        self.ensure_direct_entry(b)  # rejects b outside [2, b1] before any write
         entry = self.bank.entry(b)
         collector = StatsCollector()
         with no_grad():

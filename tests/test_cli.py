@@ -164,6 +164,26 @@ class TestEvalCalibrateExport:
                              .split("\n", 1)[-1])
         assert summary["bits"]["3"]["zero_shot"] is True
 
+    def test_calibration_order_does_not_matter(self, tmp_path):
+        # with bits {8, 2}, 5 ties between 8 and 2; a calibrated 3 must not lend to it
+        path = tmp_path / "cfg82.json"
+        path.write_text(json.dumps(blob_config(mode="coquant", bits=(8, 2), epochs=1)))
+        out = run_dir(tmp_path, "run82")
+        main(["train", "--config", str(path), "--out", out])
+        ckpt = os.path.join(out, "checkpoint.ckpt")
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3,5", "--out", a]) == 0
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "5,3", "--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_calibrate_above_b1_exits_one(self, trained_run, tmp_path, capsys):
+        out = str(tmp_path / "cal.ckpt")
+        rc = main(["calibrate", "--ckpt", os.path.join(trained_run, "checkpoint.ckpt"),
+                   "--bits", "16", "--out", out])
+        assert rc == 1
+        assert "error: cannot run bit-width 16" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_export_and_report(self, trained_run, tmp_path, capsys):
         ckpt = os.path.join(trained_run, "checkpoint.ckpt")
         bundle = str(tmp_path / "model.aqdb")
@@ -192,3 +212,16 @@ class TestEvalCalibrateExport:
         train_hist = open(os.path.join(trained_run, "teacher_histogram.csv")).read()
         report_hist = open(os.path.join(report_dir, "report_teacher_histogram.csv")).read()
         assert report_hist == train_hist
+
+    def test_report_reads_metrics_without_config_line(self, trained_run, tmp_path):
+        lines = open(os.path.join(trained_run, "metrics.csv")).read().splitlines(True)
+        assert lines[0].startswith("#")
+        bare = tmp_path / "bare" / "metrics.csv"
+        bare.parent.mkdir()
+        bare.write_text("".join(lines[1:]))
+        report_dir = str(tmp_path / "rep")
+        assert main(["report", "--metrics", str(bare), "--out", report_dir]) == 0
+        train_hist = open(os.path.join(trained_run, "teacher_histogram.csv")).read()
+        report_hist = open(os.path.join(report_dir, "report_teacher_histogram.csv")).read()
+        assert report_hist == train_hist
+        assert report_hist.count("\n") > 1

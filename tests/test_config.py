@@ -97,6 +97,34 @@ class TestValidation:
         assert cfg.to_json() == RunConfig.from_dict(blob_config()).to_json()
         assert "deterministic" not in cfg.to_dict()
 
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, '{"alpha": {"init": 6.0, "lr": 0.01, "weight_decay": 0.0}, '
+             '"arch": {"classes": 3, "hidden": [8], "input_dim": 4, "kind": "mlp"}, '
+             '"batch_size": 128, "bits": [8, 2], "bn_momentum": 0.1, '
+             '"dataset": {"classes": 3, "eval_path": "", "kind": "csv_table", "path": "t.csv"}, '
+             '"epochs": 30, "lambda": 0.1, "mode": "coquant", '
+             '"optimizer": {"lr": 0.1, "momentum": 0.9, "schedule": "step", '
+             '"weight_decay": 0.0001}, "p1_initial": 0.5, "schema_version": 1, "seed": 0}'),
+        # int-valued overrides: top-level floats are cast, nested values kept as given;
+        # the legacy "deterministic" key leaves no trace
+        ({"lambda": 1, "p1_initial": 1, "epochs": 2, "batch_size": 16, "seed": 3,
+          "bn_momentum": 1, "deterministic": True,
+          "optimizer": {"lr": 1, "momentum": 0, "weight_decay": 0, "schedule": "constant"},
+          "alpha": {"init": 2, "lr": 1, "weight_decay": 0}},
+         '{"alpha": {"init": 2, "lr": 1, "weight_decay": 0}, '
+         '"arch": {"classes": 3, "hidden": [8], "input_dim": 4, "kind": "mlp"}, '
+         '"batch_size": 16, "bits": [8, 2], "bn_momentum": 1.0, '
+         '"dataset": {"classes": 3, "eval_path": "", "kind": "csv_table", "path": "t.csv"}, '
+         '"epochs": 2, "lambda": 1.0, "mode": "coquant", '
+         '"optimizer": {"lr": 1, "momentum": 0, "schedule": "constant", "weight_decay": 0}, '
+         '"p1_initial": 1.0, "schema_version": 1, "seed": 3}'),
+    ], ids=["minimal", "int_overrides"])
+    def test_config_json_bytes(self, overrides, expected):
+        minimal = {"schema_version": 1, "mode": "coquant", "bits": [8, 2],
+                   "dataset": {"kind": "csv_table", "path": "t.csv", "classes": 3},
+                   "arch": {"kind": "mlp", "input_dim": 4, "hidden": [8], "classes": 3}}
+        assert RunConfig.from_dict({**minimal, **overrides}).to_json() == expected
+
     def test_canonical_json_is_stable(self):
         a = RunConfig.from_dict(blob_config()).to_json()
         b = RunConfig.from_dict(blob_config()).to_json()

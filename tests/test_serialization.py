@@ -94,7 +94,6 @@ class TestBundle:
         n_coded = sum(trained.net.weights[n].data.size
                       for n in trained.arch.quantized_names)
         assert report.code_payload <= 0.25 * (4 * n_coded)
-        assert load_bundle(path).size_report.code_payload == report.code_payload
 
     def test_corrupt_bundle_rejected(self, trained, tmp_path):
         path = str(tmp_path / "m.aqdb")

@@ -10,8 +10,9 @@ from flexquant import autograd as ag
 from flexquant import numerics, quantizers, training
 from flexquant.autograd import Tape, Tensor
 from flexquant.config import RunConfig
-from flexquant.metrics import BatchRecord, MetricsLog
+from flexquant.metrics import BatchRecord, MetricsLog, teacher_histogram
 from flexquant.network import ContractError
+from flexquant.quantizers import BitWidthError
 from flexquant.training import (
     LossParts,
     SwapSchedule,
@@ -396,28 +397,30 @@ class TestTrainStep:
                                           b.net.weights[name].data)
 
     def test_teacher_counts_sum_to_batches(self):
-        trainer = make_trainer(mode="coquant", epochs=1, samples=600, batch_size=100)
+        trainer = make_trainer(mode="coquant", epochs=3, samples=600, batch_size=100)
         trainer.run()
         n_batches = 6
-        rec = trainer.log.epochs[0]
-        for b in trainer.bits:
-            if b == trainer.bits.b1:
-                continue
-            total = sum(c for (s, _), c in rec.teacher_counts.items() if s == b)
-            assert total == n_batches
+        totals = {}
+        for epoch, student, _, count in trainer.log.histogram_rows():
+            totals[epoch, student] = totals.get((epoch, student), 0) + count
+        students = [b for b in trainer.bits if b != trainer.bits.b1]
+        assert totals == {(e, s): n_batches for e in range(3) for s in students}
 
     def test_each_epoch_aggregates_only_its_own_rows(self):
         trainer = make_trainer(mode="coquant", epochs=3, samples=600, batch_size=100)
         trainer.run()
-        assert [rec.epoch for rec in trainer.log.epochs] == [0, 1, 2]
-        for rec in trainer.log.epochs:
-            rows = [r for r in trainer.log.batch_rows if r.epoch == rec.epoch]
-            for b in trainer.bits:
-                sub = [r for r in rows if r.b == b]
-                assert len(sub) == 6
-                assert rec.train_loss[b] == sum(r.loss for r in sub) / len(sub)
-                if b != trainer.bits.b1:
-                    assert sum(c for (s, _), c in rec.teacher_counts.items() if s == b) == 6
+        rows = trainer.log.histogram_rows()
+        for epoch in range(3):
+            batch_rows = [r for r in trainer.log.batch_rows if r.epoch == epoch]
+            assert len(batch_rows) == 6 * len(trainer.bits)
+            counts = {}
+            for r in batch_rows:
+                if r.teacher_b is not None:
+                    counts[r.b, r.teacher_b] = counts.get((r.b, r.teacher_b), 0) + 1
+            assert {(s, t): c for e, s, t, c in rows if e == epoch} == counts
+        # the one per-epoch fact the rows do not hold: eval accuracy per bit-width
+        assert sorted(trainer.log.eval_accuracy) == [0, 1, 2]
+        assert all(set(acc) == set(trainer.bits) for acc in trainer.log.eval_accuracy.values())
 
 
 class TestFiniteBoundaries:
@@ -694,6 +697,22 @@ class TestCalibration:
         assert t.nearest_trained_bit(6) == 8  # tie between 4 and 8
         assert t.nearest_trained_bit(7) == 8
 
+    def test_calibrated_entry_never_lends(self):
+        t = make_trainer(mode="coquant", bits=(8, 2), epochs=1)
+        assert t.nearest_trained_bit(5) == 8  # tie between 2 and 8
+        t.calibrate(3)
+        assert t.nearest_trained_bit(5) == 8
+
+    def test_bit_above_b1_rejected_without_an_entry(self):
+        t = make_trainer(mode="coquant", bits=(8, 2), epochs=1)
+        for b in (16, 9, 1):
+            with pytest.raises(BitWidthError, match=f"bit-width {b}"):
+                t.calibrate(b)
+            with pytest.raises(BitWidthError, match=f"bit-width {b}"):
+                t.ensure_direct_entry(b)
+        assert sorted(t.bank.entries) == [2, 8]
+        assert t.calibrated_bits == set()
+
     def test_empty_calibration_set_rejected(self):
         from flexquant.datasets import Dataset
         t = make_trainer(mode="coquant", epochs=1)
@@ -731,7 +750,7 @@ class TestEvaluate:
 class TestPreferenceShiftHistogram:
     def test_synthetic_entropy_swap_shifts_counts(self):
         # epoch 0: the 8-bit candidate is sharper; epoch 1: the 4-bit one is.
-        log = MetricsLog("{}", "coquant")
+        log = MetricsLog("{}")
         sharp = np.array([[0.97, 0.01, 0.01, 0.01]])
         soft = np.array([[0.4, 0.3, 0.2, 0.1]])
         for epoch, (p8, p4) in enumerate([(sharp, soft), (soft, sharp)]):
@@ -743,7 +762,9 @@ class TestPreferenceShiftHistogram:
                     ce=0.0, kl=0.0, teacher_b=choice.teacher_b,
                     entropy_term=choice.entropy_term,
                     distance_term=choice.distance_term))
-            log.end_epoch(epoch, {})
-        rows = log.histogram_rows()
-        assert (0, 2, 8, 5) in rows and (1, 2, 4, 5) in rows
-        assert (0, 2, 4, 5) not in rows
+        assert log.histogram_rows() == [(0, 2, 8, 5), (1, 2, 4, 5)]
+
+    def test_counts_sorted_by_epoch_student_teacher(self):
+        choices = [(1, 2, 8), (0, 4, 8), (0, 2, 8), (0, 2, 4), (0, 2, 8)]
+        assert teacher_histogram(choices) == [(0, 2, 4, 1), (0, 2, 8, 2), (0, 4, 8, 1),
+                                              (1, 2, 8, 1)]
