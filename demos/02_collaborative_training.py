@@ -57,8 +57,17 @@ for epoch, student, teacher, count in coquant_trainer.log.histogram_rows():
     if student == 2:
         by_epoch.setdefault(epoch, {})[teacher] = count
 print("epoch   8-bit   4-bit")
+led = {8: [], 4: []}
 for epoch in sorted(by_epoch):
     counts = by_epoch[epoch]
     print(f"{epoch:5d}{counts.get(8, 0):8d}{counts.get(4, 0):8d}")
-print("\nEarly epochs favor the sharper 8-bit teacher; as the 4-bit path")
-print("catches up, its smaller weight distance starts to win batches.")
+    if counts.get(8, 0) != counts.get(4, 0):
+        led[max((8, 4), key=lambda t: counts.get(t, 0))].append(epoch)
+
+totals = {t: sum(c.get(t, 0) for c in by_epoch.values()) for t in (8, 4)}
+top = max(totals, key=totals.get)
+other = 4 if top == 8 else 8
+print(f"\nThe {top}-bit teacher won {totals[top]} of {sum(totals.values())} batches and "
+      f"led {len(led[top])} of {len(by_epoch)} epochs;")
+print(f"the {other}-bit teacher led {len(led[other])}"
+      + (f", the first at epoch {led[other][0]}." if led[other] else "."))

@@ -11,9 +11,11 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
   magic "AQDB" | version u32 | arch JSON (length-prefixed UTF-8)
   per learnable layer: name | code bit-width u8 (0 = full precision)
                        dims | packed codes + mean_b1 f64, or raw f64 weights
-  bank: n_bits u8, bit u8 each; per bit: per BN layer gamma/beta/mean/var
-        f64 arrays, then per quantized layer alpha f64 (the bank-entry
-        layout checkpoints share, see serialize.write_bank_entry)
+  bank: every entry of the network's PrecisionBank, trained or zero-shot,
+        as a checkpoint holds them: n_bits u8, bit u8 each (descending);
+        per bit: per BN layer gamma/beta/mean/var f64 arrays, then per
+        quantized layer alpha f64 (the bank-entry layout checkpoints share,
+        see serialize.write_bank_entry)
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
 from .quantizers import QuantizedWeightView, quantize_weights_dorefa
-from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
-                        read_bank_entry, read_file, write_bank_entry)
+from .serialize import (ByteWriter, atomic_write_bytes, open_reader, read_bank_entry,
+                        write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -59,28 +61,27 @@ class SizeReport:
 
 
 class DeploymentBundle:
-    """Parsed bundle contents, ready to rebuild an eval-only network."""
+    """Parsed bundle contents, ready to rebuild an eval-only network.
 
-    def __init__(self, arch: ArchSpec, bits: BitWidthSet,
-                 views: dict[str, QuantizedWeightView],
-                 fp_weights: dict[str, np.ndarray],
-                 bank: PrecisionBank):
-        self.arch = arch
-        self.bits = bits
+    A bundle does not record which of its entries were trained, so its bank
+    takes every stored bit-width as its set; b1 is the same either way.
+    """
+
+    def __init__(self, bank: PrecisionBank, views: dict[str, QuantizedWeightView],
+                 fp_weights: dict[str, np.ndarray]):
+        self.bank = bank
         self.views = views
         self.fp_weights = fp_weights
-        self.bank = bank
 
     def build_network(self) -> QuantNet:
         """Eval-only network over the bundle's bank (eval never writes to it)."""
-        return QuantNet.from_codes(self.arch, self.bits, self.bank, self.views, self.fp_weights)
+        return QuantNet.from_codes(self.bank, self.views, self.fp_weights)
 
 
 def export_bundle(path: str, net: QuantNet) -> SizeReport:
-    """Write the network's codes and banks; returns the byte accounting."""
-    bits = net.bits
+    """Write the network's codes and every bank entry; returns the byte accounting."""
     arch = net.arch
-    b1 = bits.b1
+    b1 = net.bits.b1
     w = ByteWriter()
     w.raw(MAGIC)
     w.u32(VERSION)
@@ -106,6 +107,7 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
             w.f64(float(np.mean(wd)))
             fp_payload += wd.size * 8
     bank_start = w.size
+    bits = sorted(net.bank.entries, reverse=True)
     w.u8(len(bits))
     for b in bits:
         w.u8(b)
@@ -119,14 +121,7 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
 
 
 def load_bundle(path: str) -> DeploymentBundle:
-    buf = read_file(path)
-    if buf[:4] != MAGIC:
-        raise CorruptFileError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    r = ByteReader(buf)
-    r.raw(4)  # magic, already validated
-    version = r.u32()
-    if version != VERSION:
-        raise CorruptFileError(f"unsupported bundle version {version}")
+    r = open_reader(path, MAGIC, VERSION, "bundle")
     arch = ArchSpec.from_json(json.loads(r.text()))
     views: dict[str, QuantizedWeightView] = {}
     fp_weights: dict[str, np.ndarray] = {}
@@ -150,4 +145,4 @@ def load_bundle(path: str) -> DeploymentBundle:
     for b in bits:
         read_bank_entry(r, bank.entry(b), arch)
     r.done()
-    return DeploymentBundle(arch, bits, views, fp_weights, bank)
+    return DeploymentBundle(bank, views, fp_weights)

@@ -8,8 +8,8 @@ from __future__ import annotations
 import json
 
 from .config import RunConfig
-from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
-                        read_bank_entry, read_file, write_bank_entry)
+from .serialize import (ByteWriter, atomic_write_bytes, open_reader, read_bank_entry,
+                        write_bank_entry)
 
 MAGIC = b"AQCK"
 VERSION = 1
@@ -43,6 +43,7 @@ def save_checkpoint(path: str, trainer) -> None:
 
     w.text(json.dumps(trainer.streams.state(), sort_keys=True))
 
+    # version-1 slot: the zero-shot bit-widths, derived from the bank
     calibrated = sorted(trainer.calibrated_bits)
     w.u8(len(calibrated))
     for b in calibrated:
@@ -55,14 +56,7 @@ def load_checkpoint(path: str):
     """Rebuild a Trainer positioned exactly where the checkpoint was saved."""
     from .training import Trainer
 
-    buf = read_file(path)
-    if buf[:4] != MAGIC:
-        raise CorruptFileError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    r = ByteReader(buf)
-    r.raw(4)  # magic, already validated
-    version = r.u32()
-    if version != VERSION:
-        raise CorruptFileError(f"unsupported checkpoint version {version}")
+    r = open_reader(path, MAGIC, VERSION, "checkpoint")
     config = RunConfig.from_json(r.text())
     trainer = Trainer(config)
     trainer.epoch = r.u32()
@@ -75,10 +69,7 @@ def load_checkpoint(path: str):
 
     n_bits = r.u8()
     for _ in range(n_bits):
-        b = r.u8()
-        if not trainer.bank.has(b):
-            trainer.bank.ensure_entry(b, borrow_from=trainer.bits.b1)
-        read_bank_entry(r, trainer.bank.entry(b), trainer.arch)
+        read_bank_entry(r, trainer.bank.ensure_entry(r.u8()), trainer.arch)
 
     n_vel = r.u32()
     velocity = {}
@@ -89,7 +80,6 @@ def load_checkpoint(path: str):
 
     trainer.streams.set_state(json.loads(r.text()))
 
-    n_cal = r.u8()
-    trainer.calibrated_bits = {r.u8() for _ in range(n_cal)}
+    r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
     r.done()
     return trainer

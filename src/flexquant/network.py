@@ -36,7 +36,8 @@ class MissingBankError(KeyError):
     """No bank entry exists for the requested bit-width."""
 
     def __init__(self, b: int):
-        super().__init__(f"no bank entry for bit-width {b}; train it or run calibration first")
+        super().__init__(f"no bank entry for bit-width {b}; run calibration at {b} on the "
+                         "checkpoint (export it again to serve it from a bundle)")
         self.bit_width = b
 
     def __str__(self):
@@ -251,12 +252,6 @@ class BNState:
         self.running_var = np.ones(features)
         self.momentum = float(momentum)
 
-    def copy_from(self, other: "BNState") -> None:
-        self.gamma.data = other.gamma.data.copy()
-        self.beta.data = other.beta.data.copy()
-        self.running_mean = other.running_mean.copy()
-        self.running_var = other.running_var.copy()
-
 
 class BankEntry:
     def __init__(self, arch: ArchSpec, alpha_init: float, bn_momentum: float):
@@ -266,64 +261,79 @@ class BankEntry:
             for name in arch.quantized_names
         }
 
+    def copy_values(self, src: "BankEntry", statistics: bool) -> None:
+        """Take src's BN affine parameters and clipping values, and with
+        statistics also its BN running mean and variance."""
+        for name, st in self.bn.items():
+            other = src.bn[name]
+            st.gamma.data = other.gamma.data.copy()
+            st.beta.data = other.beta.data.copy()
+            if statistics:
+                st.running_mean = other.running_mean.copy()
+                st.running_var = other.running_var.copy()
+        for name, a in self.alpha.items():
+            a.data = src.alpha[name].data.copy()
+
 
 def _bn_features(arch: ArchSpec, name: str) -> int:
     return arch.layers[arch.names.index(name)].features
 
 
 class PrecisionBank:
-    """Per-bit-width BN and clipping state over one architecture.
+    """Per-bit-width BN and clipping state over one architecture, and the one
+    record of which bit-widths a network can run: `bits` is the trained set,
+    `entries` adds any untrained (zero-shot) entry, all within [2, bits.b1].
 
-    share_bn / share_alpha alias the underlying objects across bit-widths,
-    which is how the joint and switchable-BN baselines are expressed.
+    share_bn / share_alpha alias the BN and clipping dicts across the trained
+    entries, which is how the joint and switchable-BN baselines are expressed.
     """
 
     def __init__(self, bits: BitWidthSet, arch: ArchSpec, alpha_init: float = 6.0,
                  bn_momentum: float = 0.1, share_bn: bool = False, share_alpha: bool = False):
+        self.bits = bits
         self.arch = arch
         self.alpha_init = float(alpha_init)
         self.bn_momentum = float(bn_momentum)
-        self.share_bn = share_bn
-        self.share_alpha = share_alpha
         self.entries: dict[int, BankEntry] = {}
         base = BankEntry(arch, alpha_init, bn_momentum)
         for b in bits:
-            if share_bn and share_alpha:
-                self.entries[b] = base
-            else:
-                entry = BankEntry(arch, alpha_init, bn_momentum)
-                if share_bn:
-                    entry.bn = base.bn
-                if share_alpha:
-                    entry.alpha = base.alpha
-                self.entries[b] = entry
+            entry = BankEntry(arch, alpha_init, bn_momentum)
+            if share_bn:
+                entry.bn = base.bn
+            if share_alpha:
+                entry.alpha = base.alpha
+            self.entries[b] = entry
 
     def entry(self, b: int) -> BankEntry:
+        """The entry for b; BitWidthError outside [2, b1], MissingBankError
+        for a bit-width inside that range that has no entry."""
         try:
             return self.entries[int(b)]
         except KeyError:
+            self._check_runnable(int(b))
             raise MissingBankError(int(b)) from None
 
     def has(self, b: int) -> bool:
         return int(b) in self.entries
 
-    def ensure_entry(self, b: int, borrow_from: int) -> BankEntry:
-        """Create a bank entry for b, borrowing the learned values (BN affine
-        parameters and the clipping value) from the borrow bit-width.
+    def _check_runnable(self, b: int) -> None:
+        b1 = self.bits.b1
+        if not 2 <= b <= b1:
+            raise BitWidthError(f"cannot run bit-width {b}: codes are stored at "
+                                f"b1={b1}, so b must be in [2, {b1}]")
 
-        Running statistics stay at initialization: statistics belong to
-        calibration, not to parameter borrowing.
-        """
+    def ensure_entry(self, b: int) -> BankEntry:
+        """The entry for b, created if missing by borrowing the BN affine
+        parameters and clipping values of the nearest trained bit-width (ties
+        round up). Running statistics are left to calibration. Untrained
+        entries never lend, so the order they are added in does not matter."""
         b = int(b)
         if b in self.entries:
             return self.entries[b]
-        src = self.entry(borrow_from)
+        self._check_runnable(b)
+        nearest = min(self.bits, key=lambda t: (abs(t - b), -t))
         entry = BankEntry(self.arch, self.alpha_init, self.bn_momentum)
-        for name, st in entry.bn.items():
-            st.gamma.data = src.bn[name].gamma.data.copy()
-            st.beta.data = src.bn[name].beta.data.copy()
-        for name, a in entry.alpha.items():
-            a.data = src.alpha[name].data.copy()
+        entry.copy_values(self.entries[nearest], statistics=False)
         self.entries[b] = entry
         return entry
 
@@ -387,13 +397,13 @@ class StatsCollector:
 # ---------------------------------------------------------------------------
 
 class QuantNet:
-    """Shared latent weights + per-precision banks, runnable at any b in the set."""
+    """Shared latent weights over one precision bank, whose architecture and
+    trained bit-width set the network takes as its own."""
 
-    def __init__(self, arch: ArchSpec, bits: BitWidthSet, bank: PrecisionBank,
-                 rng: np.random.Generator | None = None):
-        self.arch = arch
-        self.bits = bits
+    def __init__(self, bank: PrecisionBank, rng: np.random.Generator | None = None):
         self.bank = bank
+        self.arch = bank.arch
+        self.bits = bank.bits
         self.weights: dict[str, Tensor] = {}
         self.frozen = False
         self._views: dict[str, QuantizedWeightView] = {}
@@ -401,18 +411,17 @@ class QuantNet:
         self._cache: dict[tuple[str, int], Tensor] = {}
         self._cache_tape: ag.Tape | None = None
         if rng is not None:
-            for name in arch.learnable_names:
-                shape = arch.weight_shape(name)
+            for name in self.arch.learnable_names:
+                shape = self.arch.weight_shape(name)
                 fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
                 w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
                 self.weights[name] = Tensor(w, requires_grad=True)
 
     @classmethod
-    def from_codes(cls, arch: ArchSpec, bits: BitWidthSet, bank: PrecisionBank,
-                   views: dict[str, QuantizedWeightView],
+    def from_codes(cls, bank: PrecisionBank, views: dict[str, QuantizedWeightView],
                    fp_weights: dict[str, np.ndarray]) -> "QuantNet":
         """Eval-only network reconstructed from stored integer codes."""
-        net = cls(arch, bits, bank, rng=None)
+        net = cls(bank)
         net.frozen = True
         net._views = views
         net.weights = {name: Tensor(w) for name, w in fp_weights.items()}
@@ -465,7 +474,7 @@ class QuantNet:
             raise ValueError(f"unknown mode {mode!r}")
         if self.frozen and mode != "eval":
             raise ContractError("a network loaded from codes is eval-only")
-        self.bank.entry(b)  # fail fast with the missing-bank message
+        self.bank.entry(b)  # fail fast: b outside [2, b1], or no entry for b
         if mask is not None:
             if len(mask.beta) != self.arch.num_blocks:
                 raise ContractError(

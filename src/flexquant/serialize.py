@@ -108,6 +108,23 @@ class ByteReader:
             raise CorruptFileError(f"{len(self.buf) - self.pos} unread bytes after last field")
 
 
+def open_reader(path: str, magic: bytes, version: int, kind: str) -> ByteReader:
+    """Reader over a framed file, positioned after its magic and version.
+
+    The magic is checked first, so a file of another format is named as
+    such rather than as a CRC failure; then the CRC, then the version.
+    """
+    buf = read_file(path)
+    if buf[:len(magic)] != magic:
+        raise CorruptFileError(f"bad magic {buf[:len(magic)]!r}, expected {magic!r}")
+    r = ByteReader(buf)
+    r.raw(len(magic))
+    found = r.u32()
+    if found != version:
+        raise CorruptFileError(f"unsupported {kind} version {found}")
+    return r
+
+
 def write_bank_entry(w: ByteWriter, entry, arch) -> None:
     """One bank entry: BN gamma/beta/mean/var per BN layer, then the
     clipping value per quantized layer, both in architecture order."""

@@ -24,7 +24,6 @@ from .datasets import Dataset, gen_synthetic_blobs, load_idx
 from .metrics import BatchRecord, MetricsLog
 from .network import ContractError, PrecisionBank, QuantNet, StatsCollector, SwapMask
 from .optim import SGD, ParamGroup, step_decay_factor
-from .quantizers import BitWidthError
 from .rng import RngStreams
 
 
@@ -52,8 +51,6 @@ class TeacherChoice:
     entropy_term: float
     distance_term: float
     lam: float
-    # every candidate's (entropy, distance), for auditing the argmin
-    candidates: dict[int, tuple[float, float]] = None
 
     @property
     def score(self) -> float:
@@ -69,18 +66,14 @@ def select_teacher(student_b: int, teacher_probs: dict[int, np.ndarray], lam: fl
     """
     if not teacher_probs:
         raise ContractError(f"bit-width {student_b} has no higher-precision teacher")
-    terms: dict[int, tuple[float, float]] = {}
     best: TeacherChoice | None = None
     for t in sorted(teacher_probs, reverse=True):
         if t <= student_b:
             raise ContractError(f"teacher candidate {t} is not above student {student_b}")
-        ent = entropy(teacher_probs[t])
-        dist = float(distance_fn(t, student_b))
-        terms[t] = (ent, dist)
-        cand = TeacherChoice(student_b, t, ent, dist, lam)
+        cand = TeacherChoice(student_b, t, entropy(teacher_probs[t]),
+                             float(distance_fn(t, student_b)), lam)
         if best is None or cand.score < best.score:
             best = cand
-    best.candidates = terms
     return best
 
 
@@ -201,7 +194,7 @@ class Trainer:
         self.bank = PrecisionBank(self.bits, self.arch, alpha_init=config.alpha.init,
                                   bn_momentum=config.bn_momentum,
                                   share_bn=share_bn, share_alpha=share_alpha)
-        self.net = QuantNet(self.arch, self.bits, self.bank, rng=self.streams["init"])
+        self.net = QuantNet(self.bank, rng=self.streams["init"])
 
         bn_params, alpha_params = self.bank.named_parameters()
         main = dict(self.net.named_weights())
@@ -217,7 +210,11 @@ class Trainer:
         self.swap_schedule = SwapSchedule(config.p1_initial, config.epochs)
         self.log = MetricsLog(config.to_json())
         self.epoch = 0
-        self.calibrated_bits: set[int] = set()
+
+    @property
+    def calibrated_bits(self) -> set[int]:
+        """Zero-shot bit-widths: those with a bank entry that were not trained."""
+        return set(self.bank.entries).difference(self.bank.bits)
 
     # -- per-mode bit lists ---------------------------------------------------
 
@@ -317,15 +314,10 @@ class Trainer:
         if self.config.mode_kind == "direct":
             # direct quantization reuses the source bank wholesale (statistics
             # included) at every other bit-width; calibration can fix them later
-            src_entry = self.bank.entry(self.config.mode_bit)
+            src = self.bank.entry(self.config.mode_bit)
             for b in self.bits:
-                if b == self.config.mode_bit:
-                    continue
-                entry = self.bank.entry(b)
-                for name, st in entry.bn.items():
-                    st.copy_from(src_entry.bn[name])
-                for name, a in entry.alpha.items():
-                    a.data = src_entry.alpha[name].data.copy()
+                if b != self.config.mode_bit:
+                    self.bank.entry(b).copy_values(src, statistics=True)
         return {b: self.evaluate(b) for b in self.bits}
 
     # -- evaluation / calibration ----------------------------------------------
@@ -342,18 +334,10 @@ class Trainer:
                 correct += int(np.sum(pred == yb))
         return 100.0 * correct / len(data)
 
-    def nearest_trained_bit(self, b: int) -> int:
-        """Trained bit-width closest to b; ties round up. Calibrated entries
-        never lend, so calibration does not depend on the order of bits."""
-        return min(self.bits, key=lambda t: (abs(t - b), -t))
-
     def ensure_direct_entry(self, b: int) -> None:
-        """Bank entry for an untrained b, borrowing the nearest trained one."""
-        if not 2 <= b <= self.bits.b1:
-            raise BitWidthError(f"cannot run bit-width {b}: codes are stored at "
-                                f"b1={self.bits.b1}, so b must be in [2, {self.bits.b1}]")
-        if not self.bank.has(b):
-            self.bank.ensure_entry(b, borrow_from=self.nearest_trained_bit(b))
+        """Bank entry for an untrained b, borrowing the nearest trained one
+        (PrecisionBank.ensure_entry)."""
+        self.bank.ensure_entry(b)
 
     def calibrate(self, b: int, dataset: Dataset | None = None) -> None:
         """Zero-shot calibration: repopulate BN statistics for bit-width b.
@@ -365,8 +349,7 @@ class Trainer:
         if len(data) == 0:
             raise TrainingError("calibration needs a non-empty dataset")
         b = int(b)
-        self.ensure_direct_entry(b)  # rejects b outside [2, b1] before any write
-        entry = self.bank.entry(b)
+        entry = self.bank.ensure_entry(b)  # rejects b outside [2, b1] before any write
         collector = StatsCollector()
         with no_grad():
             for xb, _ in data.batches(self.config.batch_size):
@@ -377,4 +360,3 @@ class Trainer:
             numerics.check_finite(var, f"calibrate b={b} {name} running_var")
         for name, (mean, var) in stats.items():
             entry.bn[name].running_mean, entry.bn[name].running_var = mean, var
-        self.calibrated_bits.add(b)

@@ -155,6 +155,31 @@ class TestEvalCalibrateExport:
         err = capsys.readouterr().err
         assert "bit-width 5" in err and "calibration" in err
 
+    def test_eval_above_b1_exits_one(self, trained_run, capsys):
+        rc = main(["eval", "--ckpt", os.path.join(trained_run, "checkpoint.ckpt"),
+                   "--bits", "16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: cannot run bit-width 16" in err and "[2, 8]" in err
+        assert "calibration" not in err
+
+    def test_bundle_serves_calibrated_bits(self, trained_run, tmp_path):
+        from flexquant.autograd import no_grad
+        from flexquant.bundle import load_bundle
+        from flexquant.checkpoint import load_checkpoint
+        cal, path = str(tmp_path / "cal.ckpt"), str(tmp_path / "model.aqdb")
+        ckpt = os.path.join(trained_run, "checkpoint.ckpt")
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3,5", "--out", cal]) == 0
+        assert main(["export", "--ckpt", cal, "--out", path]) == 0
+        trainer, net = load_checkpoint(cal), load_bundle(path).build_network()
+        assert sorted(net.bank.entries) == [2, 3, 4, 5, 8]
+        x = trainer.eval_set.features
+        for b in (3, 5):
+            with no_grad():
+                served = net.forward_at(x, b, mode="eval").data
+                in_memory = trainer.net.forward_at(x, b, mode="eval").data
+            np.testing.assert_array_equal(served, in_memory)
+
     def test_calibrate_then_eval(self, trained_run, tmp_path, capsys):
         ckpt = os.path.join(trained_run, "checkpoint.ckpt")
         cal = str(tmp_path / "cal.ckpt")

@@ -32,7 +32,7 @@ def make_net(bits=(8, 4, 2), hidden=(16, 16, 16), dim=6, classes=3, seed=0,
     bitset = BitWidthSet(bits)
     arch = mlp(dim, list(hidden), classes)
     bank = PrecisionBank(bitset, arch, share_bn=share_bn, share_alpha=share_alpha)
-    net = QuantNet(arch, bitset, bank, rng=np.random.default_rng(seed))
+    net = QuantNet(bank, rng=np.random.default_rng(seed))
     return net
 
 
@@ -251,9 +251,29 @@ class TestBankIsolation:
         changed = any(np.any(entry.bn[n].running_mean != before[n]) for n in before)
         assert changed
 
+    def test_quantnet_takes_arch_and_bits_from_bank(self):
+        bits, arch = BitWidthSet([8, 2]), mlp(6, [16, 16, 16], 3)
+        bank = PrecisionBank(bits, arch)
+        net = QuantNet(bank, rng=np.random.default_rng(0))
+        assert net.arch is arch and net.bits is bits
+        assert sorted(net.weights) == arch.learnable_names
+
+    def test_entry_checks_range_then_presence(self):
+        bank = make_net(bits=(8, 2)).bank
+        for b in (1, 9, 16):
+            with pytest.raises(BitWidthError, match=r"b must be in \[2, 8\]"):
+                bank.entry(b)
+            with pytest.raises(BitWidthError, match=f"bit-width {b}"):
+                bank.ensure_entry(b)
+        with pytest.raises(MissingBankError, match="bit-width 5.*calibration"):
+            bank.entry(5)
+        assert sorted(bank.entries) == [2, 8]
+        assert bank.ensure_entry(5) is bank.entry(5)
+
     def test_shared_bank_aliases_entries(self):
         net = make_net(share_bn=True, share_alpha=True)
-        assert net.bank.entry(8) is net.bank.entry(2)
+        assert net.bank.entry(8).bn is net.bank.entry(2).bn
+        assert net.bank.entry(8).alpha is net.bank.entry(2).alpha
 
     def test_switchable_shares_alpha_only(self):
         net = make_net(share_alpha=True)
@@ -335,7 +355,7 @@ class TestCnnForward:
         bits = BitWidthSet([8, 2])
         arch = small_cnn(1, 8, 3, channels=[4, 4, 4])
         bank = PrecisionBank(bits, arch)
-        net = QuantNet(arch, bits, bank, rng=np.random.default_rng(5))
+        net = QuantNet(bank, rng=np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(4, 1, 8, 8))
         with Tape() as tape:
             logits = net.forward_at(x, 2, mode="train")

@@ -1,5 +1,8 @@
 """Deployment bundles and checkpoints: round trips, checksums, resume."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,33 @@ class TestBundle:
         net = load_bundle(path).build_network()
         with pytest.raises(ContractError):
             net.forward_at(trained.eval_set.features[:4], 8, mode="train")
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "bundle"])
+class TestHeaders:
+    def save(self, kind, trainer, tmp_path):
+        path = str(tmp_path / kind)
+        if kind == "checkpoint":
+            save_checkpoint(path, trainer)
+            return path, load_checkpoint
+        export_bundle(path, trainer.net)
+        return path, load_bundle
+
+    def test_magic_checked_before_crc(self, kind, trained, tmp_path):
+        path, load = self.save(kind, trained, tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[:4] = b"NOPE"  # the CRC no longer matches either
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CorruptFileError, match="bad magic b'NOPE'"):
+            load(path)
+
+    def test_unsupported_version_with_valid_crc(self, kind, trained, tmp_path):
+        path, load = self.save(kind, trained, tmp_path)
+        body = bytearray(open(path, "rb").read()[:-4])
+        body[4:8] = struct.pack("<I", 2)
+        open(path, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        with pytest.raises(CorruptFileError, match=f"unsupported {kind} version 2"):
+            load(path)
 
 
 class TestRngStreams:

@@ -355,16 +355,19 @@ class TestTrainStep:
     def test_selection_score_reproduces_argmin(self, monkeypatch):
         choices = []
 
-        def recording_select_teacher(*args, **kwargs):
-            choices.append(select_teacher(*args, **kwargs))
-            return choices[-1]
+        def recording_select_teacher(student_b, teacher_probs, lam, distance_fn):
+            choice = select_teacher(student_b, teacher_probs, lam, distance_fn)
+            # recomputed after the call, so the distances hit the tape's cache
+            scores = {t: entropy(p) + lam * trainer.net.model_distance(t, student_b)
+                      for t, p in teacher_probs.items()}
+            choices.append((choice, scores))
+            return choice
 
         monkeypatch.setattr(training, "select_teacher", recording_select_teacher)
         trainer = make_trainer(mode="coquant", epochs=2)
         trainer.run()
         assert choices
-        for choice in choices:
-            scores = {t: e + choice.lam * d for t, (e, d) in choice.candidates.items()}
+        for choice, scores in choices:
             best = min(sorted(scores, reverse=True), key=lambda t: scores[t])
             assert choice.teacher_b == best
             assert choice.score == pytest.approx(scores[choice.teacher_b], abs=1e-12)
@@ -474,7 +477,7 @@ class TestFiniteBoundaries:
         bits = BitWidthSet([8, 4, 2])
         arch = mlp(input_dim=8, hidden=[16, 16], classes=4)
         bank = PrecisionBank(bits, arch)
-        net = QuantNet(arch, bits, bank, rng=np.random.default_rng(0))
+        net = QuantNet(bank, rng=np.random.default_rng(0))
         net.weights[arch.learnable_names[0]].data[0, 0] = np.nan
         bn_params, alpha_params = bank.named_parameters()
         params = {**net.named_weights(), **bn_params, **alpha_params}
@@ -511,7 +514,8 @@ class TestFiniteBoundaries:
 class TestBankSharingByMode:
     def test_joint_shares_everything(self):
         t = make_trainer(mode="joint", epochs=1)
-        assert t.bank.entry(8) is t.bank.entry(2)
+        assert t.bank.entry(8).bn is t.bank.entry(2).bn
+        assert t.bank.entry(8).alpha is t.bank.entry(2).alpha
 
     def test_switchable_bn_shares_alpha_only(self):
         t = make_trainer(mode="switchable_bn", epochs=1)
@@ -690,18 +694,35 @@ class TestCalibration:
         after = t.evaluate(8)
         assert abs(after - before) <= 0.5
 
+    @staticmethod
+    def lenders_of(t, b):
+        """Clipping values a new entry for b took, after each trained entry's
+        clipping values are set to its own bit-width."""
+        for trained in t.bits:
+            for a in t.bank.entry(trained).alpha.values():
+                a.data = np.asarray(float(trained))
+        return {float(a.data) for a in t.bank.ensure_entry(b).alpha.values()}
+
     def test_nearest_trained_bit_rounds_up(self):
         t = make_trainer(mode="coquant", epochs=1)
-        assert t.nearest_trained_bit(3) == 4  # tie between 2 and 4
-        assert t.nearest_trained_bit(5) == 4
-        assert t.nearest_trained_bit(6) == 8  # tie between 4 and 8
-        assert t.nearest_trained_bit(7) == 8
+        assert self.lenders_of(t, 3) == {4.0}  # tie between 2 and 4
+        assert self.lenders_of(t, 5) == {4.0}
+        assert self.lenders_of(t, 6) == {8.0}  # tie between 4 and 8
+        assert self.lenders_of(t, 7) == {8.0}
 
     def test_calibrated_entry_never_lends(self):
         t = make_trainer(mode="coquant", bits=(8, 2), epochs=1)
-        assert t.nearest_trained_bit(5) == 8  # tie between 2 and 8
         t.calibrate(3)
-        assert t.nearest_trained_bit(5) == 8
+        assert self.lenders_of(t, 5) == {8.0}  # tie between 2 and 8; 3 is closer
+
+    def test_zero_shot_means_untrained_entry(self):
+        t = make_trainer(mode="coquant", epochs=1)
+        t.calibrate(8)  # recalibrating a trained bit-width leaves it trained
+        assert t.calibrated_bits == set()
+        t.ensure_direct_entry(3)  # borrowed, never calibrated
+        assert t.calibrated_bits == {3}
+        t.calibrate(5)
+        assert t.calibrated_bits == {3, 5}
 
     def test_bit_above_b1_rejected_without_an_entry(self):
         t = make_trainer(mode="coquant", bits=(8, 2), epochs=1)
