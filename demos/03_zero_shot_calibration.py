@@ -31,7 +31,7 @@ for b in (8, 4, 2):
 snapshot = {n: w.data.copy() for n, w in trainer.net.weights.items()}
 
 print("\n3-bit execution, never trained:")
-trainer.ensure_direct_entry(3)  # borrow learned BN affine + clip from 4-bit
+trainer.bank.ensure_entry(3)  # borrow learned BN affine + clip from 4-bit
 before = trainer.evaluate(3)
 print(f"  uncalibrated (initial statistics): {before:.2f}%")
 

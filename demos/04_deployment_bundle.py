@@ -10,6 +10,7 @@ import tempfile
 
 import numpy as np
 
+from flexquant import FlexquantError
 from flexquant.autograd import no_grad
 from flexquant.bundle import export_bundle, load_bundle
 from flexquant.config import RunConfig
@@ -61,5 +62,5 @@ with tempfile.TemporaryDirectory() as tmp:
     open(path, "wb").write(bytes(blob))
     try:
         load_bundle(path)
-    except Exception as e:
+    except FlexquantError as e:
         print(f"  {type(e).__name__}: {e}")

@@ -16,11 +16,13 @@ from .quantizers import (
     truncate_codes, mean_align, quantize_weights_at, quantize_activation,
 )
 from .config import RunConfig
+from .numerics import FlexquantError
 from .training import Trainer, delta_b, entropy, sample_swap_mask, select_teacher
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "FlexquantError",
     "Tensor", "Tape", "no_grad", "backward",
     "ArchSpec", "BitWidthSet", "Conv", "Dense", "BatchNorm", "ReLU", "MaxPool",
     "Flatten", "PrecisionBank", "QuantNet", "SwapMask", "mlp", "small_cnn",

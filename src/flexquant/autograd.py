@@ -30,11 +30,11 @@ import numpy as np
 from . import numerics
 
 
-class GraphError(RuntimeError):
+class GraphError(numerics.FlexquantError, RuntimeError):
     """Structural problem in the recorded graph."""
 
 
-class DimensionError(ValueError):
+class DimensionError(numerics.FlexquantError, ValueError):
     """Operand shapes are incompatible."""
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
+from .network import ArchSpec, BitWidthSet, ContractError, PrecisionBank, QuantNet
 from .quantizers import QuantizedWeightView, quantize_weights_dorefa
-from .serialize import (ByteWriter, atomic_write_bytes, open_reader, read_bank_entry,
-                        write_bank_entry)
+from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, open_reader,
+                        read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -122,7 +122,11 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
 
 def load_bundle(path: str) -> DeploymentBundle:
     r = open_reader(path, MAGIC, VERSION, "bundle")
-    arch = ArchSpec.from_json(json.loads(r.text()))
+    text = r.text()
+    try:
+        arch = ArchSpec.from_json(json.loads(text))
+    except (json.JSONDecodeError, ContractError) as e:
+        raise CorruptFileError(f"bundle architecture: {e}") from None
     views: dict[str, QuantizedWeightView] = {}
     fp_weights: dict[str, np.ndarray] = {}
     for _ in arch.learnable_names:

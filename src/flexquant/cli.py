@@ -15,12 +15,12 @@ import sys
 
 from .bundle import export_bundle
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, DatasetSpec, RunConfig
+from .config import ConfigError, DatasetSpec, RunConfig, parse_json_object
 from .metrics import eval_summary_json, histogram_csv, read_metrics_csv, teacher_histogram
-from .network import MissingBankError
-from .quantizers import BitWidthError
-from .serialize import CorruptFileError, atomic_write_bytes, read_file
-from .training import Trainer, delta_b, load_dataset
+from .datasets import load_dataset
+from .numerics import FlexquantError
+from .serialize import atomic_write_bytes, read_file
+from .training import Trainer, delta_b
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -73,8 +73,7 @@ def cmd_eval(args) -> int:
 def _calibration_dataset(trainer: Trainer, spec_arg: str | None):
     if not spec_arg or spec_arg == "train":
         return None  # trainer falls back to its own training split
-    with open(spec_arg, "r", encoding="utf-8") as f:
-        spec = DatasetSpec.from_dict(json.load(f))
+    spec = DatasetSpec.from_dict(parse_json_object(read_file(spec_arg), "--data"))
     train, _ = load_dataset(spec)
     return train
 
@@ -194,8 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MissingBankError, BitWidthError, CorruptFileError,
-            FileNotFoundError) as e:
+    except (FlexquantError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .network import ArchSpec, BitWidthSet, mlp, small_cnn
+from .network import ArchSpec, BitWidthSet, ContractError, mlp, small_cnn
+from .numerics import FlexquantError
 
 SCHEMA_VERSION = 1
 
@@ -17,7 +18,7 @@ MODES = ("coquant", "joint", "switchable_bn", "adabits",
          "individual", "progressive_desc", "progressive_asc", "direct")
 
 
-class ConfigError(ValueError):
+class ConfigError(FlexquantError, ValueError):
     pass
 
 
@@ -28,6 +29,33 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) ->
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+# What a JSON value must be for a field annotated with each type; an int
+# passes for a float (and is kept as given).
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list, "dict": dict}
+
+
+def _check_type(value, type_name: str, where: str) -> None:
+    want = _JSON_TYPES[type_name]
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ConfigError(f"{where} must be {type_name}, got {value!r}")
+
+
+def _check_field_types(settings, where: str) -> None:
+    for f in fields(settings):
+        _check_type(getattr(settings, f.name), f.type, f"{where}.{f.name}")
+
+
+def parse_json_object(text: str | bytes, where: str) -> dict:
+    """The JSON object in text; ConfigError for bad UTF-8, bad JSON or a non-object."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise ConfigError(f"{where} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return data
 
 
 @dataclass
@@ -41,6 +69,7 @@ class OptimizerSettings:
     def from_dict(d: dict) -> "OptimizerSettings":
         _require_keys(d, {f.name for f in fields(OptimizerSettings)}, set(), "optimizer")
         s = OptimizerSettings(**d)
+        _check_field_types(s, "optimizer")
         if s.lr <= 0:
             raise ConfigError(f"optimizer.lr must be positive, got {s.lr}")
         if not 0 <= s.momentum < 1:
@@ -60,6 +89,7 @@ class AlphaSettings:
     def from_dict(d: dict) -> "AlphaSettings":
         _require_keys(d, {f.name for f in fields(AlphaSettings)}, set(), "alpha")
         s = AlphaSettings(**d)
+        _check_field_types(s, "alpha")
         if s.init <= 0 or s.lr <= 0:
             raise ConfigError("alpha.init and alpha.lr must be positive")
         return s
@@ -101,6 +131,7 @@ class DatasetSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
+        _check_type(d, "dict", "dataset")
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in _DATASET_KEYS:
             raise ConfigError(f"dataset.kind must be one of {', '.join(_DATASET_KEYS)}; "
@@ -108,6 +139,7 @@ class DatasetSpec:
         keys, required = _DATASET_KEYS[kind]
         _require_keys(d, {"kind", *keys}, {"kind", *required}, "dataset")
         spec = DatasetSpec(**d)
+        _check_field_types(spec, "dataset")
         if kind == "synthetic_blobs":
             if spec.eval_samples <= 0:
                 spec.eval_samples = max(spec.classes, spec.samples // 4)
@@ -117,6 +149,13 @@ class DatasetSpec:
         keys, _ = _DATASET_KEYS[self.kind]
         return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
 
+
+# Per arch kind: the type of each key it takes besides "kind"; all but the
+# cnn's "channels" are required.
+_ARCH_KEYS = {"mlp": {"input_dim": "int", "hidden": "list", "classes": "int"},
+              "cnn": {"in_channels": "int", "image_size": "int", "classes": "int",
+                      "channels": "list"},
+              "layers": {"layers": "list"}}
 
 # JSON key -> (RunConfig attribute, cast) for the optional scalar settings;
 # a key the config leaves out keeps the dataclass default.
@@ -157,22 +196,33 @@ class RunConfig:
         return BitWidthSet(self.bits)
 
     def build_arch(self) -> ArchSpec:
-        kind = self.arch.get("kind")
-        if kind == "mlp":
-            return mlp(self.arch["input_dim"], list(self.arch["hidden"]), self.arch["classes"])
-        if kind == "cnn":
-            return small_cnn(self.arch["in_channels"], self.arch["image_size"],
-                             self.arch["classes"], self.arch.get("channels"))
-        if kind == "layers":
-            return ArchSpec.from_json(self.arch["layers"])
-        raise ConfigError(f"arch.kind must be mlp, cnn or layers; got {kind!r}")
+        arch = self.arch
+        kind = arch.get("kind")
+        if not isinstance(kind, str) or kind not in _ARCH_KEYS:
+            raise ConfigError(f"arch.kind must be mlp, cnn or layers; got {kind!r}")
+        types = _ARCH_KEYS[kind]
+        _require_keys(arch, {"kind", *types}, {"kind", *types} - {"channels"}, "arch")
+        for key in arch.keys() - {"kind"}:
+            _check_type(arch[key], types[key], f"arch.{key}")
+        try:
+            if kind == "mlp":
+                return mlp(arch["input_dim"], list(arch["hidden"]), arch["classes"])
+            if kind == "cnn":
+                return small_cnn(arch["in_channels"], arch["image_size"], arch["classes"],
+                                 arch.get("channels"))
+            return ArchSpec.from_json(arch["layers"])
+        except ContractError as e:
+            raise ConfigError(f"arch: {e}") from None
 
     # -- validation / serialization ------------------------------------------
 
     def validate(self) -> "RunConfig":
+        _check_type(self.mode, "str", "mode")
         kind = self.mode_kind
         if kind not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if ":" in self.mode and not self.mode.split(":", 1)[1].isdigit():
+            raise ConfigError(f"mode {self.mode!r}: the suffix must be a bit-width")
         bits = self.bit_set()
         if kind in ("individual", "direct"):
             if self.mode_bit is None:
@@ -205,9 +255,17 @@ class RunConfig:
         version = d["schema_version"]
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version {version} unsupported (expected {SCHEMA_VERSION})")
+        _check_type(d["bits"], "list", "bits")
+        for b in d["bits"]:
+            _check_type(b, "int", "bits")
+        for key in ("arch", "optimizer", "alpha"):
+            _check_type(d.get(key, {}), "dict", key)
+        for key, (_, cast) in _SCALARS.items():
+            if key in d:
+                _check_type(d[key], cast.__name__, key)
         cfg = RunConfig(
             mode=d["mode"],
-            bits=[int(b) for b in d["bits"]],
+            bits=list(d["bits"]),
             dataset=DatasetSpec.from_dict(d["dataset"]),
             arch=dict(d["arch"]),
             optimizer=OptimizerSettings.from_dict(dict(d.get("optimizer", {}))),
@@ -232,16 +290,10 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        return RunConfig.from_dict(data)
+    def from_json(text: str | bytes) -> "RunConfig":
+        return RunConfig.from_dict(parse_json_object(text, "config"))
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "rb") as f:
             return RunConfig.from_json(f.read())

@@ -1,4 +1,4 @@
-"""Datasets: IDX image files and seeded synthetic Gaussian blobs."""
+"""Datasets: IDX image files, CSV tables and seeded synthetic Gaussian blobs."""
 
 from __future__ import annotations
 
@@ -7,12 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import FlexquantError
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-class FormatError(ValueError):
-    """Malformed dataset file; the message carries the byte offset."""
+class FormatError(FlexquantError, ValueError):
+    """Malformed dataset file (the message carries the byte offset or row),
+    or generator parameters that describe no dataset."""
 
 
 @dataclass
@@ -118,11 +121,11 @@ def gen_synthetic_blobs(classes: int, samples: int, dim: int, spread: float,
     un-centered features (pixel intensities, sensor readings).
     """
     if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
+        raise FormatError(f"need at least 2 classes, got {classes}")
     if samples < classes:
-        raise ValueError(f"need at least {classes} samples, got {samples}")
+        raise FormatError(f"need at least {classes} samples, got {samples}")
     if dim < 1 or spread <= 0:
-        raise ValueError(f"invalid dim={dim} or spread={spread}")
+        raise FormatError(f"invalid dim={dim} or spread={spread}")
     splits = ("train", "eval")
     if split not in splits:
         raise ValueError(f"split must be one of {splits}, got {split!r}")
@@ -137,3 +140,46 @@ def gen_synthetic_blobs(classes: int, samples: int, dim: int, spread: float,
     labels = np.concatenate([np.full(k, c, dtype=np.int64) for c, k in enumerate(counts)])
     feats = centers[labels] + noise_rng.normal(0.0, spread, size=(samples, dim))
     return Dataset(feats, labels, classes)
+
+
+def load_csv_table(path: str, classes: int) -> Dataset:
+    """Rows of comma-separated numbers: the features, then an integer label."""
+    try:
+        table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as e:  # a field that is not a number, or a ragged row
+        raise FormatError(f"{path}: {e}") from None
+    if table.shape[0] == 0 or table.shape[1] < 2:
+        raise FormatError(f"{path}: need at least one row of features and a label, "
+                          f"got shape {table.shape}")
+    labels = table[:, -1]
+    bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+    if bad.size:
+        row = int(bad[0])
+        raise FormatError(f"{path}: label {labels[row]} at row {row} is not an integer")
+    return Dataset(table[:, :-1], labels.astype(np.int64), classes)
+
+
+def load_dataset(spec) -> tuple[Dataset, Dataset]:
+    """(train, eval) datasets for a DatasetSpec."""
+    if spec.kind == "synthetic_blobs":
+        train = gen_synthetic_blobs(spec.classes, spec.samples, spec.dim,
+                                    spec.spread, spec.seed, spec.center_scale,
+                                    "train", spec.center_offset)
+        test = gen_synthetic_blobs(spec.classes, spec.eval_samples, spec.dim,
+                                   spec.spread, spec.seed, spec.center_scale,
+                                   "eval", spec.center_offset)
+        return train, test
+    if spec.kind == "idx_images":
+        train = load_idx(spec.train_images, spec.train_labels, spec.mean, spec.std,
+                         spec.classes or None)
+        if spec.test_images:
+            test = load_idx(spec.test_images, spec.test_labels, spec.mean, spec.std,
+                            train.classes)
+        else:
+            test = train
+        return train, test
+    if spec.kind == "csv_table":
+        train = load_csv_table(spec.path, spec.classes)
+        test = load_csv_table(spec.eval_path, spec.classes) if spec.eval_path else train
+        return train, test
+    raise ValueError(f"unknown dataset kind {spec.kind!r}")

@@ -15,7 +15,7 @@ a teacher bit-width instead of the student's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .quantizers import (
 )
 
 
-class MissingBankError(KeyError):
+class MissingBankError(numerics.FlexquantError, KeyError):
     """No bank entry exists for the requested bit-width."""
 
     def __init__(self, b: int):
@@ -44,8 +44,9 @@ class MissingBankError(KeyError):
         return self.args[0]
 
 
-class ContractError(ValueError):
-    """forward_at called with an inconsistent mask/teacher combination."""
+class ContractError(numerics.FlexquantError, ValueError):
+    """An architecture description the network cannot build, or forward_at
+    called with an inconsistent mask/teacher combination."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,8 @@ class Flatten:
 
 _LEARNABLE = ("dense", "conv")
 
+_LAYER_TYPES = {layer.kind: layer for layer in (Dense, Conv, BatchNorm, ReLU, MaxPool, Flatten)}
+
 
 class ArchSpec:
     """Ordered layer descriptors plus the derived quantization roles.
@@ -105,14 +108,21 @@ class ArchSpec:
 
     def __init__(self, layers: list):
         if not layers:
-            raise ValueError("architecture needs at least one layer")
+            raise ContractError("architecture needs at least one layer")
+        for i, spec in enumerate(layers):
+            for key, val in spec.__dict__.items():
+                low = 0 if key == "padding" else 1
+                if key != "kind" and (isinstance(val, bool)
+                                      or not isinstance(val, (int, np.integer)) or val < low):
+                    raise ContractError(f"layer {i} ({spec.kind}): {key} must be an "
+                                        f"integer >= {low}, got {val!r}")
         self.layers = list(layers)
         self.names = [f"{spec.kind}{i}" for i, spec in enumerate(self.layers)]
         self.learnable_names = [
             name for spec, name in zip(self.layers, self.names) if spec.kind in _LEARNABLE
         ]
         if not self.learnable_names:
-            raise ValueError("architecture has no learnable layers")
+            raise ContractError("architecture has no learnable layers")
         self.quantized_names = self.learnable_names[1:-1]
         self.bn_names = [
             name for spec, name in zip(self.layers, self.names) if spec.kind == "bn"
@@ -143,14 +153,23 @@ class ArchSpec:
 
     @staticmethod
     def from_json(data: list[dict]) -> "ArchSpec":
-        builders = {
-            "dense": Dense, "conv": Conv, "bn": BatchNorm,
-            "relu": ReLU, "pool": MaxPool, "flatten": Flatten,
-        }
+        """Rebuild from to_json output; ContractError for anything else."""
+        if not isinstance(data, list):
+            raise ContractError(f"architecture must be a list of layers, got {data!r}")
         layers = []
-        for d in data:
+        for i, d in enumerate(data):
+            kind = d.get("kind") if isinstance(d, dict) else None
+            layer = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
+            if layer is None:
+                raise ContractError(f"layer {i}: unknown kind in {d!r}; expected one of "
+                                    f"{', '.join(_LAYER_TYPES)}")
+            keys = {f.name for f in fields(layer) if f.init}
+            required = {f.name for f in fields(layer) if f.init and f.default is MISSING}
             kwargs = {k: v for k, v in d.items() if k != "kind"}
-            layers.append(builders[d["kind"]](**kwargs))
+            if not required <= set(kwargs) <= keys:
+                raise ContractError(f"layer {i} ({kind}): keys {sorted(kwargs)}, expected "
+                                    f"{sorted(required)} plus optional {sorted(keys - required)}")
+            layers.append(layer(**kwargs))
         return ArchSpec(layers)
 
 

@@ -1,4 +1,6 @@
-"""Shared numeric guards: epsilon clamps, finite checks, event counters.
+"""Shared numeric guards: epsilon clamps, finite checks, event counters;
+and FlexquantError, the root of the library's errors (defined here because
+this module imports nothing from the package, so every module can use it).
 
 Every epsilon clamp in the library goes through this module so runs can
 report how often the guards actually fired.
@@ -24,7 +26,12 @@ ALPHA_FLOOR = 1e-3
 _event_counts: dict[str, int] = {}
 
 
-class NonFiniteError(ArithmeticError):
+class FlexquantError(Exception):
+    """Root of every error the library raises. Each subclass also keeps a
+    builtin base (ValueError, KeyError, ...), so callers may catch either."""
+
+
+class NonFiniteError(FlexquantError, ArithmeticError):
     """A checked value holds NaN or Inf."""
 
 

@@ -8,7 +8,7 @@ from . import numerics
 from .autograd import Tensor
 
 
-class StepError(RuntimeError):
+class StepError(numerics.FlexquantError, RuntimeError):
     """An optimizer step was aborted (non-finite gradient)."""
 
 

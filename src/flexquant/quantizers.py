@@ -24,7 +24,7 @@ from .autograd import Tensor, record
 MAX_BITS = 16
 
 
-class BitWidthError(ValueError):
+class BitWidthError(numerics.FlexquantError, ValueError):
     """Bit-width outside the supported range or ordering."""
 
 

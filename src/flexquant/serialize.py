@@ -7,14 +7,17 @@ over everything written; readers verify the CRC before yielding any field.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
 
 import numpy as np
 
+from .numerics import FlexquantError
 
-class CorruptFileError(ValueError):
+
+class CorruptFileError(FlexquantError, ValueError):
     """Checksum mismatch or malformed framing."""
 
 
@@ -94,13 +97,17 @@ class ByteReader:
         return self._take(self.u32())
 
     def text(self) -> str:
-        return self.blob().decode("utf-8")
+        start = self.pos
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptFileError(f"text at byte {start} is not UTF-8: {e}") from None
 
     def f64_array(self) -> np.ndarray:
         ndim = self.u8()
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(8 * count)
+        # a Python int, so huge dims fail _take's bounds check instead of wrapping
+        raw = self._take(8 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
     def done(self) -> None:

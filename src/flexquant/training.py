@@ -20,14 +20,14 @@ from . import autograd as ag
 from . import numerics
 from .autograd import Tape, Tensor, no_grad
 from .config import RunConfig
-from .datasets import Dataset, gen_synthetic_blobs, load_idx
+from .datasets import Dataset, load_dataset
 from .metrics import BatchRecord, MetricsLog
 from .network import ContractError, PrecisionBank, QuantNet, StatsCollector, SwapMask
 from .optim import SGD, ParamGroup, step_decay_factor
 from .rng import RngStreams
 
 
-class TrainingError(RuntimeError):
+class TrainingError(numerics.FlexquantError, RuntimeError):
     pass
 
 
@@ -148,35 +148,6 @@ def delta_b(accuracies: dict[int, float], reference: dict[int, float]) -> float:
 # the trainer
 # ---------------------------------------------------------------------------
 
-def load_dataset(spec) -> tuple[Dataset, Dataset]:
-    """(train, eval) datasets for a DatasetSpec."""
-    if spec.kind == "synthetic_blobs":
-        train = gen_synthetic_blobs(spec.classes, spec.samples, spec.dim,
-                                    spec.spread, spec.seed, spec.center_scale,
-                                    "train", spec.center_offset)
-        test = gen_synthetic_blobs(spec.classes, spec.eval_samples, spec.dim,
-                                   spec.spread, spec.seed, spec.center_scale,
-                                   "eval", spec.center_offset)
-        return train, test
-    if spec.kind == "idx_images":
-        train = load_idx(spec.train_images, spec.train_labels, spec.mean, spec.std,
-                         spec.classes or None)
-        if spec.test_images:
-            test = load_idx(spec.test_images, spec.test_labels, spec.mean, spec.std,
-                            train.classes)
-        else:
-            test = train
-        return train, test
-    if spec.kind == "csv_table":
-        def read_csv(path):
-            table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-            return Dataset(table[:, :-1], table[:, -1].astype(np.int64), spec.classes)
-        train = read_csv(spec.path)
-        test = read_csv(spec.eval_path) if spec.eval_path else train
-        return train, test
-    raise ValueError(f"unknown dataset kind {spec.kind!r}")
-
-
 class Trainer:
     """Owns the network, banks, optimizer, RNG streams, and metrics for one run."""
 
@@ -259,9 +230,8 @@ class Trainer:
                     choice = select_teacher(b, candidates, cfg.lam, self.net.model_distance)
                     mask = sample_swap_mask(num_blocks, p1, self.streams["swap"])
                     swap_fraction = mask.student_fraction
-                    logits = self.net.forward_at(
-                        xb, b, mask=mask if mask.any_teacher() else None,
-                        teacher_b=choice.teacher_b, mode="train")
+                    logits = self.net.forward_at(xb, b, mask=mask, teacher_b=choice.teacher_b,
+                                                 mode="train")
                     parts = loss_for_bit(b, logits, yb, probs_by_bit[choice.teacher_b])
                 else:
                     logits = self.net.forward_at(xb, b, mode="train")
@@ -334,29 +304,31 @@ class Trainer:
                 correct += int(np.sum(pred == yb))
         return 100.0 * correct / len(data)
 
-    def ensure_direct_entry(self, b: int) -> None:
-        """Bank entry for an untrained b, borrowing the nearest trained one
-        (PrecisionBank.ensure_entry)."""
-        self.bank.ensure_entry(b)
-
     def calibrate(self, b: int, dataset: Dataset | None = None) -> None:
         """Zero-shot calibration: repopulate BN statistics for bit-width b.
 
         Weights and clipping values stay frozen; a missing bank entry is
-        created by borrowing the nearest trained bit-width's parameters.
+        created by borrowing the nearest trained bit-width's parameters, and
+        removed again if the calibration fails.
         """
         data = dataset if dataset is not None else self.train_set
         if len(data) == 0:
             raise TrainingError("calibration needs a non-empty dataset")
         b = int(b)
+        borrowed = not self.bank.has(b)
         entry = self.bank.ensure_entry(b)  # rejects b outside [2, b1] before any write
-        collector = StatsCollector()
-        with no_grad():
-            for xb, _ in data.batches(self.config.batch_size):
-                self.net.forward_at(xb, b, mode="calibrate", collector=collector)
-        stats = collector.finalize()
-        for name, (mean, var) in stats.items():  # check all before writing any
-            numerics.check_finite(mean, f"calibrate b={b} {name} running_mean")
-            numerics.check_finite(var, f"calibrate b={b} {name} running_var")
+        try:
+            collector = StatsCollector()
+            with no_grad():
+                for xb, _ in data.batches(self.config.batch_size):
+                    self.net.forward_at(xb, b, mode="calibrate", collector=collector)
+            stats = collector.finalize()
+            for name, (mean, var) in stats.items():  # check all before writing any
+                numerics.check_finite(mean, f"calibrate b={b} {name} running_mean")
+                numerics.check_finite(var, f"calibrate b={b} {name} running_var")
+        except BaseException:
+            if borrowed:
+                del self.bank.entries[b]
+            raise
         for name, (mean, var) in stats.items():
             entry.bn[name].running_mean, entry.bn[name].running_var = mean, var

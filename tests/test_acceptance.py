@@ -286,7 +286,7 @@ def test_criterion_7_zero_shot_calibration(desk_runs):
     trainer = trainers["coquant0"]
     weights_before = {n: w.data.copy() for n, w in trainer.net.weights.items()}
     assert not trainer.bank.has(3)
-    trainer.ensure_direct_entry(3)
+    trainer.bank.ensure_entry(3)
     uncalibrated = trainer.evaluate(3)
     trainer.calibrate(3)
     calibrated = trainer.evaluate(3)

@@ -1,13 +1,18 @@
 """Command-line surface: subcommand flows, exit codes, artifact stability."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import flexquant
+from flexquant import FlexquantError
 from flexquant.cli import main
 
 from conftest import blob_config
@@ -250,3 +255,72 @@ class TestEvalCalibrateExport:
         report_hist = open(os.path.join(report_dir, "report_teacher_histogram.csv")).read()
         assert report_hist == train_hist
         assert report_hist.count("\n") > 1
+
+
+# Each library error keeps the builtin base its callers may already catch.
+BUILTIN_BASES = {
+    "GraphError": RuntimeError, "DimensionError": ValueError, "StepError": RuntimeError,
+    "BitWidthError": ValueError, "MissingBankError": KeyError, "ContractError": ValueError,
+    "NonFiniteError": ArithmeticError, "TrainingError": RuntimeError,
+    "CorruptFileError": ValueError, "FormatError": ValueError, "ConfigError": ValueError,
+}
+
+
+def test_every_library_error_derives_from_the_root():
+    found = {}
+    for info in pkgutil.iter_modules(flexquant.__path__):
+        module = importlib.import_module(f"flexquant.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found[name] = cls
+    assert found.pop("FlexquantError") is FlexquantError
+    assert set(BUILTIN_BASES) <= set(found)
+    for name, cls in found.items():
+        assert issubclass(cls, FlexquantError), name
+        if name in BUILTIN_BASES:
+            assert issubclass(cls, BUILTIN_BASES[name]), name
+
+
+def _train_argv(tmp_path, csv_rows=None, **overrides):
+    """flexquant train on blob_config(**overrides), or on a 4-feature, 3-class
+    CSV table holding csv_rows."""
+    if csv_rows is None:
+        cfg = blob_config(epochs=1)
+    else:
+        data = tmp_path / "data.csv"
+        data.write_text(csv_rows)
+        cfg = blob_config(epochs=1, dim=4, classes=3,
+                          dataset={"kind": "csv_table", "path": str(data), "classes": 3})
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(path), "--out", run_dir(tmp_path)]
+
+
+GOOD_ROWS = "0,0,0,0,0\n1,1,1,1,1\n2,2,2,2,2\n"
+
+BAD_INPUTS = {
+    "csv_label_out_of_range": lambda tmp: _train_argv(tmp, GOOD_ROWS + "1,1,1,1,3\n"),
+    "csv_row_not_numeric": lambda tmp: _train_argv(tmp, GOOD_ROWS + "1,x,1,1,1\n"),
+    "csv_label_not_integer": lambda tmp: _train_argv(tmp, GOOD_ROWS + "1,1,1,1,1.5\n"),
+    "epochs_not_int": lambda tmp: _train_argv(tmp, epochs="x"),
+    "bits_not_list": lambda tmp: _train_argv(tmp, bits=8),
+    "layers_unknown_kind": lambda tmp: _train_argv(tmp, arch={"kind": "layers", "layers": [
+        {"kind": "dense", "in_features": 8, "out_features": 4}, {"kind": "relx"}]}),
+    "mlp_without_input_dim": lambda tmp: _train_argv(
+        tmp, arch={"kind": "mlp", "hidden": [8], "classes": 4}),
+    "mlp_input_dim_mismatch": lambda tmp: _train_argv(tmp, GOOD_ROWS, arch={
+        "kind": "mlp", "input_dim": 5, "hidden": [8, 8], "classes": 3}),
+    "config_is_directory": lambda tmp: ["train", "--config", str(tmp), "--out",
+                                        run_dir(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+    assert "Traceback" not in out + err

@@ -84,6 +84,47 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("path, value, match", [
+        (("epochs",), "x", "epochs must be int"),
+        (("lambda",), True, "lambda must be float"),
+        (("bits",), 8, "bits must be list"),
+        (("bits",), [8, "4"], "bits must be int"),
+        (("mode",), 3, "mode must be str"),
+        (("mode",), "individual:x", "suffix"),
+        (("optimizer", "lr"), "0.1", "optimizer.lr must be float"),
+        (("dataset",), [], "dataset must be dict"),
+        (("dataset", "classes"), 4.0, "dataset.classes must be int"),
+        (("arch",), "mlp", "arch must be dict"),
+        (("arch", "hidden"), 32, "arch.hidden must be list"),
+        (("arch", "hidden"), [32, 0], "out_features must be an integer >= 1"),
+        (("arch", "input_dim"), None, "arch.input_dim must be int"),
+        (("arch", "dropout"), 0.5, "unknown keys"),
+    ], ids=["epochs_str", "lambda_bool", "bits_int", "bits_str_entry", "mode_int",
+            "mode_suffix", "optimizer_lr_str", "dataset_list", "dataset_classes_float",
+            "arch_str", "arch_hidden_int", "arch_hidden_zero", "arch_input_dim_null",
+            "arch_unknown_key"])
+    def test_wrong_value_rejected(self, path, value, match):
+        d = blob_config()
+        target = d
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("layer, match", [
+        ({"kind": "relx"}, "unknown kind"),
+        ({"kind": "dense", "in_features": 8}, "out_features"),
+        ({"kind": "dense", "in_features": 8, "out_features": 4, "bias": True}, "bias"),
+        ("dense", "unknown kind"),
+    ], ids=["unknown_kind", "missing_key", "unknown_key", "not_an_object"])
+    def test_layers_arch_checked_layer_by_layer(self, layer, match):
+        d = blob_config()
+        d["arch"] = {"kind": "layers", "layers": [
+            {"kind": "dense", "in_features": 8, "out_features": 8}, layer]}
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(d)
+
     def test_defaults_applied(self):
         cfg = RunConfig.from_dict(blob_config())
         assert cfg.lam == 0.1

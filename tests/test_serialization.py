@@ -58,6 +58,15 @@ class TestFraming:
             r.u32()
             r.u32()  # nothing left
 
+    def test_huge_array_dims_rejected_before_reading(self):
+        w = ByteWriter()
+        w.u8(2)
+        w.u32(2**32 - 1)
+        w.u32(2**32 - 1)
+        w.raw(bytes(64))
+        with pytest.raises(CorruptFileError, match="truncated"):
+            ByteReader(w.finish()).f64_array()
+
 
 class TestBundle:
     def test_codes_round_trip_bitwise(self, trained, tmp_path):
@@ -105,6 +114,14 @@ class TestBundle:
         blob[50] ^= 0x01
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CorruptFileError):
+            load_bundle(path)
+
+    def test_unknown_layer_kind_with_valid_crc(self, trained, tmp_path):
+        path = str(tmp_path / "m.aqdb")
+        export_bundle(path, trained.net)
+        body = open(path, "rb").read()[:-4].replace(b'"relu"', b'"relx"', 1)
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CorruptFileError, match="relx"):
             load_bundle(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -719,7 +719,7 @@ class TestCalibration:
         t = make_trainer(mode="coquant", epochs=1)
         t.calibrate(8)  # recalibrating a trained bit-width leaves it trained
         assert t.calibrated_bits == set()
-        t.ensure_direct_entry(3)  # borrowed, never calibrated
+        t.bank.ensure_entry(3)  # borrowed, never calibrated
         assert t.calibrated_bits == {3}
         t.calibrate(5)
         assert t.calibrated_bits == {3, 5}
@@ -730,8 +730,18 @@ class TestCalibration:
             with pytest.raises(BitWidthError, match=f"bit-width {b}"):
                 t.calibrate(b)
             with pytest.raises(BitWidthError, match=f"bit-width {b}"):
-                t.ensure_direct_entry(b)
+                t.bank.ensure_entry(b)
         assert sorted(t.bank.entries) == [2, 8]
+        assert t.calibrated_bits == set()
+
+    def test_rejected_calibration_leaves_bank_unchanged(self):
+        t = make_trainer(mode="adabits", epochs=1)
+        t.net.weights["dense0"].data[...] = 1e200
+        t.net.after_update()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(numerics.NonFiniteError):
+                t.calibrate(3)
+        assert sorted(t.bank.entries) == [2, 4, 8]
         assert t.calibrated_bits == set()
 
     def test_empty_calibration_set_rejected(self):
