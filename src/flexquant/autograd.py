@@ -13,6 +13,11 @@ array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer) and skip computing it; the engine skips None.
 
+Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
+and dies with it; ``active_memo()`` returns the innermost block's. Values
+memoized there (a network's quantized weights) are never seen by another
+block, so what they derive from may change between blocks, never inside one.
+
 Gradient ownership: a rule never writes into its upstream gradient or into
 any array captured from its forward, so calling it twice gives the same
 result. It returns arrays it has just allocated, or views (of the upstream
@@ -83,11 +88,11 @@ class Node:
         self.name = name
 
 
-class Tape:
-    """Ordered record of differentiable ops (execution order == topo order)."""
+class _Block:
+    """A with-block on the tape stack, owning a memo that lives and dies with it."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.memo: dict = {}
 
     def __enter__(self):
         _tape_stack.append(self)
@@ -99,6 +104,14 @@ class Tape:
             raise GraphError("tape stack corrupted")
         return False
 
+
+class Tape(_Block):
+    """Ordered record of differentiable ops (execution order == topo order)."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes: list[Node] = []
+
     def __len__(self):
         return len(self.nodes)
 
@@ -106,23 +119,22 @@ class Tape:
         backward(self, loss)
 
 
-_tape_stack: list[Tape] = []
+class no_grad(_Block):
+    """Context manager that suppresses recording entirely."""
+
+
+_tape_stack: list[_Block] = []
 
 
 def active_tape() -> Tape | None:
-    return _tape_stack[-1] if _tape_stack else None
+    """The innermost block if it is a Tape; None inside no_grad or outside any block."""
+    top = _tape_stack[-1] if _tape_stack else None
+    return top if isinstance(top, Tape) else None
 
 
-class no_grad:
-    """Context manager that suppresses recording entirely."""
-
-    def __enter__(self):
-        _tape_stack.append(None)  # type: ignore[arg-type]
-        return self
-
-    def __exit__(self, *exc):
-        _tape_stack.pop()
-        return False
+def active_memo() -> dict | None:
+    """The innermost Tape's or no_grad block's memo; None outside any block."""
+    return _tape_stack[-1].memo if _tape_stack else None
 
 
 def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tensor:

@@ -8,8 +8,8 @@ from __future__ import annotations
 import json
 
 from .config import RunConfig
-from .serialize import (ByteWriter, atomic_write_bytes, open_reader, read_bank_entry,
-                        write_bank_entry)
+from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
+                        open_reader, read_array_of_shape, read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQCK"
 VERSION = 1
@@ -61,25 +61,41 @@ def load_checkpoint(path: str):
     trainer = Trainer(config)
     trainer.epoch = r.u32()
 
-    n_weights = r.u32()
-    for _ in range(n_weights):
-        name = r.text()
-        trainer.net.weights[name].data = r.f64_array()
-    trainer.net.after_update()
+    weights = trainer.net.weights
+    stored = _read_named_arrays(r, {name: w.shape for name, w in weights.items()}, "weight")
+    missing = sorted(set(weights) - set(stored))
+    if missing:
+        raise CorruptFileError(f"checkpoint lacks weights {missing}")
+    for name, arr in stored.items():
+        weights[name].data = arr
 
-    n_bits = r.u8()
-    for _ in range(n_bits):
-        read_bank_entry(r, trainer.bank.ensure_entry(r.u8()), trainer.arch)
+    b1 = trainer.bits.b1
+    for _ in range(r.u8()):
+        b = r.u8()
+        if not 2 <= b <= b1:
+            raise CorruptFileError(f"bank bit-width {b} outside [2, {b1}]")
+        read_bank_entry(r, trainer.bank.ensure_entry(b), trainer.arch)
 
-    n_vel = r.u32()
-    velocity = {}
-    for _ in range(n_vel):
-        name = r.text()
-        velocity[name] = r.f64_array()
-    trainer.optimizer.load_state(velocity)
+    params = {name: p.shape for group in trainer.optimizer.groups
+              for name, p in group.params.items()}
+    trainer.optimizer.load_state(_read_named_arrays(r, params, "velocity"))
 
     trainer.streams.set_state(json.loads(r.text()))
 
     r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
     r.done()
     return trainer
+
+
+def _read_named_arrays(r: ByteReader, shapes: dict[str, tuple], what: str) -> dict:
+    """Name/array pairs as save_checkpoint wrote them: each name one of
+    shapes' keys, at most once, with that shape."""
+    out = {}
+    for _ in range(r.u32()):
+        name = r.text()
+        if name not in shapes:
+            raise CorruptFileError(f"checkpoint {what} {name!r} is not one this run has")
+        if name in out:
+            raise CorruptFileError(f"checkpoint {what} {name!r} appears twice")
+        out[name] = read_array_of_shape(r, shapes[name], f"checkpoint {what} {name!r}")
+    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 
@@ -97,6 +96,22 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _read_summary_bits(path: str) -> dict[str, dict]:
+    """The "bits" table of an eval summary JSON: bit-width strings mapping to
+    {"accuracy": number, "zero_shot": bool}; ConfigError naming the file otherwise."""
+    bits = parse_json_object(read_file(path), path).get("bits")
+    if not isinstance(bits, dict):
+        raise ConfigError(f"{path}: \"bits\" must be an object")
+    for b_str, info in bits.items():
+        if not (b_str.isascii() and b_str.isdigit()):
+            raise ConfigError(f"{path}: bit-width key {b_str!r} is not a number")
+        if not (isinstance(info, dict) and type(info.get("accuracy")) in (int, float)
+                and type(info.get("zero_shot")) is bool):
+            raise ConfigError(f"{path}: bits[{b_str!r}] must be "
+                              "{\"accuracy\": number, \"zero_shot\": bool}")
+    return bits
+
+
 def cmd_report(args) -> int:
     rows = read_metrics_csv(args.metrics)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.metrics))
@@ -112,18 +127,18 @@ def cmd_report(args) -> int:
     table_rows = []
     delta = None
     if os.path.exists(summary_path):
-        summary = json.loads(read_file(summary_path))
-        reference = json.loads(read_file(args.reference))["bits"] if args.reference else {}
-        for b_str in sorted(summary["bits"], key=int, reverse=True):
-            info = summary["bits"][b_str]
+        summary = _read_summary_bits(summary_path)
+        reference = _read_summary_bits(args.reference) if args.reference else {}
+        for b_str in sorted(summary, key=int, reverse=True):
+            info = summary[b_str]
             ref_acc = reference.get(b_str, {}).get("accuracy")
             ratio = 100.0 * info["accuracy"] / ref_acc if ref_acc else None
             table_rows.append((b_str, info["accuracy"], info["zero_shot"], ref_acc, ratio))
         if args.reference:
             common = {
-                int(b): summary["bits"][b]["accuracy"]
-                for b in summary["bits"]
-                if b in reference and not summary["bits"][b]["zero_shot"]
+                int(b): summary[b]["accuracy"]
+                for b in summary
+                if b in reference and not summary[b]["zero_shot"]
             }
             if common:
                 delta = delta_b(common, {b: reference[str(b)]["accuracy"] for b in common})

@@ -3,9 +3,10 @@
 One set of latent full-precision weights serves every precision.
 QuantNet.weight_at(layer, b) is the one way to read a quantized block: it
 codes the latent weights at b1 and derives b from the codes (a net loaded
-from codes derives b from its stored codes). Results are cached per
-(layer, b) for the active tape; a new tape starts a fresh cache, and
-after_update() drops it when the latent weights change. Per-precision
+from codes derives b from its stored codes). Results are memoized per
+(layer, b) for the innermost Tape or no_grad block (autograd.active_memo)
+and die with it, so latent weights may change between blocks, never inside
+one; outside any block they are recomputed on every call. Per-precision
 state (batch-norm parameters and statistics, activation clipping values)
 lives in a PrecisionBank keyed by bit-width. The first and last learnable
 layers always run in full precision; the learnable layers between them are
@@ -426,9 +427,6 @@ class QuantNet:
         self.weights: dict[str, Tensor] = {}
         self.frozen = False
         self._views: dict[str, QuantizedWeightView] = {}
-        # quantized weights by (layer, b), valid only under the tape that filled it
-        self._cache: dict[tuple[str, int], Tensor] = {}
-        self._cache_tape: ag.Tape | None = None
         if rng is not None:
             for name in self.arch.learnable_names:
                 shape = self.arch.weight_shape(name)
@@ -449,31 +447,24 @@ class QuantNet:
     def named_weights(self) -> dict[str, Tensor]:
         return {f"weights.{name}": w for name, w in self.weights.items()}
 
-    def after_update(self) -> None:
-        """Drop cached quantized weights after latent weights changed."""
-        self._cache.clear()
-        self._cache_tape = None
-
     def weight_at(self, name: str, b: int) -> Tensor:
         """Quantized weights of one block at bit-width b.
 
         Live nets code their latent weights (recording a straight-through node
         while a tape is active); nets loaded from codes derive b from the
-        stored codes. Results are cached per (layer, b) until the active tape
-        changes or after_update() is called.
+        stored codes. Results are memoized in the innermost block's memo under
+        (net, layer, b); outside any block they are recomputed.
         """
-        tape = ag.active_tape()
-        if tape is not self._cache_tape:
-            self._cache.clear()
-            self._cache_tape = tape
-        key = (name, int(b))
-        w = self._cache.get(key)
+        memo = ag.active_memo()
+        key = (self, name, int(b))
+        w = None if memo is None else memo.get(key)
         if w is None:
             if self.frozen:
                 w = Tensor(weights_from_codes(self._views[name], b))
             else:
                 w = quantize_weights_at(self.weights[name], b, self.bits.b1)
-            self._cache[key] = w
+            if memo is not None:
+                memo[key] = w
         return w
 
     # -- execution ----------------------------------------------------------

@@ -143,14 +143,23 @@ def write_bank_entry(w: ByteWriter, entry, arch) -> None:
         w.f64(float(entry.alpha[name].data))
 
 
+def read_array_of_shape(r: ByteReader, shape: tuple, what: str) -> np.ndarray:
+    """The next array, which must have the given shape."""
+    arr = r.f64_array()
+    if arr.shape != shape:
+        raise CorruptFileError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def read_bank_entry(r: ByteReader, entry, arch) -> None:
-    """Overwrite entry in place with the fields write_bank_entry wrote."""
+    """Overwrite entry in place with the fields write_bank_entry wrote,
+    each BN array checked against the shape the entry already has."""
     for name in arch.bn_names:
         st = entry.bn[name]
-        st.gamma.data = r.f64_array()
-        st.beta.data = r.f64_array()
-        st.running_mean = r.f64_array()
-        st.running_var = r.f64_array()
+        st.gamma.data = read_array_of_shape(r, st.gamma.shape, f"{name} gamma")
+        st.beta.data = read_array_of_shape(r, st.beta.shape, f"{name} beta")
+        st.running_mean = read_array_of_shape(r, st.running_mean.shape, f"{name} running mean")
+        st.running_var = read_array_of_shape(r, st.running_var.shape, f"{name} running var")
     for name in arch.quantized_names:
         entry.alpha[name].data = np.asarray(r.f64())
 

@@ -256,7 +256,6 @@ class Trainer:
         tape.backward(total)
         self.optimizer.step()
         self.optimizer.zero_grad()
-        self.net.after_update()
         return records
 
     def train_epoch(self) -> None:

@@ -1,6 +1,18 @@
 """Shared test helpers: finite-difference oracle and config builders."""
 
 import numpy as np
+import pytest
+
+from flexquant import autograd
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_blocks():
+    """A test that leaves a Tape or no_grad block on the stack fails at the
+    leak, rather than changing memo lifetimes for the tests after it."""
+    assert autograd._tape_stack == [], "a block was left open before this test"
+    yield
+    assert autograd._tape_stack == [], "this test left a Tape or no_grad block open"
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

@@ -265,6 +265,16 @@ class TestBackward:
         assert len(tape) == 0
         assert not y.requires_grad
 
+    def test_active_memo_is_the_innermost_blocks(self):
+        assert ag.active_memo() is None and ag.active_tape() is None
+        with Tape() as tape:
+            assert ag.active_memo() is tape.memo and ag.active_tape() is tape
+            with no_grad() as block:
+                assert ag.active_memo() is block.memo is not tape.memo
+                assert ag.active_tape() is None
+            assert ag.active_memo() is tape.memo and ag.active_tape() is tape
+        assert ag.active_memo() is None
+
     def test_deterministic_bitwise_repeat(self):
         def run():
             rng = np.random.default_rng(123)

@@ -297,6 +297,40 @@ def _train_argv(tmp_path, csv_rows=None, **overrides):
     return ["train", "--config", str(path), "--out", run_dir(tmp_path)]
 
 
+def _eval_argv(tmp_path, mutate):
+    """flexquant eval on a one-epoch run's checkpoint, saved after mutate(trainer)
+    edited it, so the file is CRC-valid."""
+    from flexquant.checkpoint import save_checkpoint
+    from flexquant.config import RunConfig
+    from flexquant.training import Trainer
+
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1)))
+    trainer.run()
+    mutate(trainer)
+    path = str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, trainer)
+    return ["eval", "--ckpt", path, "--bits", "8"]
+
+
+def _rename(d, old, new):
+    d[new] = d.pop(old)
+
+
+GOOD_SUMMARY = '{"bits": {"8": {"accuracy": 98.5, "zero_shot": false}}}'
+
+
+def _report_argv(tmp_path, summary, reference=None):
+    """flexquant report on an empty metrics log beside the given summary text,
+    against a reference summary text when one is given."""
+    (tmp_path / "metrics.csv").write_text("epoch,b,teacher_b\n")
+    (tmp_path / "eval_summary.json").write_text(summary)
+    argv = ["report", "--metrics", str(tmp_path / "metrics.csv"), "--out", run_dir(tmp_path)]
+    if reference is not None:
+        (tmp_path / "reference.json").write_text(reference)
+        argv += ["--reference", str(tmp_path / "reference.json")]
+    return argv
+
+
 GOOD_ROWS = "0,0,0,0,0\n1,1,1,1,1\n2,2,2,2,2\n"
 
 BAD_INPUTS = {
@@ -313,6 +347,22 @@ BAD_INPUTS = {
         "kind": "mlp", "input_dim": 5, "hidden": [8, 8], "classes": 3}),
     "config_is_directory": lambda tmp: ["train", "--config", str(tmp), "--out",
                                         run_dir(tmp)],
+    "ckpt_weight_renamed": lambda tmp: _eval_argv(
+        tmp, lambda t: _rename(t.net.weights, "dense3", "dense9")),
+    "ckpt_velocity_renamed": lambda tmp: _eval_argv(
+        tmp, lambda t: _rename(t.optimizer.velocity, "weights.dense3", "weights.dense9")),
+    "ckpt_weight_wrong_shape": lambda tmp: _eval_argv(
+        tmp, lambda t: setattr(t.net.weights["dense3"], "data", np.zeros((3, 5)))),
+    "summary_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY[:20]),
+    "summary_empty_object": lambda tmp: _report_argv(tmp, "{}"),
+    "summary_list": lambda tmp: _report_argv(tmp, "[]"),
+    "summary_string_accuracy": lambda tmp: _report_argv(
+        tmp, GOOD_SUMMARY.replace("98.5", '"98.5"')),
+    "summary_bit_not_a_number": lambda tmp: _report_argv(
+        tmp, GOOD_SUMMARY.replace('"8"', '"eight"')),
+    "reference_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY, GOOD_SUMMARY[:20]),
+    "reference_zero_shot_missing": lambda tmp: _report_argv(
+        tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace(', "zero_shot": false', "")),
 }
 
 
@@ -324,3 +374,18 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert rc == 1
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("bad_reference", [False, True])
+def test_bad_summary_error_names_the_file(bad_reference, tmp_path, capsys):
+    if bad_reference:
+        argv, name = _report_argv(tmp_path, GOOD_SUMMARY, "[]"), "reference.json"
+    else:
+        argv, name = _report_argv(tmp_path, "{}"), "eval_summary.json"
+    assert main(argv) == 1
+    assert str(tmp_path / name) in capsys.readouterr().err
+
+
+def test_report_accepts_a_good_summary(tmp_path, capsys):
+    assert main(_report_argv(tmp_path, GOOD_SUMMARY, GOOD_SUMMARY)) == 0
+    assert "delta_b = 100.0" in capsys.readouterr().out

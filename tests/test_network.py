@@ -165,7 +165,6 @@ class TestSharedWeights:
             before = {b: net.forward_at(batch, b, mode="eval").data for b in (8, 4, 2)}
         name = net.arch.quantized_names[0]
         net.weights[name].data = net.weights[name].data + 0.5
-        net.after_update()
         with no_grad():
             for b in (8, 4, 2):
                 after = net.forward_at(batch, b, mode="eval").data
@@ -197,6 +196,67 @@ class TestSharedWeights:
             tape.backward(loss)
             for name in net.arch.quantized_names:
                 assert net.weights[name].grad is not None, name
+
+    def test_tape_weights_survive_a_nested_no_grad_block(self):
+        net = make_net()
+        name = net.arch.quantized_names[0]
+        with Tape() as tape:
+            node = net.weight_at(name, 4)
+            with no_grad():
+                assert net.weight_at(name, 4) is not node
+            assert net.weight_at(name, 4) is node
+        coded = [n for n in tape.nodes
+                 if n.name == "quantize_weights" and n.inputs[0] is net.weights[name]]
+        assert coded == [tape.nodes[0]]
+
+    def test_readme_loop_frees_each_finished_tape(self):
+        import weakref
+
+        from flexquant.datasets import gen_synthetic_blobs
+        from flexquant.optim import SGD, ParamGroup
+
+        net = make_net(dim=8, classes=4)
+        bn_params, alpha_params = net.bank.named_parameters()
+        opt = SGD([ParamGroup({**net.named_weights(), **bn_params, **alpha_params}, lr=0.1)])
+        refs = []
+        for xb, yb in gen_synthetic_blobs(4, 300, 8, 1.0, seed=7).batches(100):
+            with Tape() as tape:
+                loss = ag.cross_entropy(ag.softmax(net.forward_at(xb, 4, mode="train")), yb)
+            tape.backward(loss)
+            opt.step(); opt.zero_grad()
+            refs.append(weakref.ref(tape))
+        del tape, loss
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_one_no_grad_block_codes_each_block_once(self, batch, monkeypatch):
+        import flexquant.network as network
+
+        net = make_net()
+        calls = []
+        real = network.quantize_weights_at
+
+        def counting(w, b, b1):
+            calls.append(b)
+            return real(w, b, b1)
+
+        monkeypatch.setattr(network, "quantize_weights_at", counting)
+        with no_grad():
+            first = net.forward_at(batch, 4, mode="eval").data
+            for _ in range(2):
+                np.testing.assert_array_equal(net.forward_at(batch, 4, mode="eval").data, first)
+        assert calls == [4] * net.arch.num_blocks
+
+    def test_two_nets_in_one_block_each_use_their_own_weights(self, batch):
+        a, b = make_net(seed=0), make_net(seed=1)
+        alone = {}
+        for net in (a, b):
+            with no_grad():
+                alone[net] = net.forward_at(batch, 4, mode="eval").data
+        assert np.any(alone[a] != alone[b])
+        with no_grad():
+            for net in (a, b, a):
+                np.testing.assert_array_equal(net.forward_at(batch, 4, mode="eval").data,
+                                              alone[net])
 
     def test_weight_cache_follows_active_tape(self):
         net = make_net()

@@ -277,3 +277,67 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CorruptFileError):
             load_checkpoint(path)
+
+
+def _rename(d, old, new):
+    d[new] = d.pop(old)
+
+
+def _set_running_mean(trainer, b, value):
+    trainer.bank.entry(b).bn["bn4"].running_mean = value
+
+
+# each edits a one-epoch run before it is saved, so the file is CRC-valid
+BAD_CHECKPOINTS = {
+    "weight_renamed": (lambda t: _rename(t.net.weights, "dense3", "dense9"),
+                       "weight 'dense9' is not one this run has"),
+    "velocity_renamed": (lambda t: _rename(t.optimizer.velocity, "weights.dense3",
+                                           "weights.dense9"),
+                         "velocity 'weights.dense9' is not one this run has"),
+    "weight_wrong_shape": (lambda t: setattr(t.net.weights["dense3"], "data", np.zeros((3, 5))),
+                           r"'dense3' has shape \(3, 5\), expected \(32, 32\)"),
+    "velocity_wrong_shape": (lambda t: t.optimizer.velocity.update(
+        {"bank8.dense3.alpha": np.zeros(2)}), r"'bank8.dense3.alpha' has shape \(2,\)"),
+    "weight_missing": (lambda t: t.net.weights.pop("dense6"),
+                       r"lacks weights \['dense6'\]"),
+    "bank_bit_above_b1": (lambda t: t.bank.entries.update({9: t.bank.entries[8]}),
+                          r"bank bit-width 9 outside \[2, 8\]"),
+    "bank_bit_below_2": (lambda t: t.bank.entries.update({1: t.bank.entries[2]}),
+                         r"bank bit-width 1 outside \[2, 8\]"),
+    "bn_wrong_shape": (lambda t: _set_running_mean(t, 4, np.zeros(7)),
+                       r"bn4 running mean has shape \(7,\), expected \(32,\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def test_checkpoint_fields_checked_against_the_run(case, tmp_path):
+    mutate, message = BAD_CHECKPOINTS[case]
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1)))
+    trainer.run()
+    mutate(trainer)
+    path = str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, trainer)
+    with pytest.raises(CorruptFileError, match=message):
+        load_checkpoint(path)
+
+
+def test_duplicate_weight_name_rejected(trained, tmp_path):
+    path = str(tmp_path / "dup.ckpt")
+    save_checkpoint(path, trained)
+    body = open(path, "rb").read()[:-4]
+    stored = struct.pack("<I", 6) + b"dense6"
+    assert body.count(stored) == 1  # the weights section; velocity names are longer
+    body = body.replace(stored, struct.pack("<I", 6) + b"dense0")
+    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CorruptFileError, match="weight 'dense0' appears twice"):
+        load_checkpoint(path)
+
+
+def test_bundle_bn_shape_checked(tmp_path):
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1)))
+    trainer.run()
+    _set_running_mean(trainer, 2, np.zeros((32, 1)))
+    path = str(tmp_path / "bad.aqdb")
+    export_bundle(path, trainer.net)
+    with pytest.raises(CorruptFileError, match=r"bn4 running mean has shape \(32, 1\)"):
+        load_bundle(path)

@@ -385,7 +385,6 @@ class TestTrainStep:
         trainer = make_trainer(mode="adabits", epochs=1)
         name = trainer.arch.learnable_names[0]
         trainer.net.weights[name].data[0, 0] = np.nan
-        trainer.net.after_update()
         with pytest.raises(TrainingError):
             trainer.train_epoch()
 
@@ -437,7 +436,6 @@ class TestFiniteBoundaries:
         trainer = make_trainer(mode="coquant", epochs=1)
         first = trainer.arch.learnable_names[0]  # full precision: never coded
         trainer.net.weights[first].data[0, 0] = np.nan
-        trainer.net.after_update()
         xb, yb = self.first_batch(trainer)
         with pytest.raises(TrainingError) as exc:
             trainer.train_step(xb, yb, 2, 5)
@@ -449,7 +447,6 @@ class TestFiniteBoundaries:
         trainer = make_trainer(mode="coquant", epochs=1)
         first = trainer.arch.learnable_names[0]
         trainer.net.weights[first].data[0, 0] = np.nan
-        trainer.net.after_update()
         before = {(b, name): (st.running_mean.copy(), st.running_var.copy())
                   for b in trainer.bits for name, st in trainer.bank.entry(b).bn.items()}
         xb, yb = self.first_batch(trainer)
@@ -490,7 +487,6 @@ class TestFiniteBoundaries:
                     loss = ag.cross_entropy(ag.softmax(net.forward_at(xb, 4, mode="train")), yb)
                 tape.backward(loss)
                 opt.step(); opt.zero_grad()
-                net.after_update()
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
@@ -498,7 +494,6 @@ class TestFiniteBoundaries:
         trainer = make_trainer(mode="adabits", epochs=1)
         first = trainer.arch.learnable_names[0]
         trainer.net.weights[first].data[:] = 1e200  # squares overflow
-        trainer.net.after_update()
         entry = trainer.bank.entry(8)
         before = {name: (st.running_mean.copy(), st.running_var.copy())
                   for name, st in entry.bn.items()}
@@ -737,7 +732,6 @@ class TestCalibration:
     def test_rejected_calibration_leaves_bank_unchanged(self):
         t = make_trainer(mode="adabits", epochs=1)
         t.net.weights["dense0"].data[...] = 1e200
-        t.net.after_update()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(numerics.NonFiniteError):
                 t.calibrate(3)
