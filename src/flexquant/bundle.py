@@ -16,19 +16,24 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
         per bit: per BN layer gamma/beta/mean/var f64 arrays, then per
         quantized layer alpha f64 (the bank-entry layout checkpoints share,
         see serialize.write_bank_entry)
+The loader checks each field against the architecture the file declares:
+layer names in order, code bit-width 0 on exactly the first and last
+layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,
+and bank bit-widths unique and within [2, b1].
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import ArchSpec, BitWidthSet, ContractError, PrecisionBank, QuantNet
-from .quantizers import QuantizedWeightView, quantize_weights_dorefa
+from .quantizers import MAX_BITS, QuantizedWeightView, quantize_weights_dorefa
 from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, open_reader,
-                        read_bank_entry, write_bank_entry)
+                        read_array_of_shape, read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -121,7 +126,7 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
 
 
 def load_bundle(path: str) -> DeploymentBundle:
-    r = open_reader(path, MAGIC, VERSION, "bundle")
+    r = open_reader(path, MAGIC, (VERSION,), "bundle")
     text = r.text()
     try:
         arch = ArchSpec.from_json(json.loads(text))
@@ -129,22 +134,44 @@ def load_bundle(path: str) -> DeploymentBundle:
         raise CorruptFileError(f"bundle architecture: {e}") from None
     views: dict[str, QuantizedWeightView] = {}
     fp_weights: dict[str, np.ndarray] = {}
-    for _ in arch.learnable_names:
-        name = r.text()
+    b1 = None  # the code bit-width every quantized layer shares
+    for name in arch.learnable_names:
+        stored = r.text()
+        if stored != name:
+            raise CorruptFileError(f"bundle layer {stored!r} where the architecture has {name!r}")
         bw = r.u8()
-        if bw == 0:
-            fp_weights[name] = r.f64_array()
+        shape = arch.weight_shape(name)
+        if name not in arch.block_index:
+            if bw != 0:
+                raise CorruptFileError(f"bundle layer {name!r} is full precision but has "
+                                       f"code bit-width {bw}")
+            fp_weights[name] = read_array_of_shape(r, shape, f"bundle layer {name!r}")
             r.f64()  # stored mean, informational
-        else:
-            ndim = r.u8()
-            shape = tuple(r.u32() for _ in range(ndim))
-            raw = r.blob()
-            mean_b1 = r.f64()
-            views[name] = QuantizedWeightView(
-                codes=_unpack_codes(raw, bw, shape), b1=bw, mean_b1=mean_b1
-            )
-    n_bits = r.u8()
-    bits = BitWidthSet([r.u8() for _ in range(n_bits)])
+            continue
+        if b1 is None:
+            b1 = bw
+        if bw != b1 or not 2 <= bw <= MAX_BITS:
+            raise CorruptFileError(f"bundle layer {name!r} has code bit-width {bw}; quantized "
+                                   f"layers share one in [2, {MAX_BITS}]")
+        dims = tuple(r.u32() for _ in range(r.u8()))
+        if dims != shape:
+            raise CorruptFileError(f"bundle layer {name!r} codes have shape {dims}, "
+                                   f"expected {shape}")
+        raw = r.blob()
+        if len(raw) != math.prod(shape) * _code_bytes(b1):
+            raise CorruptFileError(f"bundle layer {name!r} holds {len(raw)} code bytes, "
+                                   f"expected {math.prod(shape) * _code_bytes(b1)}")
+        codes = _unpack_codes(raw, b1, shape)
+        if codes.max() >= 1 << b1:
+            raise CorruptFileError(f"bundle layer {name!r} has code {codes.max()}, "
+                                   f"not below 2^{b1}")
+        views[name] = QuantizedWeightView(codes=codes, b1=b1, mean_b1=r.f64())
+    top = b1 or MAX_BITS
+    stored = [r.u8() for _ in range(r.u8())]
+    if not stored or len(set(stored)) != len(stored) or not all(2 <= b <= top for b in stored):
+        raise CorruptFileError(f"bundle bank bit-widths {stored} must be unique and "
+                               f"within [2, {top}]")
+    bits = BitWidthSet(stored)
     bank = PrecisionBank(bits, arch)
     for b in bits:
         read_bank_entry(r, bank.entry(b), arch)

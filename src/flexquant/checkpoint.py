@@ -1,6 +1,16 @@
 """Checkpoints capture everything a run needs to resume bitwise:
 config, latent weights, every bank entry, optimizer velocities, epoch,
-and the exact RNG stream states.
+the exact RNG stream states, and the run record so far.
+
+Layout (version 2, little-endian, CRC32 trailer over everything before it):
+  magic "AQCK" | version u32 | config JSON | epoch u32
+  weights:    count u32, then name | f64 array each, sorted by name
+  bank:       n_bits u8, then bit u8 | bank entry each, descending
+  velocities: count u32, then name | f64 array each, sorted by name
+  RNG stream states JSON
+  run record: metrics.csv text | per-epoch eval accuracy JSON (metrics.py)
+Version 1 ends after the RNG states with the zero-shot bit-widths
+(count u8, bit u8 each) and holds no run record; it loads with an empty one.
 """
 
 from __future__ import annotations
@@ -8,11 +18,13 @@ from __future__ import annotations
 import json
 
 from .config import RunConfig
+from .datasets import FormatError
+from .metrics import MetricsLog
 from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
                         open_reader, read_array_of_shape, read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQCK"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path: str, trainer) -> None:
@@ -43,11 +55,8 @@ def save_checkpoint(path: str, trainer) -> None:
 
     w.text(json.dumps(trainer.streams.state(), sort_keys=True))
 
-    # version-1 slot: the zero-shot bit-widths, derived from the bank
-    calibrated = sorted(trainer.calibrated_bits)
-    w.u8(len(calibrated))
-    for b in calibrated:
-        w.u8(b)
+    w.text(trainer.log.metrics_csv_text())
+    w.text(trainer.log.eval_accuracy_json())
 
     atomic_write_bytes(path, w.finish())
 
@@ -56,8 +65,9 @@ def load_checkpoint(path: str):
     """Rebuild a Trainer positioned exactly where the checkpoint was saved."""
     from .training import Trainer
 
-    r = open_reader(path, MAGIC, VERSION, "checkpoint")
-    config = RunConfig.from_json(r.text())
+    r = open_reader(path, MAGIC, (1, VERSION), "checkpoint")
+    config_json = r.text()
+    config = RunConfig.from_json(config_json)
     trainer = Trainer(config)
     trainer.epoch = r.u32()
 
@@ -82,9 +92,30 @@ def load_checkpoint(path: str):
 
     trainer.streams.set_state(json.loads(r.text()))
 
-    r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
+    if r.version == 1:
+        r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
+    else:
+        trainer.log = _read_record(r, config_json, trainer.epoch, path)
     r.done()
     return trainer
+
+
+def _read_record(r: ByteReader, config_json: str, epoch: int, path: str) -> MetricsLog:
+    """The run record, which must carry the checkpoint's config and cover
+    every epoch before its own from the record's first (0, unless the run
+    was resumed from a version-1 checkpoint) on."""
+    try:
+        log = MetricsLog.from_record(r.text(), r.text(), f"{path} run record")
+    except FormatError as e:
+        raise CorruptFileError(str(e)) from None
+    if log.config_json != config_json:
+        raise CorruptFileError(f"{path}: the run record's config line is not the checkpoint's")
+    epochs = sorted(log.eval_accuracy)
+    covered = list(range(epochs[0] if epochs else epoch, epoch))
+    if epochs != covered or sorted({row.epoch for row in log.batch_rows}) != covered:
+        raise CorruptFileError(f"{path}: the run record must cover consecutive epochs up to "
+                               f"{epoch - 1}; its eval accuracies cover {epochs}")
+    return log
 
 
 def _read_named_arrays(r: ByteReader, shapes: dict[str, tuple], what: str) -> dict:

@@ -7,15 +7,13 @@ timestamps, so reruns with the same seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
 from .bundle import export_bundle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, DatasetSpec, RunConfig, parse_json_object
-from .metrics import eval_summary_json, histogram_csv, read_metrics_csv, teacher_histogram
+from .metrics import MetricsLog, eval_summary_json, read_eval_summary, report_table_csv
 from .datasets import load_dataset
 from .numerics import FlexquantError
 from .serialize import atomic_write_bytes, read_file
@@ -30,7 +28,6 @@ def _parse_bits(text: str) -> list[int]:
 
 
 def _write_run_outputs(out_dir: str, trainer: Trainer, accuracies: dict[int, float]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_bytes(os.path.join(out_dir, "metrics.csv"),
                        trainer.log.metrics_csv_text().encode())
     atomic_write_bytes(os.path.join(out_dir, "teacher_histogram.csv"),
@@ -52,7 +49,12 @@ def cmd_train(args) -> int:
             raise ConfigError("--resume checkpoint was produced by a different config")
     else:
         trainer = Trainer(config)
-    accuracies = trainer.run()
+    # a checkpoint after every epoch, so a crash loses at most one epoch
+    os.makedirs(args.out, exist_ok=True)
+    while trainer.epoch < config.epochs:
+        trainer.train_epoch()
+        save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), trainer)
+    accuracies = trainer.run()  # the final eval, and direct mode's bank copies
     _write_run_outputs(args.out, trainer, accuracies)
     for b in sorted(accuracies, reverse=True):
         print(f"bit-width {b}: {accuracies[b]:.2f}%")
@@ -96,60 +98,33 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _read_summary_bits(path: str) -> dict[str, dict]:
-    """The "bits" table of an eval summary JSON: bit-width strings mapping to
-    {"accuracy": number, "zero_shot": bool}; ConfigError naming the file otherwise."""
-    bits = parse_json_object(read_file(path), path).get("bits")
-    if not isinstance(bits, dict):
-        raise ConfigError(f"{path}: \"bits\" must be an object")
-    for b_str, info in bits.items():
-        if not (b_str.isascii() and b_str.isdigit()):
-            raise ConfigError(f"{path}: bit-width key {b_str!r} is not a number")
-        if not (isinstance(info, dict) and type(info.get("accuracy")) in (int, float)
-                and type(info.get("zero_shot")) is bool):
-            raise ConfigError(f"{path}: bits[{b_str!r}] must be "
-                              "{\"accuracy\": number, \"zero_shot\": bool}")
-    return bits
-
-
 def cmd_report(args) -> int:
-    rows = read_metrics_csv(args.metrics)
+    log = MetricsLog.from_csv_text(read_file(args.metrics), args.metrics)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.metrics))
     os.makedirs(out_dir, exist_ok=True)
-
-    choices = ((int(r["epoch"]), int(r["b"]), int(r["teacher_b"]))
-               for r in rows if r.get("teacher_b"))
     atomic_write_bytes(os.path.join(out_dir, "report_teacher_histogram.csv"),
-                       histogram_csv(teacher_histogram(choices)).encode())
+                       log.histogram_csv_text().encode())
 
     summary_path = args.summary or os.path.join(
         os.path.dirname(os.path.abspath(args.metrics)), "eval_summary.json")
     table_rows = []
     delta = None
     if os.path.exists(summary_path):
-        summary = _read_summary_bits(summary_path)
-        reference = _read_summary_bits(args.reference) if args.reference else {}
-        for b_str in sorted(summary, key=int, reverse=True):
-            info = summary[b_str]
-            ref_acc = reference.get(b_str, {}).get("accuracy")
-            ratio = 100.0 * info["accuracy"] / ref_acc if ref_acc else None
-            table_rows.append((b_str, info["accuracy"], info["zero_shot"], ref_acc, ratio))
+        summary = read_eval_summary(read_file(summary_path), summary_path)
+        reference = (read_eval_summary(read_file(args.reference), args.reference)
+                     if args.reference else {})
+        for b in sorted(summary, reverse=True):
+            result = summary[b]
+            ref_acc = reference[b].accuracy if b in reference else None
+            ratio = 100.0 * result.accuracy / ref_acc if ref_acc else None
+            table_rows.append((b, result.accuracy, result.zero_shot, ref_acc, ratio))
         if args.reference:
-            common = {
-                int(b): summary[b]["accuracy"]
-                for b in summary
-                if b in reference and not summary[b]["zero_shot"]
-            }
+            common = {b: result.accuracy for b, result in summary.items()
+                      if b in reference and not result.zero_shot}
             if common:
-                delta = delta_b(common, {b: reference[str(b)]["accuracy"] for b in common})
-    table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(("b", "accuracy", "zero_shot", "reference_accuracy", "ratio_percent"))
-    for row in table_rows:
-        writer.writerow(["" if v is None else v for v in row])
-    if delta is not None:
-        writer.writerow(("delta_b", "", "", "", repr(delta)))
-    atomic_write_bytes(os.path.join(out_dir, "report_table.csv"), table.getvalue().encode())
+                delta = delta_b(common, {b: reference[b].accuracy for b in common})
+    atomic_write_bytes(os.path.join(out_dir, "report_table.csv"),
+                       report_table_csv(table_rows, delta).encode())
 
     for row in table_rows:
         tag = " (zero-shot)" if row[2] else ""

@@ -115,8 +115,9 @@ class ByteReader:
             raise CorruptFileError(f"{len(self.buf) - self.pos} unread bytes after last field")
 
 
-def open_reader(path: str, magic: bytes, version: int, kind: str) -> ByteReader:
-    """Reader over a framed file, positioned after its magic and version.
+def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -> ByteReader:
+    """Reader over a framed file, positioned after its magic and version,
+    which it keeps as r.version.
 
     The magic is checked first, so a file of another format is named as
     such rather than as a CRC failure; then the CRC, then the version.
@@ -126,9 +127,9 @@ def open_reader(path: str, magic: bytes, version: int, kind: str) -> ByteReader:
         raise CorruptFileError(f"bad magic {buf[:len(magic)]!r}, expected {magic!r}")
     r = ByteReader(buf)
     r.raw(len(magic))
-    found = r.u32()
-    if found != version:
-        raise CorruptFileError(f"unsupported {kind} version {found}")
+    r.version = r.u32()
+    if r.version not in versions:
+        raise CorruptFileError(f"unsupported {kind} version {r.version}")
     return r
 
 

@@ -192,7 +192,7 @@ class Trainer:
     def _phase_bits(self, epoch: int) -> list[int]:
         """Bit-widths whose losses are optimized at this epoch."""
         kind = self.config.mode_kind
-        if kind in ("individual", "direct"):
+        if kind == "direct":
             return [self.config.mode_bit]
         if kind in ("progressive_desc", "progressive_asc"):
             order = list(self.bits) if kind == "progressive_desc" else list(self.bits)[::-1]
@@ -271,8 +271,7 @@ class Trainer:
         self.epoch += 1
 
     def _eval_bits(self, epoch: int) -> list[int]:
-        kind = self.config.mode_kind
-        if kind in ("individual", "direct"):
+        if self.config.mode_kind == "direct":
             return [self.config.mode_bit]
         return list(self.bits)
 

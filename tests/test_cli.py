@@ -5,8 +5,10 @@ import inspect
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import flexquant
 from flexquant import FlexquantError
 from flexquant.cli import main
+from flexquant.metrics import METRICS_COLUMNS
 
 from conftest import blob_config
 
@@ -107,6 +110,73 @@ class TestTrain:
         assert "different config" in capsys.readouterr().err
 
 
+ARTIFACTS = ("metrics.csv", "teacher_histogram.csv", "eval_summary.json", "checkpoint.ckpt")
+
+
+def read_artifacts(out):
+    return {name: open(os.path.join(out, name), "rb").read() for name in ARTIFACTS}
+
+
+@pytest.mark.parametrize("mode", ["coquant", "progressive_desc"])
+def test_resume_after_every_epoch_is_the_uninterrupted_run(mode, tmp_path):
+    from flexquant.checkpoint import save_checkpoint
+    from flexquant.config import RunConfig
+    from flexquant.training import Trainer
+
+    cfg = blob_config(mode=mode, epochs=3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    full = run_dir(tmp_path, "full")
+    assert main(["train", "--config", str(path), "--out", full]) == 0
+    expected = read_artifacts(full)
+    trainer = Trainer(RunConfig.from_dict(cfg))
+    for k in (1, 2, 3):  # k = 3 resumes a finished run
+        trainer.train_epoch()
+        ckpt = str(tmp_path / f"after{k}.ckpt")
+        save_checkpoint(ckpt, trainer)
+        out = run_dir(tmp_path, f"resumed{k}")
+        assert main(["train", "--config", str(path), "--resume", ckpt, "--out", out]) == 0
+        assert read_artifacts(out) == expected, k
+
+
+def _cli_env(threads="1"):
+    """The environment for a flexquant subprocess: this checkout's sources,
+    BLAS on the given number of threads."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def test_killed_run_resumes_from_its_last_epoch(tmp_path):
+    from flexquant.checkpoint import load_checkpoint
+
+    epochs = 30
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(blob_config(mode="coquant", epochs=epochs)))
+    out = run_dir(tmp_path, "killed")
+    ckpt = os.path.join(out, "checkpoint.ckpt")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flexquant.cli", "train", "--config", str(path), "--out", out],
+        cwd=tmp_path, env=_cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not os.path.exists(ckpt) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    assert 1 <= load_checkpoint(ckpt).epoch < epochs
+    assert not os.path.exists(os.path.join(out, "eval_summary.json"))
+
+    assert main(["train", "--config", str(path), "--resume", ckpt, "--out", out]) == 0
+    full = run_dir(tmp_path, "full")
+    assert main(["train", "--config", str(path), "--out", full]) == 0
+    assert read_artifacts(out) == read_artifacts(full)
+
+
 def test_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
     """The desk config (criterion 6, cut to 3 epochs) under 1 and 2 BLAS threads."""
     config = {
@@ -121,17 +191,13 @@ def test_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
     }
     config_file = tmp_path / "desk.json"
     config_file.write_text(json.dumps(config))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     checkpoints = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "flexquant.cli", "train", "--config", str(config_file),
              "--out", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            cwd=tmp_path, env=_cli_env(threads), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         checkpoints.append((out / "checkpoint.ckpt").read_bytes())
     assert checkpoints[0] == checkpoints[1]
@@ -322,13 +388,43 @@ GOOD_SUMMARY = '{"bits": {"8": {"accuracy": 98.5, "zero_shot": false}}}'
 def _report_argv(tmp_path, summary, reference=None):
     """flexquant report on an empty metrics log beside the given summary text,
     against a reference summary text when one is given."""
-    (tmp_path / "metrics.csv").write_text("epoch,b,teacher_b\n")
+    (tmp_path / "metrics.csv").write_text(",".join(METRICS_COLUMNS) + "\n")
     (tmp_path / "eval_summary.json").write_text(summary)
     argv = ["report", "--metrics", str(tmp_path / "metrics.csv"), "--out", run_dir(tmp_path)]
     if reference is not None:
         (tmp_path / "reference.json").write_text(reference)
         argv += ["--reference", str(tmp_path / "reference.json")]
     return argv
+
+
+# a metrics.csv as train writes it: config line, header, one coquant row
+GOOD_METRICS = ("# flexquant-metrics v1 config={}\n" + ",".join(METRICS_COLUMNS) + "\n"
+                "0,0,coquant,4,1.5,1.25,0.25,8,0.5,0.1,1.0\n")
+
+
+def _metrics_argv(tmp_path, column, value):
+    """flexquant report on GOOD_METRICS with column's value in its row replaced
+    by value, or the column dropped from header and row when value is None."""
+    lines = GOOD_METRICS.splitlines(True)
+    header, row = lines[1].rstrip("\n").split(","), lines[2].rstrip("\n").split(",")
+    i = header.index(column)
+    if value is None:
+        del header[i], row[i]
+    else:
+        row[i] = value
+    text = lines[0] + ",".join(header) + "\n" + ",".join(row) + "\n"
+    (tmp_path / "metrics.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
+    return ["report", "--metrics", str(tmp_path / "metrics.csv"), "--out", run_dir(tmp_path)]
+
+
+@pytest.mark.parametrize("column, value, where", [
+    ("teacher_b", "x", "line 3: teacher_b 'x' is not an integer"),
+    ("teacher_b", None, "line 2: header"),
+])
+def test_bad_metrics_error_names_file_and_line(column, value, where, tmp_path, capsys):
+    assert main(_metrics_argv(tmp_path, column, value)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'metrics.csv'} {where}"), err
 
 
 GOOD_ROWS = "0,0,0,0,0\n1,1,1,1,1\n2,2,2,2,2\n"
@@ -363,6 +459,9 @@ BAD_INPUTS = {
     "reference_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY, GOOD_SUMMARY[:20]),
     "reference_zero_shot_missing": lambda tmp: _report_argv(
         tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace(', "zero_shot": false', "")),
+    "metrics_teacher_b_not_int": lambda tmp: _metrics_argv(tmp, "teacher_b", "x"),
+    "metrics_without_teacher_b": lambda tmp: _metrics_argv(tmp, "teacher_b", None),
+    "metrics_not_utf8": lambda tmp: _metrics_argv(tmp, "mode", "\udcff"),
 }
 
 

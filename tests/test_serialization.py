@@ -1,5 +1,7 @@
 """Deployment bundles and checkpoints: round trips, checksums, resume."""
 
+import json
+import os
 import struct
 import zlib
 
@@ -9,6 +11,7 @@ import pytest
 from flexquant.autograd import no_grad
 from flexquant.bundle import export_bundle, load_bundle
 from flexquant.checkpoint import load_checkpoint, save_checkpoint
+from flexquant.cli import main
 from flexquant.config import RunConfig
 from flexquant.network import ContractError
 from flexquant.serialize import ByteReader, ByteWriter, CorruptFileError
@@ -174,9 +177,9 @@ class TestHeaders:
     def test_unsupported_version_with_valid_crc(self, kind, trained, tmp_path):
         path, load = self.save(kind, trained, tmp_path)
         body = bytearray(open(path, "rb").read()[:-4])
-        body[4:8] = struct.pack("<I", 2)
+        body[4:8] = struct.pack("<I", 3)
         open(path, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CorruptFileError, match=f"unsupported {kind} version 2"):
+        with pytest.raises(CorruptFileError, match=f"unsupported {kind} version 3"):
             load(path)
 
 
@@ -236,9 +239,8 @@ class TestCheckpoint:
         for name in full.net.weights:
             np.testing.assert_array_equal(resumed.net.weights[name].data,
                                           full.net.weights[name].data)
-        full_rows = [r for r in full.log.batch_rows if r.epoch >= 2]
-        resumed_rows = list(resumed.log.batch_rows)
-        assert [r.row() for r in resumed_rows] == [r.row() for r in full_rows]
+        assert resumed.log.metrics_csv_text() == full.log.metrics_csv_text()
+        assert resumed.log.eval_accuracy_json() == full.log.eval_accuracy_json()
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a = Trainer(RunConfig.from_dict(blob_config(mode="adabits", epochs=2)))
@@ -306,6 +308,18 @@ BAD_CHECKPOINTS = {
                          r"bank bit-width 1 outside \[2, 8\]"),
     "bn_wrong_shape": (lambda t: _set_running_mean(t, 4, np.zeros(7)),
                        r"bn4 running mean has shape \(7,\), expected \(32,\)"),
+    "record_other_config": (lambda t: setattr(t.log, "config_json", "{}"),
+                            "config line is not the checkpoint's"),
+    "record_without_config_line": (lambda t: setattr(t.log, "config_json", None),
+                                   "config line is not the checkpoint's"),
+    "record_epoch_missing": (lambda t: t.log.eval_accuracy.pop(0),
+                             r"cover consecutive epochs up to 0; its eval accuracies cover \[\]"),
+    "record_rows_missing": (lambda t: t.log.batch_rows.clear(),
+                            "cover consecutive epochs up to 0"),
+    "record_epoch_beyond": (lambda t: t.log.end_epoch(1, {8: 50.0}),
+                            r"eval accuracies cover \[0, 1\]"),
+    "record_row_malformed": (lambda t: setattr(t.log.batch_rows[3], "teacher_b", "x"),
+                             r"run record line 6: teacher_b 'x' is not an integer"),
 }
 
 
@@ -340,4 +354,118 @@ def test_bundle_bn_shape_checked(tmp_path):
     path = str(tmp_path / "bad.aqdb")
     export_bundle(path, trainer.net)
     with pytest.raises(CorruptFileError, match=r"bn4 running mean has shape \(32, 1\)"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("mode", ["coquant", "progressive_desc"])
+def test_save_load_save_identical_after_every_epoch(mode, tmp_path):
+    trainer = Trainer(RunConfig.from_dict(blob_config(mode=mode, epochs=3)))
+    for epoch in range(3):
+        trainer.train_epoch()
+        first, second = str(tmp_path / f"a{epoch}.ckpt"), str(tmp_path / f"b{epoch}.ckpt")
+        save_checkpoint(first, trainer)
+        loaded = load_checkpoint(first)
+        assert loaded.log.metrics_csv_text() == trainer.log.metrics_csv_text()
+        assert loaded.log.eval_accuracy == trainer.log.eval_accuracy
+        save_checkpoint(second, loaded)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+
+# The run behind tests/data/v1_coquant_epoch1.ckpt, and what the version-1
+# code measured: accuracies of the saved checkpoint at every bit-width, and
+# the final accuracies of the same run trained without a break.
+V1_CONFIG = {"schema_version": 1, "mode": "coquant", "bits": [8, 4, 2],
+             "dataset": {"kind": "synthetic_blobs", "classes": 3, "samples": 300, "dim": 4,
+                         "spread": 1.0, "seed": 5},
+             "arch": {"kind": "mlp", "input_dim": 4, "hidden": [8, 8], "classes": 3},
+             "epochs": 2, "batch_size": 60, "seed": 0}
+V1_PATH = os.path.join(os.path.dirname(__file__), "data", "v1_coquant_epoch1.ckpt")
+V1_ACCURACY = {8: 69.33333333333333, 4: 69.33333333333333, 2: 82.66666666666667}
+V1_FINAL_ACCURACY = {8: 85.33333333333333, 4: 84.0, 2: 94.66666666666667}
+
+
+class TestVersion1Checkpoint:
+    def test_loads_with_an_empty_record(self):
+        assert struct.unpack("<I", open(V1_PATH, "rb").read()[4:8]) == (1,)
+        trainer = load_checkpoint(V1_PATH)
+        assert trainer.config.to_json() == RunConfig.from_dict(V1_CONFIG).to_json()
+        assert trainer.epoch == 1
+        assert trainer.log.batch_rows == [] and trainer.log.eval_accuracy == {}
+        assert {b: trainer.evaluate(b) for b in trainer.bits} == V1_ACCURACY
+
+    def test_resumes_to_the_uninterrupted_runs_accuracy(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(V1_CONFIG))
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg), "--resume", V1_PATH, "--out", out]) == 0
+        summary = json.load(open(os.path.join(out, "eval_summary.json")))
+        assert {int(b): v["accuracy"] for b, v in summary["bits"].items()} == V1_FINAL_ACCURACY
+        # the record starts at the resumed epoch, and the new checkpoint loads
+        resumed = load_checkpoint(os.path.join(out, "checkpoint.ckpt"))
+        assert sorted(resumed.log.eval_accuracy) == [1]
+        assert {r.epoch for r in resumed.log.batch_rows} == {1}
+
+
+def _trained_bundle(tmp_path, bits=(8, 4, 2)):
+    """Path and body bytes (without CRC) of a one-epoch bundle with two quantized
+    layers, dense3 and dense6, between full-precision dense0 and dense9."""
+    trainer = Trainer(RunConfig.from_dict(blob_config(bits=bits, epochs=1, hidden=(32, 32, 32))))
+    trainer.run()
+    path = str(tmp_path / "m.aqdb")
+    export_bundle(path, trainer.net)
+    return path, open(path, "rb").read()[:-4]
+
+
+def _layer(name: str) -> bytes:
+    return struct.pack("<I", len(name)) + name.encode()
+
+
+def _dims(*shape) -> bytes:
+    return bytes([len(shape)]) + b"".join(struct.pack("<I", d) for d in shape)
+
+
+# each writes new over the bytes of a good bundle that start with old (found
+# once), then re-seals the CRC
+BAD_BUNDLES = {
+    "layer_renamed": ((8, 4, 2), _layer("dense3"), _layer("dense7"),
+                      "bundle layer 'dense7' where the architecture has 'dense3'"),
+    "fp_layer_coded": ((8, 4, 2), _layer("dense0") + b"\x00", _layer("dense0") + b"\x08",
+                       "'dense0' is full precision but has code bit-width 8"),
+    "quantized_layer_uncoded": ((8, 4, 2), _layer("dense3") + b"\x08",
+                                _layer("dense3") + b"\x00", "'dense3' has code bit-width 0"),
+    "code_bits_differ": ((8, 4, 2), _layer("dense6") + b"\x08", _layer("dense6") + b"\x04",
+                         "'dense6' has code bit-width 4; quantized layers share one"),
+    "code_bits_9": ((8, 4, 2), _layer("dense6") + b"\x08", _layer("dense6") + b"\x09",
+                    "'dense6' has code bit-width 9"),
+    "code_bytes_short": ((8, 4, 2), _layer("dense3") + b"\x08", _layer("dense3") + b"\x09",
+                         "'dense3' holds 1024 code bytes, expected 2048"),
+    "code_shape": ((8, 4, 2), _layer("dense3") + b"\x08" + _dims(32, 32),
+                   _layer("dense3") + b"\x08" + _dims(16, 64),
+                   r"'dense3' codes have shape \(16, 64\), expected \(32, 32\)"),
+    "fp_weight_shape": ((8, 4, 2), _layer("dense0") + b"\x00" + _dims(8, 32),
+                        _layer("dense0") + b"\x00" + _dims(16, 16),
+                        r"'dense0' has shape \(16, 16\), expected \(8, 32\)"),
+    "code_out_of_range": ((10, 4), _layer("dense3") + b"\x0a" + _dims(32, 32)
+                          + struct.pack("<I", 2048),
+                          _layer("dense3") + b"\x0a" + _dims(32, 32) + struct.pack("<I", 2048)
+                          + b"\xff\xff", "'dense3' has code 65535, not below 2\\^10"),
+    "bank_bit_repeated": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
+                          b"\x03\x08\x04\x04" + _dims(32),
+                          r"bit-widths \[8, 4, 4\] must be unique and within \[2, 8\]"),
+    "bank_bit_above_b1": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
+                          b"\x03\x09\x04\x02" + _dims(32), r"within \[2, 8\]"),
+    "bank_bit_below_2": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
+                         b"\x03\x08\x04\x01" + _dims(32), r"within \[2, 8\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUNDLES))
+def test_bundle_fields_checked_against_the_arch(case, tmp_path):
+    bits, old, new, message = BAD_BUNDLES[case]
+    path, body = _trained_bundle(tmp_path, bits)
+    assert body.count(old) == 1
+    at = body.index(old)
+    body = body[:at] + new + body[at + len(new):]
+    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CorruptFileError, match=message):
         load_bundle(path)
