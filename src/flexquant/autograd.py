@@ -527,9 +527,10 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     top = views[0].copy()
     for v in views[1:]:
         np.maximum(top, v, out=top)
-    # np.maximum may keep either zero of a -0.0/0.0 tie, so the output is
-    # copied from the routed entries rather than taken from `top`.
-    out = np.empty((n, c, ho, wo))
+    # np.maximum may keep either zero of a -0.0/0.0 tie, so each routed entry
+    # is copied over `top`; a window holding NaN routes none and keeps the
+    # NaN np.maximum propagated.
+    out = top
     free = np.ones((n, c, ho, wo), dtype=bool)
     firsts = []
     for v in views:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .datasets import FormatError
 from .metrics import MetricsLog
 from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
@@ -67,7 +67,10 @@ def load_checkpoint(path: str):
 
     r = open_reader(path, MAGIC, (1, VERSION), "checkpoint")
     config_json = r.text()
-    config = RunConfig.from_json(config_json)
+    try:
+        config = RunConfig.from_json(config_json)
+    except ConfigError as e:
+        raise CorruptFileError(f"{path} config: {e}") from None
     trainer = Trainer(config)
     trainer.epoch = r.u32()
 
@@ -80,17 +83,27 @@ def load_checkpoint(path: str):
         weights[name].data = arr
 
     b1 = trainer.bits.b1
+    stored = set()
     for _ in range(r.u8()):
         b = r.u8()
         if not 2 <= b <= b1:
             raise CorruptFileError(f"bank bit-width {b} outside [2, {b1}]")
+        if b in stored:
+            raise CorruptFileError(f"bank bit-width {b} appears twice")
+        stored.add(b)
         read_bank_entry(r, trainer.bank.ensure_entry(b), trainer.arch)
+    missing = sorted(set(trainer.bits) - stored, reverse=True)
+    if missing:
+        raise CorruptFileError(f"checkpoint lacks bank entries for trained bit-widths {missing}")
 
     params = {name: p.shape for group in trainer.optimizer.groups
               for name, p in group.params.items()}
     trainer.optimizer.load_state(_read_named_arrays(r, params, "velocity"))
 
-    trainer.streams.set_state(json.loads(r.text()))
+    try:
+        trainer.streams.set_state(json.loads(r.text()))
+    except ValueError as e:  # JSONDecodeError included
+        raise CorruptFileError(f"{path} RNG states: {e}") from None
 
     if r.version == 1:
         r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
@@ -111,7 +124,9 @@ def _read_record(r: ByteReader, config_json: str, epoch: int, path: str) -> Metr
     if log.config_json != config_json:
         raise CorruptFileError(f"{path}: the run record's config line is not the checkpoint's")
     epochs = sorted(log.eval_accuracy)
-    covered = list(range(epochs[0] if epochs else epoch, epoch))
+    first = epochs[0] if epochs else epoch
+    # no list for a span the record cannot cover: a corrupt epoch may be huge
+    covered = list(range(first, epoch)) if epoch - first == len(epochs) else None
     if epochs != covered or sorted({row.epoch for row in log.batch_rows}) != covered:
         raise CorruptFileError(f"{path}: the run record must cover consecutive epochs up to "
                                f"{epoch - 1}; its eval accuracies cover {epochs}")

@@ -4,16 +4,20 @@ JSON and report's per-bit table.
 
 All writers are deterministic: float fields use repr (shortest round-trip)
 and no timestamps appear anywhere, so identical runs produce identical
-bytes. Each reader accepts exactly what its writer writes (up to the
-optional config line of metrics.csv) and raises an error naming the file
-and line otherwise.
+bytes. One function, csv_line, writes every CSV line, and the run record
+keeps its rows as the lines it wrote.
+
+The run record has one text form: its readers accept exactly what its
+writers write (up to the optional config line of metrics.csv), so what
+they accept writes back to the same bytes, and they raise an error naming
+the file and line otherwise. The eval summary reader checks the types of
+what it reads, not its layout.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -26,6 +30,13 @@ CONFIG_LINE_PREFIX = "# flexquant-metrics v1 config="
 HISTOGRAM_COLUMNS = ("epoch", "student_b", "teacher_b", "count")
 
 REPORT_TABLE_COLUMNS = ("b", "accuracy", "zero_shot", "reference_accuracy", "ratio_percent")
+
+
+def csv_line(values) -> str:
+    """One CSV line, line end included: None as an empty field, every other
+    value as str writes it (repr, for a float). No field is quoted; the
+    writers here hold no comma, quote or line break in a field."""
+    return ",".join("" if v is None else str(v) for v in values) + "\n"
 
 
 @dataclass
@@ -42,19 +53,15 @@ class BatchRecord:
     distance_term: float | None = None
     swap_student_fraction: float = 1.0
 
-    def row(self) -> list[str]:
-        def fmt(x):
-            if x is None:
-                return ""
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
-
-        return [fmt(getattr(self, col)) for col in METRICS_COLUMNS]
+    def row(self) -> str:
+        """This record's metrics.csv line."""
+        return csv_line([getattr(self, col) for col in METRICS_COLUMNS])
 
     @classmethod
     def from_row(cls, row: list[str]) -> "BatchRecord":
-        """The record row() wrote; FormatError naming the first bad field."""
+        """The record these field texts parse to; FormatError naming the
+        first bad field. int and float take more forms than row() writes,
+        so a reader of outside text also compares row() with its input."""
         if len(row) != len(METRICS_COLUMNS):
             raise FormatError(f"{len(row)} fields, expected {len(METRICS_COLUMNS)}")
         values = {}
@@ -70,38 +77,56 @@ class BatchRecord:
         return cls(**values)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _unquoted(text: str) -> str:
+    if '"' in text:
+        raise ValueError(text)
+    return text
+
+
 METRICS_COLUMNS = tuple(f.name for f in fields(BatchRecord))
-_FIELD_PARSERS = {"int": int, "float": float, "str": str}
-_FIELD_KINDS = {"int": "an integer", "float": "a number", "str": "text"}
+METRICS_HEADER = csv_line(METRICS_COLUMNS)
+_FIELD_PARSERS = {"int": int, "float": _finite_float, "str": _unquoted}
+_FIELD_KINDS = {"int": "an integer", "float": "a finite number", "str": "unquoted text"}
 
 
 class MetricsLog:
-    """The run record: one BatchRecord per batch and bit-width, plus the
-    per-epoch eval accuracies, the one fact the rows do not hold. The
-    teacher histogram and any per-epoch view derive from the rows."""
+    """The run record: one metrics.csv row per batch and bit-width, kept as
+    the line it is written as, plus the per-epoch eval accuracies, the one
+    fact the rows do not hold. The teacher histogram and any per-epoch view
+    derive from the rows."""
 
     def __init__(self, config_json: str | None):
         self.config_json = config_json  # None for a log read without its config line
-        self.batch_rows: list[BatchRecord] = []
+        self.lines: list[str] = []  # the rows as BatchRecord.row() wrote them
         self.eval_accuracy: dict[int, dict[int, float]] = {}  # epoch -> b -> %
 
     def add_batch(self, record: BatchRecord) -> None:
-        self.batch_rows.append(record)
+        self.lines.append(record.row())
 
     def end_epoch(self, epoch: int, eval_accuracy: dict[int, float]) -> None:
         self.eval_accuracy[epoch] = dict(eval_accuracy)
 
+    @property
+    def batch_rows(self) -> list[BatchRecord]:
+        """The rows as records, parsed from their lines on each call."""
+        return list(self._records())
+
+    def _records(self):
+        """The rows as records, parsed one line at a time."""
+        return (BatchRecord.from_row(line[:-1].split(",")) for line in self.lines)
+
     # -- serialization --------------------------------------------------------
 
     def metrics_csv_text(self) -> str:
-        out = io.StringIO()
-        if self.config_json is not None:
-            out.write(f"{CONFIG_LINE_PREFIX}{self.config_json}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for r in self.batch_rows:
-            writer.writerow(r.row())
-        return out.getvalue()
+        config = "" if self.config_json is None else f"{CONFIG_LINE_PREFIX}{self.config_json}\n"
+        return config + METRICS_HEADER + "".join(self.lines)
 
     def eval_accuracy_json(self) -> str:
         """The per-epoch eval accuracies, epochs and bit-widths in the order
@@ -110,49 +135,48 @@ class MetricsLog:
 
     def histogram_rows(self) -> list[tuple[int, int, int, int]]:
         return teacher_histogram((r.epoch, r.b, r.teacher_b)
-                                 for r in self.batch_rows if r.teacher_b is not None)
+                                 for r in self._records() if r.teacher_b is not None)
 
     def histogram_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(HISTOGRAM_COLUMNS)
-        writer.writerows(self.histogram_rows())
-        return out.getvalue()
+        return csv_line(HISTOGRAM_COLUMNS) + "".join(map(csv_line, self.histogram_rows()))
 
     # -- parsing --------------------------------------------------------------
 
     @classmethod
     def from_csv_text(cls, text: str | bytes, source: str) -> "MetricsLog":
-        """The log metrics_csv_text() wrote, with or without its config line;
-        FormatError naming source and the line otherwise."""
-        text = _decode(text, source)
-        config_json, body, skipped = None, text, 0
-        if text.startswith("#"):
-            first, _, body = text.partition("\n")
-            if not first.startswith(CONFIG_LINE_PREFIX):
+        """The log whose metrics_csv_text() is text, with or without its
+        config line; FormatError naming source and the first line that is
+        not as that method writes it."""
+        lines = _decode(text, source).split("\n")
+        if lines.pop() != "":
+            raise FormatError(f"{source} line {len(lines) + 1}: no line end")
+        config_json = None
+        if lines and lines[0].startswith("#"):
+            if not lines[0].startswith(CONFIG_LINE_PREFIX):
                 raise FormatError(f"{source} line 1: expected {CONFIG_LINE_PREFIX!r}")
-            config_json, skipped = first[len(CONFIG_LINE_PREFIX):], 1
+            config_json = lines[0][len(CONFIG_LINE_PREFIX):]
         log = cls(config_json)
-        reader = csv.reader(io.StringIO(body, newline=""))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FormatError(f"{source}: no header line")
-            if tuple(header) != METRICS_COLUMNS:
-                raise FormatError(f"{source} line {skipped + reader.line_num}: header "
-                                  f"{','.join(header)!r}, expected {','.join(METRICS_COLUMNS)!r}")
-            for row in reader:
-                try:
-                    log.batch_rows.append(BatchRecord.from_row(row))
-                except FormatError as e:
-                    raise FormatError(f"{source} line {skipped + reader.line_num}: {e}") from None
-        except csv.Error as e:
-            raise FormatError(f"{source} line {skipped + reader.line_num}: {e}") from None
+        at = int(config_json is not None)  # the header's index
+        if len(lines) == at:
+            raise FormatError(f"{source}: no header line")
+        if lines[at] + "\n" != METRICS_HEADER:
+            raise FormatError(f"{source} line {at + 1}: header {lines[at]!r}, "
+                              f"expected {METRICS_HEADER[:-1]!r}")
+        for n, line in enumerate(lines[at + 1:], at + 2):
+            try:
+                written = BatchRecord.from_row(line.split(",")).row()
+            except FormatError as e:
+                raise FormatError(f"{source} line {n}: {e}") from None
+            if written != line + "\n":
+                raise FormatError(f"{source} line {n}: {line!r} is not as written, "
+                                  f"{written[:-1]!r}")
+            log.lines.append(written)
         return log
 
     @classmethod
     def from_record(cls, csv_text: str, accuracy_json: str, source: str) -> "MetricsLog":
-        """The log whose metrics_csv_text() and eval_accuracy_json() these are."""
+        """The log whose metrics_csv_text() and eval_accuracy_json() these
+        texts are, exactly."""
         log = cls.from_csv_text(csv_text, source)
         try:
             table = json.loads(accuracy_json)
@@ -166,6 +190,9 @@ class MetricsLog:
                 raise FormatError(f"{source} eval accuracy of epoch {e!r} must map "
                                   "bit-widths to numbers")
             log.eval_accuracy[int(e)] = {int(b): a for b, a in accs.items()}
+        if log.eval_accuracy_json() != accuracy_json:
+            raise FormatError(f"{source} eval accuracy is not as written, "
+                              f"{log.eval_accuracy_json()!r}")
         return log
 
 
@@ -213,14 +240,9 @@ def read_eval_summary(text: str | bytes, source: str) -> dict[int, BitResult]:
 def report_table_csv(rows, delta: float | None) -> str:
     """report's per-bit table: (b, accuracy, zero_shot, reference accuracy,
     ratio percent) rows, None for a missing value, then delta_b if known."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_TABLE_COLUMNS)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
     if delta is not None:
-        writer.writerow(("delta_b", "", "", "", repr(delta)))
-    return out.getvalue()
+        rows = [*rows, ("delta_b", None, None, None, delta)]
+    return csv_line(REPORT_TABLE_COLUMNS) + "".join(map(csv_line, rows))
 
 
 def _decode(text: str | bytes, source: str) -> str:
@@ -237,4 +259,4 @@ def _is_number_key(key: str) -> bool:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    return type(value) in (int, float) and math.isfinite(value)

@@ -32,9 +32,29 @@ class RngStreams:
             "streams": {name: gen.bit_generator.state for name, gen in self._streams.items()},
         }
 
-    def set_state(self, state: dict) -> None:
-        if set(state["streams"]) != set(STREAM_NAMES):
-            raise ValueError(f"stream names {sorted(state['streams'])} != {sorted(STREAM_NAMES)}")
-        self.seed = int(state["seed"])
-        for name, gen_state in state["streams"].items():
+    def set_state(self, state) -> None:
+        """Restore a state() snapshot; ValueError naming what is wrong
+        before any stream changes."""
+        streams = state.get("streams") if isinstance(state, dict) else None
+        if not isinstance(streams, dict) or type(state.get("seed")) is not int:
+            raise ValueError('expected {"seed": int, "streams": object}')
+        if set(streams) != set(STREAM_NAMES):
+            raise ValueError(f"stream names {sorted(streams)} != {sorted(STREAM_NAMES)}")
+        for name, gen_state in streams.items():
+            if not _is_pcg64_state(gen_state):
+                raise ValueError(f"stream {name!r} does not hold a PCG64 state")
+        self.seed = state["seed"]
+        for name, gen_state in streams.items():
             self._streams[name].bit_generator.state = gen_state
+
+
+def _is_pcg64_state(s) -> bool:
+    """Whether s has the form of numpy's PCG64 bit_generator.state."""
+    def uint(v, bits):
+        return type(v) is int and 0 <= v < 1 << bits
+
+    return (isinstance(s, dict) and set(s) == {"bit_generator", "state", "has_uint32", "uinteger"}
+            and s["bit_generator"] == "PCG64"
+            and isinstance(s["state"], dict) and set(s["state"]) == {"state", "inc"}
+            and uint(s["state"]["state"], 128) and uint(s["state"]["inc"], 128)
+            and uint(s["has_uint32"], 1) and uint(s["uinteger"], 32))

@@ -16,6 +16,8 @@ import numpy as np
 
 from .numerics import FlexquantError
 
+MAX_ARRAY_DIMS = 32  # numpy's limit before 2.0; the formats store 4 at most
+
 
 class CorruptFileError(FlexquantError, ValueError):
     """Checksum mismatch or malformed framing."""
@@ -105,6 +107,9 @@ class ByteReader:
 
     def f64_array(self) -> np.ndarray:
         ndim = self.u8()
+        if ndim > MAX_ARRAY_DIMS:
+            raise CorruptFileError(f"array at byte {self.pos - 1} has {ndim} dims, "
+                                   f"more than {MAX_ARRAY_DIMS}")
         shape = tuple(self.u32() for _ in range(ndim))
         # a Python int, so huge dims fail _take's bounds check instead of wrapping
         raw = self._take(8 * math.prod(shape))

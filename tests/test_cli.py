@@ -16,7 +16,7 @@ import pytest
 import flexquant
 from flexquant import FlexquantError
 from flexquant.cli import main
-from flexquant.metrics import METRICS_COLUMNS
+from flexquant.metrics import METRICS_COLUMNS, MetricsLog
 
 from conftest import blob_config
 
@@ -420,11 +420,43 @@ def _metrics_argv(tmp_path, column, value):
 @pytest.mark.parametrize("column, value, where", [
     ("teacher_b", "x", "line 3: teacher_b 'x' is not an integer"),
     ("teacher_b", None, "line 2: header"),
+    # values Python's int and float take, in a form the writer never writes
+    pytest.param("b", " 8", "line 3: '0,0,coquant, 8,1.5,", id="int_padded"),
+    pytest.param("batch", "1_0", "line 3: '0,1_0,", id="int_underscore"),
+    pytest.param("b", "08", "line 3: '0,0,coquant,08,", id="int_leading_zero"),
+    pytest.param("loss", "1e0", "line 3: '0,0,coquant,4,1e0,", id="float_exponent"),
+    pytest.param("ce", "nan", "line 3: ce 'nan' is not a finite number", id="float_nan"),
+    pytest.param("mode", '"coquant"', "line 3: mode '\"coquant\"' is not unquoted text",
+                 id="quoted"),
+    pytest.param("swap_student_fraction", "1.0\r",
+                 "line 3: '0,0,coquant,4,1.5,1.25,0.25,8,0.5,0.1,1.0\\r' is not as written",
+                 id="crlf"),
 ])
 def test_bad_metrics_error_names_file_and_line(column, value, where, tmp_path, capsys):
     assert main(_metrics_argv(tmp_path, column, value)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'metrics.csv'} {where}"), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_metrics_without_final_line_end_names_the_line(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text(GOOD_METRICS[:-1])
+    assert main(["report", "--metrics", str(tmp_path / "metrics.csv"),
+                 "--out", run_dir(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'metrics.csv'} line 3: no line end\n"
+
+
+@pytest.mark.parametrize("mode", ["coquant", "joint", "switchable_bn", "adabits", "individual:4",
+                                  "progressive_desc", "progressive_asc", "direct:8"])
+def test_metrics_csv_reads_back_to_its_text(mode, tmp_path):
+    cfg = blob_config(mode=mode, epochs=2, bits=[4] if mode == "individual:4" else [8, 4, 2])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--out", run_dir(tmp_path)]) == 0
+    text = open(os.path.join(run_dir(tmp_path), "metrics.csv")).read()
+    bare = text.split("\n", 1)[1]  # without the config line
+    for written in (text, bare):
+        assert MetricsLog.from_csv_text(written, "metrics.csv").metrics_csv_text() == written
 
 
 GOOD_ROWS = "0,0,0,0,0\n1,1,1,1,1\n2,2,2,2,2\n"
@@ -449,6 +481,8 @@ BAD_INPUTS = {
         tmp, lambda t: _rename(t.optimizer.velocity, "weights.dense3", "weights.dense9")),
     "ckpt_weight_wrong_shape": lambda tmp: _eval_argv(
         tmp, lambda t: setattr(t.net.weights["dense3"], "data", np.zeros((3, 5)))),
+    "ckpt_rng_without_streams": lambda tmp: _eval_argv(
+        tmp, lambda t: setattr(t.streams, "state", lambda: {"seed": 0})),
     "summary_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY[:20]),
     "summary_empty_object": lambda tmp: _report_argv(tmp, "{}"),
     "summary_list": lambda tmp: _report_argv(tmp, "[]"),

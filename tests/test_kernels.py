@@ -273,6 +273,19 @@ def _conv_case(rng):
     return (lambda: ag.conv2d(x, w, 2, 1)), (x, w)
 
 
+def test_maxpool2d_propagates_nan():
+    """A window holding NaN pools to NaN, as argmax routes it in the
+    reference; every other window keeps its bits."""
+    rng = np.random.default_rng(0)
+    xd = rng.normal(size=(2, 3, 4, 4))
+    xd[1, 2, 0, 1] = np.nan
+    want, _ = ref_maxpool2d(xd, 2, np.zeros((2, 3, 2, 2)))
+    out = ag.maxpool2d(Tensor(xd), 2).data
+    assert np.isnan(out[1, 2, 0, 0]) and np.isnan(out).sum() == 1
+    out[1, 2, 0, 0] = want[1, 2, 0, 0] = 0.0
+    assert_bitwise(out, want)
+
+
 def _maxpool_case(rng):
     x = Tensor(post_relu_input(rng, (2, 3, 7, 8)), requires_grad=True)
     return (lambda: ag.maxpool2d(x, 2)), (x,)

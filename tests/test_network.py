@@ -411,6 +411,18 @@ class TestStatsCollector:
 
 
 class TestCnnForward:
+    def test_eval_raises_on_nan_that_reaches_the_pool(self):
+        """An Inf weight in the first conv meets the zero padding as NaN, which
+        must reach the logits through max-pooling rather than vanish."""
+        arch = small_cnn(1, 8, 3, channels=[4, 4, 8])
+        net = QuantNet(PrecisionBank(BitWidthSet([8, 2]), arch), rng=np.random.default_rng(5))
+        net.weights[arch.learnable_names[0]].data[0, 0, 0, 0] = np.inf
+        x = np.random.default_rng(6).normal(size=(4, 1, 8, 8))
+        with no_grad(), np.errstate(invalid="ignore"):
+            for b in (8, 2):
+                with pytest.raises(NonFiniteError, match=f"forward_at b={b} eval logits"):
+                    net.forward_at(x, b, mode="eval")
+
     def test_cnn_trains_and_evaluates(self):
         bits = BitWidthSet([8, 2])
         arch = small_cnn(1, 8, 3, channels=[4, 4, 4])

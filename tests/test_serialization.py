@@ -13,7 +13,9 @@ from flexquant.bundle import export_bundle, load_bundle
 from flexquant.checkpoint import load_checkpoint, save_checkpoint
 from flexquant.cli import main
 from flexquant.config import RunConfig
+from flexquant.metrics import METRICS_COLUMNS, BatchRecord
 from flexquant.network import ContractError
+from flexquant.numerics import FlexquantError
 from flexquant.serialize import ByteReader, ByteWriter, CorruptFileError
 from flexquant.training import Trainer
 
@@ -43,6 +45,13 @@ class TestFraming:
         assert r.text() == "hello"
         np.testing.assert_array_equal(r.f64_array(), np.arange(6.0).reshape(2, 3))
         r.done()
+
+    def test_array_rank_bounded(self):
+        w = ByteWriter()
+        w.u8(200)
+        w.raw(bytes(800))  # 200 zero dims: an empty array numpy cannot shape
+        with pytest.raises(CorruptFileError, match="array at byte 0 has 200 dims"):
+            ByteReader(w.finish()).f64_array()
 
     def test_crc_detects_corruption(self):
         w = ByteWriter()
@@ -289,6 +298,20 @@ def _set_running_mean(trainer, b, value):
     trainer.bank.entry(b).bn["bn4"].running_mean = value
 
 
+def _set_field(trainer, index, column, text):
+    """Write text over one field of the run record's stored row line."""
+    fields = trainer.log.lines[index][:-1].split(",")
+    fields[METRICS_COLUMNS.index(column)] = text
+    trainer.log.lines[index] = ",".join(fields) + "\n"
+
+
+class _ListsFourTwice(dict):
+    """Bank entries whose iteration lists bit-width 4 twice."""
+
+    def __iter__(self):
+        return iter([*super().__iter__(), 4])
+
+
 # each edits a one-epoch run before it is saved, so the file is CRC-valid
 BAD_CHECKPOINTS = {
     "weight_renamed": (lambda t: _rename(t.net.weights, "dense3", "dense9"),
@@ -306,6 +329,10 @@ BAD_CHECKPOINTS = {
                           r"bank bit-width 9 outside \[2, 8\]"),
     "bank_bit_below_2": (lambda t: t.bank.entries.update({1: t.bank.entries[2]}),
                          r"bank bit-width 1 outside \[2, 8\]"),
+    "bank_bit_repeated": (lambda t: setattr(t.bank, "entries", _ListsFourTwice(t.bank.entries)),
+                          "bank bit-width 4 appears twice"),
+    "bank_trained_bit_missing": (lambda t: t.bank.entries.pop(2),
+                                 r"lacks bank entries for trained bit-widths \[2\]"),
     "bn_wrong_shape": (lambda t: _set_running_mean(t, 4, np.zeros(7)),
                        r"bn4 running mean has shape \(7,\), expected \(32,\)"),
     "record_other_config": (lambda t: setattr(t.log, "config_json", "{}"),
@@ -314,12 +341,35 @@ BAD_CHECKPOINTS = {
                                    "config line is not the checkpoint's"),
     "record_epoch_missing": (lambda t: t.log.eval_accuracy.pop(0),
                              r"cover consecutive epochs up to 0; its eval accuracies cover \[\]"),
-    "record_rows_missing": (lambda t: t.log.batch_rows.clear(),
+    "record_rows_missing": (lambda t: t.log.lines.clear(),
                             "cover consecutive epochs up to 0"),
+    "record_epoch_huge": (lambda t: setattr(t, "epoch", 2**32 - 1),
+                          "cover consecutive epochs up to 4294967294; its eval accuracies cover"),
     "record_epoch_beyond": (lambda t: t.log.end_epoch(1, {8: 50.0}),
                             r"eval accuracies cover \[0, 1\]"),
-    "record_row_malformed": (lambda t: setattr(t.log.batch_rows[3], "teacher_b", "x"),
+    "record_row_malformed": (lambda t: _set_field(t, 3, "teacher_b", "x"),
                              r"run record line 6: teacher_b 'x' is not an integer"),
+    # fields Python's int and float take but the writer never writes
+    "record_int_padded": (lambda t: _set_field(t, 3, "b", " 8"),
+                          "run record line 6: '0,1,coquant, 8,.*' is not as written, "
+                          "'0,1,coquant,8,"),
+    "record_int_underscore": (lambda t: _set_field(t, 3, "batch", "1_0"),
+                              "run record line 6: .* is not as written, '0,10,"),
+    "record_int_leading_zero": (lambda t: _set_field(t, 3, "b", "08"),
+                                "run record line 6: .* is not as written, '0,1,coquant,8,"),
+    "record_float_exponent": (lambda t: _set_field(t, 3, "swap_student_fraction", "1e0"),
+                              r"run record line 6: .* is not as written, '.*,1\.0'"),
+    "record_float_nan": (lambda t: _set_field(t, 3, "ce", "nan"),
+                         "run record line 6: ce 'nan' is not a finite number"),
+    "record_field_quoted": (lambda t: _set_field(t, 3, "mode", '"coquant"'),
+                            "run record line 6: mode '\"coquant\"' is not unquoted text"),
+    "record_crlf": (lambda t: _set_field(t, 3, "swap_student_fraction", "1.0\r"),
+                    r"run record line 6: '.*,1\.0\\r' is not as written"),
+    "record_accuracy_not_finite": (lambda t: t.log.eval_accuracy[0].update({4: float("nan")}),
+                                   "eval accuracy of epoch '0' must map bit-widths"),
+    "record_accuracy_key_padded": (lambda t: setattr(t.log, "eval_accuracy",
+                                                     {"00": t.log.eval_accuracy[0]}),
+                                   "eval accuracy is not as written, '{\"0\": "),
 }
 
 
@@ -331,6 +381,58 @@ def test_checkpoint_fields_checked_against_the_run(case, tmp_path):
     mutate(trainer)
     path = str(tmp_path / "bad.ckpt")
     save_checkpoint(path, trainer)
+    with pytest.raises(CorruptFileError, match=message):
+        load_checkpoint(path)
+
+
+def test_save_formats_no_row(trained, tmp_path, monkeypatch):
+    written = BatchRecord.row
+    calls = []
+    monkeypatch.setattr(BatchRecord, "row", lambda self: calls.append(self) or written(self))
+    save_checkpoint(str(tmp_path / "c.ckpt"), trained)
+    assert trained.log.lines and calls == []
+
+
+def _replace_text(path, old: str, new: str) -> None:
+    """Write new over the one length-prefixed text old of a framed file, and
+    re-seal its CRC."""
+    body = open(path, "rb").read()[:-4]
+    framed = struct.pack("<I", len(old.encode())) + old.encode()
+    assert body.count(framed) == 1
+    body = body.replace(framed, struct.pack("<I", len(new.encode())) + new.encode())
+    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _with_stream(rng_json: str, name: str, gen_state) -> str:
+    state = json.loads(rng_json)
+    state["streams"][name] = gen_state
+    return json.dumps(state)
+
+
+# each edits the config or RNG-state text of a good checkpoint
+BAD_SECTIONS = {
+    "rng_truncated": ("rng", lambda text: text[:40], "RNG states: Unterminated string"),
+    "rng_not_an_object": ("rng", lambda text: "[0]", "RNG states: expected"),
+    "rng_without_streams": ("rng", lambda text: '{"seed": 0}', "RNG states: expected"),
+    "rng_stream_missing": ("rng", lambda text: text.replace('"swap"', '"swop"'),
+                           r"RNG states: stream names \['init', 'shuffle', 'swop'\]"),
+    "rng_stream_state_empty": ("rng", lambda text: _with_stream(text, "swap", {}),
+                               "RNG states: stream 'swap' does not hold a PCG64 state"),
+    "rng_stream_state_negative": ("rng", lambda text: _with_stream(text, "init", {
+        "bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0,
+        "uinteger": 0}), "stream 'init' does not hold a PCG64 state"),
+    "config_truncated": ("config", lambda text: text[:40], "config: .* is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SECTIONS))
+def test_checkpoint_sections_checked(case, trained, tmp_path):
+    section, edit, message = BAD_SECTIONS[case]
+    path = str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, trained)
+    text = (trained.config.to_json() if section == "config"
+            else json.dumps(trained.streams.state(), sort_keys=True))
+    _replace_text(path, text, edit(text))
     with pytest.raises(CorruptFileError, match=message):
         load_checkpoint(path)
 
@@ -469,3 +571,82 @@ def test_bundle_fields_checked_against_the_arch(case, tmp_path):
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CorruptFileError, match=message):
         load_bundle(path)
+
+
+def _u32_offsets(load, path) -> list[int]:
+    """Body offsets of every u32 a good load of path reads: the version, the
+    counts, the text and blob lengths and the array dims."""
+    offsets = []
+    read = ByteReader.u32
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ByteReader, "u32", lambda r: offsets.append(r.pos) or read(r))
+        load(path)
+    return offsets
+
+
+def _mutants(path, load, rng, flips=200, truncations=20, length_edits=60):
+    """(description, bytes) of seeded edits to a framed file, each re-sealed
+    with a fresh CRC: byte flips, truncations, and length fields set off by
+    one or to a huge value."""
+    body = open(path, "rb").read()[:-4]
+    edits = []
+    for at in rng.integers(len(body), size=flips):
+        flipped = bytearray(body)
+        flipped[at] ^= int(rng.integers(1, 256))
+        edits.append((f"byte {at} flipped", flipped))
+    for end in rng.integers(len(body), size=truncations):
+        edits.append((f"truncated to {end} bytes", body[:end]))
+    offsets = _u32_offsets(load, path)
+    for at in rng.choice(offsets, size=min(length_edits, len(offsets)), replace=False):
+        stored = struct.unpack_from("<I", body, at)[0]
+        for value in (stored - 1, stored + 1, 0xFFFFFFFF):
+            edited = bytearray(body)
+            struct.pack_into("<I", edited, at, value % (1 << 32))
+            edits.append((f"u32 at {at} set to {value}", edited))
+    for what, edited in edits:
+        yield what, bytes(edited) + struct.pack("<I", zlib.crc32(edited))
+
+
+def _survives(path, load, evaluate, rng) -> int:
+    """Load every mutant of path: each load raises CorruptFileError, or returns
+    an object that evaluates at every bank bit-width to an accuracy or to a
+    FlexquantError. Returns how many loaded."""
+    loaded = 0
+    for what, blob in _mutants(path, load, rng):
+        open(path + ".bad", "wb").write(blob)
+        try:
+            obj = load(path + ".bad")
+        except CorruptFileError:
+            continue
+        except Exception as e:
+            pytest.fail(f"{what}: load raised {type(e).__name__}: {e}")
+        loaded += 1
+        for b in sorted(obj.bank.entries):
+            try:
+                assert 0.0 <= evaluate(obj, b) <= 100.0
+            except FlexquantError:
+                pass
+            except Exception as e:
+                pytest.fail(f"{what}: eval at {b} bits raised {type(e).__name__}: {e}")
+    return loaded
+
+
+def test_mutated_files_load_or_fail_by_name(tmp_path):
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1, samples=200)))
+    trainer.run()
+    ckpt, bundle = str(tmp_path / "m.ckpt"), str(tmp_path / "m.aqdb")
+    save_checkpoint(ckpt, trainer)
+    export_bundle(bundle, trainer.net)
+    x, y = trainer.eval_set.features, trainer.eval_set.labels
+
+    def bundle_accuracy(loaded, b):
+        with no_grad():
+            logits = loaded.build_network().forward_at(x, b, mode="eval").data
+        return 100.0 * np.mean(np.argmax(logits, axis=1) == y)
+
+    rng = np.random.default_rng(0)
+    # most flips land in weights and bank arrays, which load and evaluate; a
+    # flipped exponent can make a value huge or a variance negative
+    with np.errstate(all="ignore"):
+        assert _survives(ckpt, load_checkpoint, lambda t, b: t.evaluate(b), rng) > 0
+        assert _survives(bundle, load_bundle, bundle_accuracy, rng) > 0
