@@ -17,6 +17,15 @@ Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
 and dies with it; ``active_memo()`` returns the innermost block's. Values
 memoized there (a network's quantized weights) are never seen by another
 block, so what they derive from may change between blocks, never inside one.
+A Tape's memo also holds op results that do not depend on the bit-width
+(``once_per_tape``): a training step runs every bit-width on the same batch,
+so the first layer's output and its batch statistics, and each latent weight
+tensor's b1 codes, are computed once per step. They are keyed by the
+identity of the input arrays, so an op's input arrays (data, weights) are
+never written to while the tape is active. Each call still records its own
+node, so the tape and the bits are the same as without the reuse.
+``no_grad`` blocks reuse nothing: a long one (a serving loop) would
+otherwise keep every batch's results until it ends.
 
 Gradient ownership: a rule never writes into its upstream gradient or into
 any array captured from its forward, so calling it twice gives the same
@@ -137,6 +146,24 @@ def active_memo() -> dict | None:
     return _tape_stack[-1].memo if _tape_stack else None
 
 
+def once_per_tape(key: tuple, arrays: tuple, compute):
+    """compute(), at most once per active Tape for these input arrays.
+
+    The result is kept in the tape's memo under key and the ids of arrays;
+    the entry holds the arrays, so no id is recycled while the tape lives.
+    Outside a Tape (inside no_grad, or outside any block) compute() runs on
+    every call and nothing is kept.
+    """
+    tape = active_tape()
+    if tape is None:
+        return compute()
+    k = (*key, *map(id, arrays))
+    hit = tape.memo.get(k)
+    if hit is None:
+        hit = tape.memo[k] = (arrays, compute())
+    return hit[1]
+
+
 def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tensor:
     """Create the output tensor of an op and record its node on the active tape.
 
@@ -225,7 +252,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    out = once_per_tape(("matmul",), (a.data, b.data), lambda: a.data @ b.data)
 
     def bwd(g):
         return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
@@ -383,16 +410,29 @@ def batchnorm(
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     if mode == "train":
-        # np.mean is a sum then a true divide, and np.var squares the
-        # centred input: the same operations here, in the same order, give
-        # the same bits with the centred input computed once. Two full-size
-        # buffers: the centred input becomes x_hat in place, and the squares
-        # buffer becomes the output.
         m = xd.size // pshape[1]
-        mu = np.add.reduce(xd, axes) / m
-        x_hat = xd - mu.reshape(pshape)
-        out = np.multiply(x_hat, x_hat)
-        var = np.add.reduce(out, axes) / m
+        spare = []  # the squares buffer, when this call computes the statistics
+
+        def stats():
+            # np.mean is a sum then a true divide, and np.var squares the
+            # centred input: the same operations here, in the same order,
+            # give the same bits with the centred input computed once. Two
+            # full-size buffers: the centred input becomes x_hat in place,
+            # and the squares buffer becomes the output (freed instead, its
+            # space goes to the small arrays that follow and the output
+            # elsewhere, which fragments the heap).
+            mu = np.add.reduce(xd, axes) / m
+            x_hat = xd - mu.reshape(pshape)
+            sq = np.multiply(x_hat, x_hat)
+            var = np.add.reduce(sq, axes) / m
+            s = np.sqrt(var.reshape(pshape) + numerics.EPS)
+            x_hat /= s
+            spare.append(sq)
+            return mu, var, s, x_hat
+
+        # the batch statistics depend on the input only, so every bit-width
+        # whose BN layer sees the same input (the first layer's) shares them
+        mu, var, s, x_hat = once_per_tape(("batchnorm",), (xd,), stats)
         # a non-finite batch (a step the trainer will reject) leaves the
         # running estimates as they were
         if update_running and np.isfinite(mu).all() and np.isfinite(var).all():
@@ -400,9 +440,11 @@ def batchnorm(
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
-        s = np.sqrt(var.reshape(pshape) + numerics.EPS)
-        x_hat /= s
-        np.multiply(gam, x_hat, out=out)
+        if spare:
+            out = spare[0]
+            np.multiply(gam, x_hat, out=out)
+        else:
+            out = gam * x_hat
         out += bet
 
         def bwd(g):
@@ -482,9 +524,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         xp[:, :, padding : padding + h, padding : padding + wid] = xd
     else:
         xp = xd
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    # the first layer sees the same batch and weights at every bit-width
+    cols = once_per_tape(("im2col", kh, kw, stride, padding), (xd,),
+                         lambda: _im2col(xp, kh, kw, stride, ho, wo))
     wmat = wd.reshape(f, c * kh * kw)
-    out = (cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    out = once_per_tape(("conv2d", stride, padding), (xd, wd), lambda: np.ascontiguousarray(
+        (cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)))
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
@@ -505,7 +550,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             dxp = dxp[:, padding:-padding, padding:-padding]
         return np.ascontiguousarray(dxp.transpose(0, 3, 1, 2)), dw
 
-    return record(np.ascontiguousarray(out), (x, w), bwd, "conv2d")
+    return record(out, (x, w), bwd, "conv2d")
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:

@@ -19,7 +19,8 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
 The loader checks each field against the architecture the file declares:
 layer names in order, code bit-width 0 on exactly the first and last
 layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,
-and bank bit-widths unique and within [2, b1].
+bank bit-widths unique and within [2, b1], and bank values finite with
+running variances non-negative.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from .network import ArchSpec, BitWidthSet, ContractError, PrecisionBank, QuantNet
 from .quantizers import MAX_BITS, QuantizedWeightView, quantize_weights_dorefa
 from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, open_reader,
-                        read_array_of_shape, read_bank_entry, write_bank_entry)
+                        check_bank_values, read_array_of_shape, read_bank_entry,
+                        write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -175,5 +177,6 @@ def load_bundle(path: str) -> DeploymentBundle:
     bank = PrecisionBank(bits, arch)
     for b in bits:
         read_bank_entry(r, bank.entry(b), arch)
+    check_bank_values(bank.entries, arch)
     r.done()
     return DeploymentBundle(bank, views, fp_weights)

@@ -21,7 +21,8 @@ from .config import ConfigError, RunConfig
 from .datasets import FormatError
 from .metrics import MetricsLog
 from .serialize import (ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes,
-                        open_reader, read_array_of_shape, read_bank_entry, write_bank_entry)
+                        check_bank_values, open_reader, read_array_of_shape, read_bank_entry,
+                        write_bank_entry)
 
 MAGIC = b"AQCK"
 VERSION = 2
@@ -95,6 +96,7 @@ def load_checkpoint(path: str):
     missing = sorted(set(trainer.bits) - stored, reverse=True)
     if missing:
         raise CorruptFileError(f"checkpoint lacks bank entries for trained bit-widths {missing}")
+    check_bank_values(trainer.bank.entries, trainer.arch)
 
     params = {name: p.shape for group in trainer.optimizer.groups
               for name, p in group.params.items()}

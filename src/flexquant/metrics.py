@@ -7,11 +7,10 @@ and no timestamps appear anywhere, so identical runs produce identical
 bytes. One function, csv_line, writes every CSV line, and the run record
 keeps its rows as the lines it wrote.
 
-The run record has one text form: its readers accept exactly what its
-writers write (up to the optional config line of metrics.csv), so what
-they accept writes back to the same bytes, and they raise an error naming
-the file and line otherwise. The eval summary reader checks the types of
-what it reads, not its layout.
+The run record and the eval summary have one text form each: their
+readers accept exactly what their writers write (up to the optional config
+line of metrics.csv), so what they accept writes back to the same bytes,
+and they raise an error naming the file (and line) otherwise.
 """
 
 from __future__ import annotations
@@ -220,11 +219,15 @@ def eval_summary_json(accuracies: dict[int, float], zero_shot_bits=(), mode: str
 
 
 def read_eval_summary(text: str | bytes, source: str) -> dict[int, BitResult]:
-    """The per-bit results of an eval_summary_json() text; ConfigError naming
-    source otherwise."""
-    bits = parse_json_object(text, source).get("bits")
+    """The per-bit results of an eval_summary_json() text, which must be
+    exactly what that function writes for them; ConfigError naming source
+    otherwise."""
+    body = parse_json_object(text, source)
+    bits, mode = body.get("bits"), body.get("mode")
     if not isinstance(bits, dict):
         raise ConfigError(f"{source}: \"bits\" must be an object")
+    if not isinstance(mode, str):
+        raise ConfigError(f"{source}: \"mode\" must be a string")
     out = {}
     for b_str, info in bits.items():
         if not _is_number_key(b_str):
@@ -233,7 +236,11 @@ def read_eval_summary(text: str | bytes, source: str) -> dict[int, BitResult]:
                 and type(info.get("zero_shot")) is bool):
             raise ConfigError(f"{source}: bits[{b_str!r}] must be "
                               "{\"accuracy\": number, \"zero_shot\": bool}")
-        out[int(b_str)] = BitResult(info["accuracy"], info["zero_shot"])
+        out[int(b_str)] = BitResult(float(info["accuracy"]), info["zero_shot"])
+    written = eval_summary_json({b: r.accuracy for b, r in out.items()},
+                                {b for b, r in out.items() if r.zero_shot}, mode)
+    if (written if isinstance(text, str) else written.encode()) != text:
+        raise ConfigError(f"{source}: not as eval_summary_json writes it, {written!r}")
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .autograd import Tensor, record
+from .autograd import Tensor, once_per_tape, record
 
 MAX_BITS = 16
 
@@ -117,10 +117,12 @@ def weights_from_codes(view: QuantizedWeightView, b: int) -> np.ndarray:
 
 def weight_forward(wd: np.ndarray, b: int, b1: int) -> np.ndarray:
     """The full quantized-weight value at bit-width b: code at b1, then
-    derive b from the codes."""
+    derive b from the codes. Inside a Tape the b1 codes of wd are computed
+    once and shared by every b."""
     if b > b1:
         raise BitWidthError(f"b={b} exceeds b1={b1}")
-    return weights_from_codes(quantize_weights_dorefa(wd, b1), b)
+    view = once_per_tape(("dorefa", b1), (wd,), lambda: quantize_weights_dorefa(wd, b1))
+    return weights_from_codes(view, b)
 
 
 def quantize_weights_at(w: Tensor, b: int, b1: int) -> Tensor:

@@ -170,6 +170,35 @@ def read_bank_entry(r: ByteReader, entry, arch) -> None:
         entry.alpha[name].data = np.asarray(r.f64())
 
 
+def check_bank_values(entries: dict, arch) -> None:
+    """Every value of the bank entries read is finite and every running
+    variance non-negative; CorruptFileError names the entry and field
+    otherwise."""
+    bn = [entry.bn[name] for entry in entries.values() for name in arch.bn_names]
+    empty = np.zeros(0)  # an architecture may have no BN or no quantized layer
+    values = [empty, *(a for st in bn for a in (st.gamma.data, st.beta.data,
+                                                st.running_mean, st.running_var)),
+              *(entry.alpha[name].data.reshape(1) for entry in entries.values()
+                for name in arch.quantized_names)]
+    # one pass over the whole bank; the loops below only name the bad field
+    if (np.isfinite(np.concatenate(values)).all()
+            and (np.concatenate([empty, *(st.running_var for st in bn)]) >= 0.0).all()):
+        return
+    for b, entry in entries.items():
+        for name in arch.bn_names:
+            st = entry.bn[name]
+            for field, arr in (("gamma", st.gamma.data), ("beta", st.beta.data),
+                               ("running mean", st.running_mean),
+                               ("running var", st.running_var)):
+                if not np.isfinite(arr).all():
+                    raise CorruptFileError(f"bank entry {b} {name} {field} is not finite")
+            if (st.running_var < 0.0).any():
+                raise CorruptFileError(f"bank entry {b} {name} running var is negative")
+        for name in arch.quantized_names:
+            if not np.isfinite(entry.alpha[name].data):
+                raise CorruptFileError(f"bank entry {b} {name} alpha is not finite")
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:

@@ -16,7 +16,7 @@ import pytest
 import flexquant
 from flexquant import FlexquantError
 from flexquant.cli import main
-from flexquant.metrics import METRICS_COLUMNS, MetricsLog
+from flexquant.metrics import METRICS_COLUMNS, MetricsLog, eval_summary_json
 
 from conftest import blob_config
 
@@ -382,7 +382,7 @@ def _rename(d, old, new):
     d[new] = d.pop(old)
 
 
-GOOD_SUMMARY = '{"bits": {"8": {"accuracy": 98.5, "zero_shot": false}}}'
+GOOD_SUMMARY = eval_summary_json({8: 98.5}, (), "coquant")
 
 
 def _report_argv(tmp_path, summary, reference=None):
@@ -492,7 +492,10 @@ BAD_INPUTS = {
         tmp, GOOD_SUMMARY.replace('"8"', '"eight"')),
     "reference_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY, GOOD_SUMMARY[:20]),
     "reference_zero_shot_missing": lambda tmp: _report_argv(
-        tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace(', "zero_shot": false', "")),
+        tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace(',\n      "zero_shot": false', "")),
+    # the same values in a layout eval_summary_json never writes
+    "summary_reordered_layout": lambda tmp: _report_argv(
+        tmp, '{"mode": "coquant", "bits": {"8": {"zero_shot": false, "accuracy": 98.5}}}'),
     "metrics_teacher_b_not_int": lambda tmp: _metrics_argv(tmp, "teacher_b", "x"),
     "metrics_without_teacher_b": lambda tmp: _metrics_argv(tmp, "teacher_b", None),
     "metrics_not_utf8": lambda tmp: _metrics_argv(tmp, "mode", "\udcff"),

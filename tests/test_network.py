@@ -246,6 +246,31 @@ class TestSharedWeights:
                 np.testing.assert_array_equal(net.forward_at(batch, 4, mode="eval").data, first)
         assert calls == [4] * net.arch.num_blocks
 
+    def test_no_grad_block_keeps_no_per_batch_entries(self):
+        net = make_net()
+        rng = np.random.default_rng(5)
+        with no_grad() as block:
+            for _ in range(50):
+                xb = rng.normal(size=(7, 6))
+                for b in (8, 4, 2):
+                    net.forward_at(xb, b, mode="eval")
+                net.forward_at(xb, 4, mode="calibrate")  # train-mode batch norm
+            keys = list(block.memo)
+        # only the quantized weights, one per (block, bit-width)
+        assert sorted(keys, key=lambda k: (k[1], k[2])) == [
+            (net, name, b) for name in net.arch.quantized_names for b in (2, 4, 8)]
+
+    def test_tape_runs_the_first_layer_once_per_batch(self, batch):
+        net = make_net()
+        first = net.weights[net.arch.learnable_names[0]]
+        with Tape() as tape:
+            for b in (8, 4, 2):
+                net.forward_at(batch, b, mode="train")
+        nodes = [n for n in tape.nodes if n.name == "matmul" and n.inputs[1] is first]
+        # each bit-width records its own node over one shared output array
+        assert len({id(n.output) for n in nodes}) == 3
+        assert nodes[0].output.data is nodes[1].output.data is nodes[2].output.data
+
     def test_two_nets_in_one_block_each_use_their_own_weights(self, batch):
         a, b = make_net(seed=0), make_net(seed=1)
         alone = {}

@@ -298,6 +298,30 @@ def _set_running_mean(trainer, b, value):
     trainer.bank.entry(b).bn["bn4"].running_mean = value
 
 
+def _set_bank_value(trainer, b, field, value):
+    """Write value over the first element of bank entry b's bn4 field, or over
+    its dense3 alpha."""
+    entry = trainer.bank.entry(b)
+    if field == "alpha":
+        entry.alpha["dense3"].data = np.asarray(value)
+        return
+    st = entry.bn["bn4"]
+    arr = getattr(st, field)
+    arr = arr.data if field in ("gamma", "beta") else arr
+    arr[0] = value
+
+
+# (field, value, how the loader names it) for every bank value a file holds
+BAD_BANK_VALUES = {
+    "gamma_nan": ("gamma", np.nan, "bn4 gamma is not finite"),
+    "beta_inf": ("beta", np.inf, "bn4 beta is not finite"),
+    "running_mean_nan": ("running_mean", np.nan, "bn4 running mean is not finite"),
+    "running_var_negative": ("running_var", -0.5, "bn4 running var is negative"),
+    "running_var_inf": ("running_var", np.inf, "bn4 running var is not finite"),
+    "alpha_nan": ("alpha", np.nan, "dense3 alpha is not finite"),
+}
+
+
 def _set_field(trainer, index, column, text):
     """Write text over one field of the run record's stored row line."""
     fields = trainer.log.lines[index][:-1].split(",")
@@ -335,6 +359,9 @@ BAD_CHECKPOINTS = {
                                  r"lacks bank entries for trained bit-widths \[2\]"),
     "bn_wrong_shape": (lambda t: _set_running_mean(t, 4, np.zeros(7)),
                        r"bn4 running mean has shape \(7,\), expected \(32,\)"),
+    **{f"bank_{case}": (lambda t, field=field, value=value: _set_bank_value(t, 4, field, value),
+                        f"bank entry 4 {message}")
+       for case, (field, value, message) in BAD_BANK_VALUES.items()},
     "record_other_config": (lambda t: setattr(t.log, "config_json", "{}"),
                             "config line is not the checkpoint's"),
     "record_without_config_line": (lambda t: setattr(t.log, "config_json", None),
@@ -456,6 +483,18 @@ def test_bundle_bn_shape_checked(tmp_path):
     path = str(tmp_path / "bad.aqdb")
     export_bundle(path, trainer.net)
     with pytest.raises(CorruptFileError, match=r"bn4 running mean has shape \(32, 1\)"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("case", list(BAD_BANK_VALUES))
+def test_bundle_bank_values_checked(case, tmp_path):
+    field, value, message = BAD_BANK_VALUES[case]
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1)))
+    trainer.run()
+    _set_bank_value(trainer, 2, field, value)
+    path = str(tmp_path / "bad.aqdb")
+    export_bundle(path, trainer.net)
+    with pytest.raises(CorruptFileError, match=f"bank entry 2 {message}"):
         load_bundle(path)
 
 

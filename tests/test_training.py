@@ -49,6 +49,70 @@ def row_with_entropy(target: float) -> np.ndarray:
     return np.array([[q, (1 - q) / 2, (1 - q) / 2]])
 
 
+def _reuse_trainer(mode: str, arch: str, tmp_path) -> Trainer:
+    """A desk-like MLP, or a tiny CNN on 24 random 8x8 IDX images."""
+    if arch == "mlp":
+        return make_trainer(mode=mode, epochs=1, samples=300, batch_size=100)
+    from test_datasets import write_idx_images, write_idx_labels
+    rng = np.random.default_rng(3)
+    write_idx_images(tmp_path / "imgs", rng.integers(0, 256, size=(24, 8, 8)))
+    write_idx_labels(tmp_path / "labs", np.arange(24) % 3)
+    return Trainer(RunConfig.from_dict({
+        "schema_version": 1, "mode": mode, "bits": [8, 4, 2],
+        "dataset": {"kind": "idx_images", "train_images": str(tmp_path / "imgs"),
+                    "train_labels": str(tmp_path / "labs"),
+                    "mean": 0.5, "std": 0.5, "classes": 3},
+        "arch": {"kind": "cnn", "in_channels": 1, "image_size": 8,
+                 "classes": 3, "channels": [4, 4, 4]},
+        "epochs": 1, "batch_size": 8, "seed": 0,
+    }))
+
+
+def _three_steps(trainer: Trainer, fresh_copies: bool, patch) -> tuple[dict, dict]:
+    """The bytes of every parameter, velocity and BN running statistic and
+    the batch rows after three train steps; and the counts of once_per_tape
+    calls, of those that computed their result, and of weight codings."""
+    counts = {"calls": 0, "computed": 0, "coded": 0}
+    once, code = ag.once_per_tape, quantizers.quantize_weights_dorefa
+
+    def counting_once(key, arrays, compute):
+        def counted():
+            counts["computed"] += 1
+            return compute()
+
+        counts["calls"] += 1
+        return once(key, arrays, counted)
+
+    def counting_code(wd, b1):
+        counts["coded"] += 1
+        return code(wd, b1)
+
+    patch.setattr(ag, "once_per_tape", counting_once)
+    patch.setattr(quantizers, "quantize_weights_dorefa", counting_code)
+    if fresh_copies:
+        forward_at, weight_forward = trainer.net.forward_at, quantizers.weight_forward
+        patch.setattr(trainer.net, "forward_at",
+                      lambda x, *args, **kwargs: forward_at(x.copy(), *args, **kwargs))
+        patch.setattr(quantizers, "weight_forward",
+                      lambda wd, b, b1: weight_forward(wd.copy(), b, b1))
+    data = trainer.train_set
+    n = trainer.config.batch_size
+    rows = []
+    for i in range(3):
+        rows += trainer.train_step(data.features[i * n:(i + 1) * n],
+                                   data.labels[i * n:(i + 1) * n], epoch=0, batch_index=i)
+    state = {f"param {name}": p.data.tobytes()
+             for group in trainer.optimizer.groups for name, p in group.params.items()}
+    state.update({f"velocity {name}": v.tobytes()
+                  for name, v in trainer.optimizer.state().items()})
+    for b, entry in trainer.bank.entries.items():
+        for name, st in entry.bn.items():
+            state[f"bank{b} {name} stats"] = (st.running_mean.tobytes()
+                                              + st.running_var.tobytes())
+    state["rows"] = [r.row() for r in rows]
+    return state, counts
+
+
 # ---------------------------------------------------------------------------
 # entropy and teacher selection
 # ---------------------------------------------------------------------------
@@ -327,8 +391,30 @@ class TestTrainStep:
         xb = trainer.train_set.features[:32]
         yb = trainer.train_set.labels[:32]
         trainer.train_step(xb, yb, epoch=0, batch_index=0)
-        # one coding per (quantized layer, bit-width) per step
-        assert len(calls) <= trainer.arch.num_blocks * len(trainer.bits)
+        # the b1 codes are shared by every bit-width: one coding per
+        # quantized layer per step
+        assert len(calls) == trainer.arch.num_blocks
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["coquant", "adabits", "joint", "switchable_bn"])
+    def test_reuse_within_a_step_changes_no_bit(self, mode, arch, tmp_path, monkeypatch):
+        # the reference run feeds every bit-width a fresh copy of the batch
+        # and of each latent weight tensor, so no input array is seen twice
+        # and the tape reuses nothing
+        runs = {}
+        for fresh_copies in (False, True):
+            trainer = _reuse_trainer(mode, arch, tmp_path)
+            with monkeypatch.context() as patch:
+                runs[fresh_copies] = _three_steps(trainer, fresh_copies, patch)
+        (shared, shared_counts), (fresh, fresh_counts) = runs[False], runs[True]
+        codings = 3 * trainer.arch.num_blocks  # once per quantized layer per step
+        assert shared_counts["computed"] < shared_counts["calls"]
+        assert shared_counts["coded"] == codings
+        assert fresh_counts["computed"] == fresh_counts["calls"]
+        assert fresh_counts["coded"] == codings * len(trainer.bits)
+        assert shared.keys() == fresh.keys()
+        for key in shared:
+            assert shared[key] == fresh[key], key
 
     def test_teacher_kl_contributes_no_teacher_gradient(self):
         # KL alone: the teacher-only bank parameters receive no gradient
