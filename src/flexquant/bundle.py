@@ -20,7 +20,8 @@ The loader checks each field against the architecture the file declares:
 layer names in order, code bit-width 0 on exactly the first and last
 layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,
 bank bit-widths unique and within [2, b1], and bank values finite with
-running variances non-negative.
+running variances non-negative. Its arch and bank use the serialize codecs
+checkpoints share: ByteReader.parsed, check_bank_bits and the bank-entry codec.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ArchSpec, BitWidthSet, ContractError, PrecisionBank, QuantNet
+from .config import parse_json
+from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
 from .quantizers import MAX_BITS, QuantizedWeightView, quantize_weights_dorefa
-from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, open_reader,
-                        check_bank_values, read_array_of_shape, read_bank_entry,
+from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
+                        check_bank_values, open_reader, read_array_of_shape, read_bank_entry,
                         write_bank_entry)
 
 MAGIC = b"AQDB"
@@ -129,11 +131,7 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
 
 def load_bundle(path: str) -> DeploymentBundle:
     r = open_reader(path, MAGIC, (VERSION,), "bundle")
-    text = r.text()
-    try:
-        arch = ArchSpec.from_json(json.loads(text))
-    except (json.JSONDecodeError, ContractError) as e:
-        raise CorruptFileError(f"bundle architecture: {e}") from None
+    arch = r.parsed(lambda text: ArchSpec.from_json(parse_json(text)), "architecture")
     views: dict[str, QuantizedWeightView] = {}
     fp_weights: dict[str, np.ndarray] = {}
     b1 = None  # the code bit-width every quantized layer shares
@@ -168,11 +166,8 @@ def load_bundle(path: str) -> DeploymentBundle:
             raise CorruptFileError(f"bundle layer {name!r} has code {codes.max()}, "
                                    f"not below 2^{b1}")
         views[name] = QuantizedWeightView(codes=codes, b1=b1, mean_b1=r.f64())
-    top = b1 or MAX_BITS
     stored = [r.u8() for _ in range(r.u8())]
-    if not stored or len(set(stored)) != len(stored) or not all(2 <= b <= top for b in stored):
-        raise CorruptFileError(f"bundle bank bit-widths {stored} must be unique and "
-                               f"within [2, {top}]")
+    check_bank_bits(stored, b1 or MAX_BITS)
     bits = BitWidthSet(stored)
     bank = PrecisionBank(bits, arch)
     for b in bits:

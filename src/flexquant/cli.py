@@ -118,11 +118,11 @@ def cmd_report(args) -> int:
             ref_acc = reference[b].accuracy if b in reference else None
             ratio = 100.0 * result.accuracy / ref_acc if ref_acc else None
             table_rows.append((b, result.accuracy, result.zero_shot, ref_acc, ratio))
-        if args.reference:
-            common = {b: result.accuracy for b, result in summary.items()
-                      if b in reference and not result.zero_shot}
-            if common:
-                delta = delta_b(common, {b: reference[b].accuracy for b in common})
+        # the trained bits with a ratio: a 0% reference accuracy gives none
+        common = {b: acc for b, acc, zero_shot, _, ratio in table_rows
+                  if ratio is not None and not zero_shot}
+        if common:
+            delta = delta_b(common, {b: reference[b].accuracy for b in common})
     atomic_write_bytes(os.path.join(out_dir, "report_table.csv"),
                        report_table_csv(table_rows, delta).encode())
 

@@ -47,11 +47,21 @@ def _check_field_types(settings, where: str) -> None:
         _check_type(getattr(settings, f.name), f.type, f"{where}.{f.name}")
 
 
-def parse_json_object(text: str | bytes, where: str) -> dict:
-    """The JSON object in text; ConfigError for bad UTF-8, bad JSON or a non-object."""
+def parse_json(text: str | bytes):
+    """The JSON value in text (the package's one JSON parse); ConfigError with
+    the parser's message for bad UTF-8 or JSON, a huge integer or deep nesting."""
     try:
-        data = json.loads(text)
-    except ValueError as e:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(str(e)) from None
+
+
+def parse_json_object(text: str | bytes, where: str) -> dict:
+    """The JSON object in text; ConfigError naming where for bad UTF-8, bad
+    JSON or a non-object."""
+    try:
+        data = parse_json(text)
+    except ConfigError as e:
         raise ConfigError(f"{where} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -221,7 +231,8 @@ class RunConfig:
         kind = self.mode_kind
         if kind not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if ":" in self.mode and not self.mode.split(":", 1)[1].isdigit():
+        suffix = self.mode.partition(":")[2]  # a bit-width is at most 16, so 2 digits
+        if ":" in self.mode and not (suffix.isdigit() and len(suffix) <= 2):
             raise ConfigError(f"mode {self.mode!r}: the suffix must be a bit-width")
         bits = self.bit_set()
         if kind in ("individual", "direct"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,7 +56,11 @@ class Dataset:
             yield self.features[sel], self.labels[sel]
 
 
-def _read_idx_header(buf: bytes, path: str, expect_magic: int, ndim: int):
+def _read_idx(path: str, expect_magic: int, ndim: int) -> np.ndarray:
+    """The uint8 payload of an IDX file with the given magic and ndim dims,
+    shaped by its header; FormatError naming the byte offset otherwise."""
+    with open(path, "rb") as f:
+        buf = f.read()
     need = 4 * (1 + ndim)
     if len(buf) < need:
         raise FormatError(f"{path}: truncated header at byte {len(buf)} (need {need})")
@@ -63,33 +68,20 @@ def _read_idx_header(buf: bytes, path: str, expect_magic: int, ndim: int):
     if magic != expect_magic:
         raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0 (want 0x{expect_magic:08x})")
     dims = struct.unpack(f">{ndim}I", buf[4:need])
-    return dims, need
+    if len(buf) - need != math.prod(dims):
+        raise FormatError(f"{path}: payload is {len(buf) - need} bytes at offset {need}, "
+                          f"expected {math.prod(dims)}")
+    return np.frombuffer(buf, dtype=np.uint8, offset=need).reshape(dims)
 
 
 def load_idx_images(path: str) -> np.ndarray:
     """Read an IDX image file into a uint8 array of shape (n, rows, cols)."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    (n, rows, cols), offset = _read_idx_header(buf, path, IDX_IMAGES_MAGIC, 3)
-    expected = n * rows * cols
-    payload = buf[offset:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes at offset {offset}, expected {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+    return _read_idx(path, IDX_IMAGES_MAGIC, 3)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    (n,), offset = _read_idx_header(buf, path, IDX_LABELS_MAGIC, 1)
-    payload = buf[offset:]
-    if len(payload) != n:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes at offset {offset}, expected {n}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    """Read an IDX label file into an int64 array of shape (n,)."""
+    return _read_idx(path, IDX_LABELS_MAGIC, 1).astype(np.int64)
 
 
 def load_idx(images_path: str, labels_path: str, mean: float = 0.0,

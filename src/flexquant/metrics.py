@@ -175,14 +175,10 @@ class MetricsLog:
     @classmethod
     def from_record(cls, csv_text: str, accuracy_json: str, source: str) -> "MetricsLog":
         """The log whose metrics_csv_text() and eval_accuracy_json() these
-        texts are, exactly."""
+        texts are, exactly; FormatError, or ConfigError for text that is not
+        a JSON object, naming source otherwise."""
         log = cls.from_csv_text(csv_text, source)
-        try:
-            table = json.loads(accuracy_json)
-        except ValueError as e:
-            raise FormatError(f"{source} eval accuracy is not valid JSON: {e}") from None
-        if not isinstance(table, dict):
-            raise FormatError(f"{source} eval accuracy must be a JSON object")
+        table = parse_json_object(accuracy_json, f"{source} eval accuracy")
         for e, accs in table.items():
             if not (_is_number_key(e) and isinstance(accs, dict)
                     and all(_is_number_key(b) and _is_number(a) for b, a in accs.items())):
@@ -233,9 +229,9 @@ def read_eval_summary(text: str | bytes, source: str) -> dict[int, BitResult]:
         if not _is_number_key(b_str):
             raise ConfigError(f"{source}: bit-width key {b_str!r} is not a number")
         if not (isinstance(info, dict) and _is_number(info.get("accuracy"))
-                and type(info.get("zero_shot")) is bool):
+                and 0 <= info["accuracy"] <= 100 and type(info.get("zero_shot")) is bool):
             raise ConfigError(f"{source}: bits[{b_str!r}] must be "
-                              "{\"accuracy\": number, \"zero_shot\": bool}")
+                              "{\"accuracy\": number in [0, 100], \"zero_shot\": bool}")
         out[int(b_str)] = BitResult(float(info["accuracy"]), info["zero_shot"])
     written = eval_summary_json({b: r.accuracy for b, r in out.items()},
                                 {b for b, r in out.items() if r.zero_shot}, mode)
@@ -262,7 +258,9 @@ def _decode(text: str | bytes, source: str) -> str:
 
 
 def _is_number_key(key: str) -> bool:
-    return key.isascii() and key.isdigit()
+    """Whether key is the decimal text of an epoch (u32) or a bit-width: at
+    most 10 digits, so int() never meets its limit on digits."""
+    return key.isascii() and key.isdigit() and len(key) <= 10
 
 
 def _is_number(value) -> bool:

@@ -105,6 +105,14 @@ class ByteReader:
         except UnicodeDecodeError as e:
             raise CorruptFileError(f"text at byte {start} is not UTF-8: {e}") from None
 
+    def parsed(self, parse, what: str):
+        """parse(next text); CorruptFileError naming the file and what if the
+        text is not UTF-8 or parse raises a library error or a ValueError."""
+        try:
+            return parse(self.text())
+        except (FlexquantError, ValueError) as e:
+            raise CorruptFileError(f"{self.path} {what}: {e}") from None
+
     def f64_array(self) -> np.ndarray:
         ndim = self.u8()
         if ndim > MAX_ARRAY_DIMS:
@@ -122,7 +130,7 @@ class ByteReader:
 
 def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -> ByteReader:
     """Reader over a framed file, positioned after its magic and version,
-    which it keeps as r.version.
+    which it keeps as r.version (and the path as r.path).
 
     The magic is checked first, so a file of another format is named as
     such rather than as a CRC failure; then the CRC, then the version.
@@ -131,11 +139,46 @@ def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -
     if buf[:len(magic)] != magic:
         raise CorruptFileError(f"bad magic {buf[:len(magic)]!r}, expected {magic!r}")
     r = ByteReader(buf)
+    r.path = path
     r.raw(len(magic))
     r.version = r.u32()
     if r.version not in versions:
         raise CorruptFileError(f"unsupported {kind} version {r.version}")
     return r
+
+
+def write_named_arrays(w: ByteWriter, arrays: dict) -> None:
+    """A count, then name and array each, sorted by name."""
+    w.u32(len(arrays))
+    for name in sorted(arrays):
+        w.text(name)
+        w.f64_array(arrays[name])
+
+
+def read_named_arrays(r: ByteReader, shapes: dict[str, tuple], what: str) -> dict:
+    """Name/array pairs as write_named_arrays wrote them: each name one of
+    shapes' keys, at most once, with that shape."""
+    out = {}
+    for _ in range(r.u32()):
+        name = r.text()
+        if name not in shapes:
+            raise CorruptFileError(f"{what} {name!r} is not one this run has")
+        if name in out:
+            raise CorruptFileError(f"{what} {name!r} appears twice")
+        out[name] = read_array_of_shape(r, shapes[name], f"{what} {name!r}")
+    return out
+
+
+def check_bank_bits(bits: list[int], top: int) -> None:
+    """A bank's bit-widths as stored (or as far as read): at least one, none
+    twice, each within [2, top]; CorruptFileError naming the first bad one."""
+    for i, b in enumerate(bits):
+        if not 2 <= b <= top or b in bits[:i]:
+            problem = f"outside [2, {top}]" if not 2 <= b <= top else "appears twice"
+            raise CorruptFileError(f"bank bit-width {b} {problem}: bit-widths {bits} "
+                                   f"must be unique and within [2, {top}]")
+    if not bits:
+        raise CorruptFileError("bank holds no bit-width")
 
 
 def write_bank_entry(w: ByteWriter, entry, arch) -> None:

@@ -363,6 +363,12 @@ def _train_argv(tmp_path, csv_rows=None, **overrides):
     return ["train", "--config", str(path), "--out", run_dir(tmp_path)]
 
 
+def _config_text_argv(tmp_path, text):
+    """flexquant train on a config file holding text."""
+    (tmp_path / "cfg.json").write_text(text)
+    return ["train", "--config", str(tmp_path / "cfg.json"), "--out", run_dir(tmp_path)]
+
+
 def _eval_argv(tmp_path, mutate):
     """flexquant eval on a one-epoch run's checkpoint, saved after mutate(trainer)
     edited it, so the file is CRC-valid."""
@@ -466,6 +472,7 @@ BAD_INPUTS = {
     "csv_row_not_numeric": lambda tmp: _train_argv(tmp, GOOD_ROWS + "1,x,1,1,1\n"),
     "csv_label_not_integer": lambda tmp: _train_argv(tmp, GOOD_ROWS + "1,1,1,1,1.5\n"),
     "epochs_not_int": lambda tmp: _train_argv(tmp, epochs="x"),
+    "mode_suffix_huge": lambda tmp: _train_argv(tmp, mode="individual:" + "8" * 5000),
     "bits_not_list": lambda tmp: _train_argv(tmp, bits=8),
     "layers_unknown_kind": lambda tmp: _train_argv(tmp, arch={"kind": "layers", "layers": [
         {"kind": "dense", "in_features": 8, "out_features": 4}, {"kind": "relx"}]}),
@@ -475,6 +482,7 @@ BAD_INPUTS = {
         "kind": "mlp", "input_dim": 5, "hidden": [8, 8], "classes": 3}),
     "config_is_directory": lambda tmp: ["train", "--config", str(tmp), "--out",
                                         run_dir(tmp)],
+    "config_nested_too_deep": lambda tmp: _config_text_argv(tmp, "[" * 200_000),
     "ckpt_weight_renamed": lambda tmp: _eval_argv(
         tmp, lambda t: _rename(t.net.weights, "dense3", "dense9")),
     "ckpt_velocity_renamed": lambda tmp: _eval_argv(
@@ -490,7 +498,11 @@ BAD_INPUTS = {
         tmp, GOOD_SUMMARY.replace("98.5", '"98.5"')),
     "summary_bit_not_a_number": lambda tmp: _report_argv(
         tmp, GOOD_SUMMARY.replace('"8"', '"eight"')),
+    "summary_bit_key_huge": lambda tmp: _report_argv(
+        tmp, GOOD_SUMMARY.replace('"8"', '"' + "8" * 5000 + '"')),
     "reference_truncated": lambda tmp: _report_argv(tmp, GOOD_SUMMARY, GOOD_SUMMARY[:20]),
+    "reference_accuracy_negative": lambda tmp: _report_argv(
+        tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace("98.5", "-1.0")),
     "reference_zero_shot_missing": lambda tmp: _report_argv(
         tmp, GOOD_SUMMARY, GOOD_SUMMARY.replace(',\n      "zero_shot": false', "")),
     # the same values in a layout eval_summary_json never writes
@@ -525,3 +537,13 @@ def test_bad_summary_error_names_the_file(bad_reference, tmp_path, capsys):
 def test_report_accepts_a_good_summary(tmp_path, capsys):
     assert main(_report_argv(tmp_path, GOOD_SUMMARY, GOOD_SUMMARY)) == 0
     assert "delta_b = 100.0" in capsys.readouterr().out
+
+
+def test_report_leaves_a_zero_reference_out_of_delta_b(tmp_path, capsys):
+    summary = eval_summary_json({8: 90.0, 4: 40.0}, (), "coquant")
+    reference = eval_summary_json({8: 0.0, 4: 50.0}, (), "individual")
+    assert main(_report_argv(tmp_path, summary, reference)) == 0
+    assert "delta_b = 80.0" in capsys.readouterr().out
+    table = open(os.path.join(run_dir(tmp_path), "report_table.csv")).read()
+    assert table.splitlines()[1:] == ["8,90.0,False,0.0,", "4,40.0,False,50.0,80.0",
+                                      "delta_b,,,,80.0"]

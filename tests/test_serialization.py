@@ -1,5 +1,6 @@
 """Deployment bundles and checkpoints: round trips, checksums, resume."""
 
+import ast
 import json
 import os
 import struct
@@ -436,7 +437,11 @@ def _with_stream(rng_json: str, name: str, gen_state) -> str:
     return json.dumps(state)
 
 
-# each edits the config or RNG-state text of a good checkpoint
+DEEP_JSON = "[" * 100_000  # nested beyond what the JSON parser recurses into
+HUGE_KEY = "1" * 5000  # beyond the digits int() converts
+
+
+# each edits the config, RNG-state or eval-accuracy text of a good checkpoint
 BAD_SECTIONS = {
     "rng_truncated": ("rng", lambda text: text[:40], "RNG states: Unterminated string"),
     "rng_not_an_object": ("rng", lambda text: "[0]", "RNG states: expected"),
@@ -449,6 +454,14 @@ BAD_SECTIONS = {
         "bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0,
         "uinteger": 0}), "stream 'init' does not hold a PCG64 state"),
     "config_truncated": ("config", lambda text: text[:40], "config: .* is not valid JSON"),
+    "config_nested_too_deep": ("config", lambda text: DEEP_JSON,
+                               "config: config is not valid JSON: maximum recursion depth"),
+    "rng_nested_too_deep": ("rng", lambda text: DEEP_JSON, "RNG states: maximum recursion depth"),
+    "accuracy_nested_too_deep": ("accuracy", lambda text: DEEP_JSON,
+                                 "run record: run record eval accuracy is not valid JSON: "
+                                 "maximum recursion depth"),
+    "accuracy_epoch_key_huge": ("accuracy", lambda text: f'{{"{HUGE_KEY}": {{}}}}',
+                                "eval accuracy of epoch '1{5000}' must map bit-widths"),
 }
 
 
@@ -457,8 +470,9 @@ def test_checkpoint_sections_checked(case, trained, tmp_path):
     section, edit, message = BAD_SECTIONS[case]
     path = str(tmp_path / "bad.ckpt")
     save_checkpoint(path, trained)
-    text = (trained.config.to_json() if section == "config"
-            else json.dumps(trained.streams.state(), sort_keys=True))
+    text = {"config": trained.config.to_json(),
+            "rng": json.dumps(trained.streams.state(), sort_keys=True),
+            "accuracy": trained.log.eval_accuracy_json()}[section]
     _replace_text(path, text, edit(text))
     with pytest.raises(CorruptFileError, match=message):
         load_checkpoint(path)
@@ -612,6 +626,24 @@ def test_bundle_fields_checked_against_the_arch(case, tmp_path):
         load_bundle(path)
 
 
+# each replaces the architecture text of a good bundle
+BAD_ARCH_TEXTS = {
+    "nested_too_deep": (DEEP_JSON, "m.aqdb architecture: maximum recursion depth"),
+    "key_huge": (f'[{{"kind": "dense", "{HUGE_KEY}": 8}}]', "architecture: layer 0 .* keys"),
+    "truncated": ('[{"kind": "dense"', "architecture: Expecting"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARCH_TEXTS))
+def test_bundle_arch_text_checked(case, tmp_path):
+    text, message = BAD_ARCH_TEXTS[case]
+    path, body = _trained_bundle(tmp_path)
+    stored = body[12:12 + struct.unpack_from("<I", body, 8)[0]]  # after magic and version
+    _replace_text(path, stored.decode(), text)
+    with pytest.raises(CorruptFileError, match=message):
+        load_bundle(path)
+
+
 def _u32_offsets(load, path) -> list[int]:
     """Body offsets of every u32 a good load of path reads: the version, the
     counts, the text and blob lengths and the array dims."""
@@ -646,12 +678,30 @@ def _mutants(path, load, rng, flips=200, truncations=20, length_edits=60):
         yield what, bytes(edited) + struct.pack("<I", zlib.crc32(edited))
 
 
-def _survives(path, load, evaluate, rng) -> int:
-    """Load every mutant of path: each load raises CorruptFileError, or returns
-    an object that evaluates at every bank bit-width to an accuracy or to a
+HOSTILE_TEXTS = (DEEP_JSON.encode(), f'{{"{HUGE_KEY}": {{"{HUGE_KEY}": 1}}}}'.encode(),
+                 b"\xff\xfe not UTF-8")
+
+
+def _hostile_sections(path, texts):
+    """(description, bytes) of path with each of its text sections texts
+    replaced by each of HOSTILE_TEXTS, CRC re-sealed."""
+    body = open(path, "rb").read()[:-4]
+    for i, text in enumerate(texts):
+        framed = struct.pack("<I", len(text.encode())) + text.encode()
+        assert body.count(framed) == 1
+        for new in HOSTILE_TEXTS:
+            edited = body.replace(framed, struct.pack("<I", len(new)) + new)
+            yield f"text section {i} set to {new[:12]!r}...", edited + struct.pack(
+                "<I", zlib.crc32(edited))
+
+
+def _survives(path, load, evaluate, rng, texts) -> int:
+    """Load every mutant of path and every hostile replacement of its text
+    sections texts: each load raises CorruptFileError, or returns an object
+    that evaluates at every bank bit-width to an accuracy or to a
     FlexquantError. Returns how many loaded."""
     loaded = 0
-    for what, blob in _mutants(path, load, rng):
+    for what, blob in [*_mutants(path, load, rng), *_hostile_sections(path, texts)]:
         open(path + ".bad", "wb").write(blob)
         try:
             obj = load(path + ".bad")
@@ -686,6 +736,39 @@ def test_mutated_files_load_or_fail_by_name(tmp_path):
     rng = np.random.default_rng(0)
     # most flips land in weights and bank arrays, which load and evaluate; a
     # flipped exponent can make a value huge or a variance negative
+    sections = [trainer.config.to_json(), json.dumps(trainer.streams.state(), sort_keys=True),
+                trainer.log.metrics_csv_text(), trainer.log.eval_accuracy_json()]
     with np.errstate(all="ignore"):
-        assert _survives(ckpt, load_checkpoint, lambda t, b: t.evaluate(b), rng) > 0
-        assert _survives(bundle, load_bundle, bundle_accuracy, rng) > 0
+        assert _survives(ckpt, load_checkpoint, lambda t, b: t.evaluate(b), rng, sections) > 0
+        assert _survives(bundle, load_bundle, bundle_accuracy, rng,
+                         [json.dumps(trainer.arch.to_json(), sort_keys=True)]) > 0
+
+
+def _json_loads_sites(tree, where="<module>"):
+    """The innermost function or class around each use of json.loads, or of
+    an import from json, in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr == "loads"
+             and isinstance(node.value, ast.Name) and node.value.id == "json")
+                or (isinstance(node, ast.ImportFrom) and node.module == "json")):
+            yield where
+        scope = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.ClassDef)) else where)
+        yield from _json_loads_sites(node, scope)
+
+
+def test_one_json_parse_and_no_error_conversion_in_the_loaders():
+    """JSON is parsed only in config.parse_json, and the checkpoint and bundle
+    loaders convert no error themselves: their text sections go through
+    ByteReader.parsed and every other check raises CorruptFileError."""
+    package = os.path.join(os.path.dirname(__file__), "..", "src", "flexquant")
+    sites = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        sites |= {(name, where) for where in _json_loads_sites(tree)}
+        if name in ("checkpoint.py", "bundle.py"):
+            assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), name
+    assert sites == {("config.py", "parse_json")}
