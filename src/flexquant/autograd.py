@@ -80,9 +80,6 @@ class Tensor:
         """Constant copy of this value; gradients stop here."""
         return Tensor(self.data.copy(), requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import parse_json
 from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
-from .quantizers import MAX_BITS, QuantizedWeightView, quantize_weights_dorefa
+from .quantizers import MAX_BITS, QuantizedWeightView
 from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
                         check_bank_values, open_reader, read_array_of_shape, read_bank_entry,
                         write_bank_entry)
@@ -90,7 +90,6 @@ class DeploymentBundle:
 def export_bundle(path: str, net: QuantNet) -> SizeReport:
     """Write the network's codes and every bank entry; returns the byte accounting."""
     arch = net.arch
-    b1 = net.bits.b1
     w = ByteWriter()
     w.raw(MAGIC)
     w.u32(VERSION)
@@ -100,12 +99,12 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
         w.text(name)
         shape = arch.weight_shape(name)
         if name in arch.block_index:
-            view = quantize_weights_dorefa(net.weights[name].data, b1)
-            w.u8(b1)
+            view = net.codes(name)
+            w.u8(view.b1)
             w.u8(len(shape))
             for d in shape:
                 w.u32(d)
-            packed = _pack_codes(view.codes, b1)
+            packed = _pack_codes(view.codes, view.b1)
             w.blob(packed)
             w.f64(view.mean_b1)
             code_payload += len(packed)

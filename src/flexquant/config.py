@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .network import ArchSpec, BitWidthSet, ContractError, mlp, small_cnn
 from .numerics import FlexquantError
+from .quantizers import BitWidthError
 
 SCHEMA_VERSION = 1
 
@@ -234,7 +235,10 @@ class RunConfig:
         suffix = self.mode.partition(":")[2]  # a bit-width is at most 16, so 2 digits
         if ":" in self.mode and not (suffix.isdigit() and len(suffix) <= 2):
             raise ConfigError(f"mode {self.mode!r}: the suffix must be a bit-width")
-        bits = self.bit_set()
+        try:
+            bits = self.bit_set()
+        except BitWidthError as e:
+            raise ConfigError(f"bits: {e}") from None
         if kind in ("individual", "direct"):
             if self.mode_bit is None:
                 raise ConfigError(f"mode {kind!r} needs a bit-width suffix, e.g. '{kind}:8'")

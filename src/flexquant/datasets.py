@@ -169,6 +169,9 @@ def load_dataset(spec) -> tuple[Dataset, Dataset]:
                             train.classes)
         else:
             test = train
+        for ds, path in ((train, spec.train_images), (test, spec.test_images)):
+            if len(ds) == 0:
+                raise FormatError(f"{path}: the split holds no images")
         return train, test
     if spec.kind == "csv_table":
         train = load_csv_table(spec.path, spec.classes)

@@ -27,6 +27,7 @@ from .quantizers import (
     BitWidthError,
     QuantizedWeightView,
     quantize_activation,
+    quantize_weights_dorefa,
     quantize_weights_at,
     weight_forward,  # unused here; kept importable because span tracers wrap it
     weights_from_codes,
@@ -265,17 +266,16 @@ class SwapMask:
 # ---------------------------------------------------------------------------
 
 class BNState:
-    def __init__(self, features: int, momentum: float):
+    def __init__(self, features: int):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
-        self.momentum = float(momentum)
 
 
 class BankEntry:
-    def __init__(self, arch: ArchSpec, alpha_init: float, bn_momentum: float):
-        self.bn = {name: BNState(_bn_features(arch, name), bn_momentum) for name in arch.bn_names}
+    def __init__(self, arch: ArchSpec, alpha_init: float):
+        self.bn = {name: BNState(_bn_features(arch, name)) for name in arch.bn_names}
         self.alpha = {
             name: Tensor(np.asarray(float(alpha_init)), requires_grad=True)
             for name in arch.quantized_names
@@ -315,13 +315,13 @@ class PrecisionBank:
         self.alpha_init = float(alpha_init)
         self.bn_momentum = float(bn_momentum)
         self.entries: dict[int, BankEntry] = {}
-        base = BankEntry(arch, alpha_init, bn_momentum)
-        for b in bits:
-            entry = BankEntry(arch, alpha_init, bn_momentum)
+        for b in bits:  # descending, so the b1 entry comes first
+            entry = BankEntry(arch, alpha_init)
+            first = self.entries.get(bits.b1, entry)
             if share_bn:
-                entry.bn = base.bn
+                entry.bn = first.bn
             if share_alpha:
-                entry.alpha = base.alpha
+                entry.alpha = first.alpha
             self.entries[b] = entry
 
     def entry(self, b: int) -> BankEntry:
@@ -352,7 +352,7 @@ class PrecisionBank:
             return self.entries[b]
         self._check_runnable(b)
         nearest = min(self.bits, key=lambda t: (abs(t - b), -t))
-        entry = BankEntry(self.arch, self.alpha_init, self.bn_momentum)
+        entry = BankEntry(self.arch, self.alpha_init)
         entry.copy_values(self.entries[nearest], statistics=False)
         self.entries[b] = entry
         return entry
@@ -384,30 +384,26 @@ class StatsCollector:
     """Accumulates exact pooled per-channel moments during calibration."""
 
     def __init__(self):
-        self.sums: dict[str, np.ndarray] = {}
-        self.sumsqs: dict[str, np.ndarray] = {}
-        self.counts: dict[str, int] = {}
+        self.moments: dict[str, list] = {}  # per BN layer: [sum, sum of squares, count]
 
     def update(self, name: str, x: np.ndarray) -> None:
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        count = x.size // x.shape[1]
+        axes = ag._bn_axes(x)[0]  # the axes batch norm reduces over
         s = x.sum(axis=axes)
         sq = (x * x).sum(axis=axes)
-        if name not in self.sums:
-            self.sums[name] = s
-            self.sumsqs[name] = sq
-            self.counts[name] = count
+        count = x.size // x.shape[1]
+        acc = self.moments.get(name)
+        if acc is None:
+            self.moments[name] = [s, sq, count]
         else:
-            self.sums[name] += s
-            self.sumsqs[name] += sq
-            self.counts[name] += count
+            acc[0] += s
+            acc[1] += sq
+            acc[2] += count
 
     def finalize(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         out = {}
-        for name in self.sums:
-            n = self.counts[name]
-            mean = self.sums[name] / n
-            var = np.maximum(self.sumsqs[name] / n - mean * mean, 0.0)
+        for name, (s, sq, n) in self.moments.items():
+            mean = s / n
+            var = np.maximum(sq / n - mean * mean, 0.0)
             out[name] = (mean, var)
         return out
 
@@ -446,6 +442,13 @@ class QuantNet:
 
     def named_weights(self) -> dict[str, Tensor]:
         return {f"weights.{name}": w for name, w in self.weights.items()}
+
+    def codes(self, name: str) -> QuantizedWeightView:
+        """One quantized block's b1 codes: a loaded net's stored view, at the
+        view's own b1, or a live net's latent weights coded at bits.b1."""
+        if self.frozen:
+            return self._views[name]
+        return quantize_weights_dorefa(self.weights[name].data, self.bits.b1)
 
     def weight_at(self, name: str, b: int) -> Tensor:
         """Quantized weights of one block at bit-width b.
@@ -521,15 +524,11 @@ class QuantNet:
                     cur = ag.conv2d(cur, w, stride=spec.stride, padding=spec.padding)
             elif kind == "bn":
                 st = self.bank.entry(owner).bn[name]
-                if mode == "calibrate":
-                    if collector is not None:
-                        collector.update(name, cur.data)
-                    cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean,
-                                       st.running_var, st.momentum, "train",
-                                       update_running=False)
-                else:
-                    cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean,
-                                       st.running_var, st.momentum, mode)
+                if mode == "calibrate" and collector is not None:
+                    collector.update(name, cur.data)
+                cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean, st.running_var,
+                                   self.bank.bn_momentum, "eval" if mode == "eval" else "train",
+                                   update_running=mode == "train")
             elif kind == "relu":
                 cur = ag.relu(cur)
             elif kind == "pool":

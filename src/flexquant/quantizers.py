@@ -99,8 +99,6 @@ def truncate_codes(view: QuantizedWeightView, b: int) -> np.ndarray:
     b = _check_bits(b, lo=2)
     if b > view.b1:
         raise BitWidthError(f"cannot truncate {view.b1}-bit codes to {b} bits")
-    if b == view.b1:
-        return view.codes.copy()
     return view.codes >> (view.b1 - b)
 
 
@@ -119,8 +117,6 @@ def weight_forward(wd: np.ndarray, b: int, b1: int) -> np.ndarray:
     """The full quantized-weight value at bit-width b: code at b1, then
     derive b from the codes. Inside a Tape the b1 codes of wd are computed
     once and shared by every b."""
-    if b > b1:
-        raise BitWidthError(f"b={b} exceeds b1={b1}")
     view = once_per_tape(("dorefa", b1), (wd,), lambda: quantize_weights_dorefa(wd, b1))
     return weights_from_codes(view, b)
 

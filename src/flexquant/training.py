@@ -267,13 +267,9 @@ class Trainer:
         for batch_index, (xb, yb) in enumerate(self.train_set.batches(cfg.batch_size, order)):
             for rec in self.train_step(xb, yb, epoch, batch_index):
                 self.log.add_batch(rec)
-        self.log.end_epoch(epoch, {b: self.evaluate(b) for b in self._eval_bits(epoch)})
+        eval_bits = self._phase_bits(epoch) if cfg.mode_kind == "direct" else self.bits
+        self.log.end_epoch(epoch, {b: self.evaluate(b) for b in eval_bits})
         self.epoch += 1
-
-    def _eval_bits(self, epoch: int) -> list[int]:
-        if self.config.mode_kind == "direct":
-            return [self.config.mode_bit]
-        return list(self.bits)
 
     def run(self) -> dict[int, float]:
         """Train to the configured epoch budget; returns final per-b accuracy."""
@@ -294,6 +290,8 @@ class Trainer:
                  batch_size: int = 512) -> float:
         """Eval-mode top-1 accuracy in percent at bit-width b."""
         data = dataset if dataset is not None else self.eval_set
+        if len(data) == 0:
+            raise TrainingError("evaluation needs a non-empty dataset")
         correct = 0
         with no_grad():
             for xb, yb in data.batches(batch_size):

@@ -14,7 +14,7 @@ from conftest import numerical_gradient
 def grad_of(build, *tensors):
     """Run build() under a tape, backward from its scalar output."""
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with Tape() as tape:
         loss = build()
     tape.backward(loss)

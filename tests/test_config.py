@@ -75,8 +75,9 @@ class TestValidation:
             RunConfig.from_dict(d)
 
     def test_bit_range_enforced(self):
-        with pytest.raises(Exception):
-            RunConfig.from_dict(blob_config(bits=(32, 8)))
+        for bits in [(32, 8), (), (8, 8)]:
+            with pytest.raises(ConfigError, match="^bits: "):
+                RunConfig.from_dict(blob_config(bits=bits))
 
     def test_arch_must_be_buildable(self):
         d = blob_config()

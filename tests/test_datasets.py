@@ -1,5 +1,6 @@
 """IDX file parsing and synthetic blob generation."""
 
+import re
 import struct
 
 import numpy as np
@@ -46,6 +47,22 @@ class TestIdx:
         ds = load_idx(str(ip), str(lp))
         assert len(ds) == 0
         assert list(ds.batches(8)) == []
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_rejected_naming_the_file(self, tmp_path, empty):
+        from flexquant.config import DatasetSpec
+        from flexquant.datasets import load_dataset
+        paths = {}
+        for split in ("train", "test"):
+            n = 0 if split == empty else 4
+            paths[f"{split}_images"] = str(tmp_path / f"{split}-img")
+            paths[f"{split}_labels"] = str(tmp_path / f"{split}-lab")
+            write_idx_images(paths[f"{split}_images"], np.zeros((n, 2, 2), dtype=np.uint8))
+            write_idx_labels(paths[f"{split}_labels"], np.arange(n) % 2)
+        spec = DatasetSpec.from_dict({"kind": "idx_images", "classes": 2, **paths})
+        message = f"{paths[empty + '_images']}: the split holds no images"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_dataset(spec)
 
     def test_length_mismatch_rejected(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"

@@ -189,7 +189,7 @@ class TestSharedWeights:
         net = make_net()
         for _ in range(2):
             for w in net.weights.values():
-                w.zero_grad()
+                w.grad = None
             with Tape() as tape:
                 logits = net.forward_at(batch, 4, mode="train")
                 loss = ag.sum_(ag.mul(logits, logits))
@@ -413,7 +413,77 @@ class TestModelDistance:
         assert distances[best] == min(distances.values())
 
 
+class TestBankBatchNorm:
+    @staticmethod
+    def running_bytes(net):
+        return {(b, name): st.running_mean.tobytes() + st.running_var.tobytes()
+                for b, entry in net.bank.entries.items() for name, st in entry.bn.items()}
+
+    @pytest.mark.parametrize("mode", ["eval", "calibrate"])
+    def test_eval_and_calibrate_leave_running_statistics(self, batch, mode):
+        net = make_net()
+        with Tape():
+            for b in net.bits:  # move the statistics off their defaults first
+                net.forward_at(batch, b, mode="train")
+        before = self.running_bytes(net)
+        with no_grad():
+            for b in net.bits:
+                mask = SwapMask(np.array([False, True])) if b < 8 else None
+                net.forward_at(batch, b, mask=mask, teacher_b=8, mode=mode,
+                               collector=StatsCollector() if mode == "calibrate" else None)
+        assert self.running_bytes(net) == before
+
+    def test_train_folds_with_the_bank_momentum(self, batch):
+        arch = mlp(6, [16, 16, 16], 3)
+        bank = PrecisionBank(BitWidthSet([8, 4, 2]), arch, bn_momentum=1.0)
+        net = QuantNet(bank, rng=np.random.default_rng(0))
+        collector = StatsCollector()
+        with no_grad():  # the same batch statistics, folded nowhere
+            net.forward_at(batch, 4, mode="calibrate", collector=collector)
+        with Tape():
+            net.forward_at(batch, 4, mode="train")
+        for name, (mean, _) in collector.finalize().items():
+            np.testing.assert_array_equal(bank.entry(4).bn[name].running_mean, mean)
+            assert not bank.entry(8).bn[name].running_mean.any()
+
+
+def _three_dict_moments(chunks):
+    """Reference: the pooled moments accumulated in three parallel dicts."""
+    sums, sumsqs, counts = {}, {}, {}
+    for name, x in chunks:
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        count = x.size // x.shape[1]
+        s = x.sum(axis=axes)
+        sq = (x * x).sum(axis=axes)
+        if name not in sums:
+            sums[name], sumsqs[name], counts[name] = s, sq, count
+        else:
+            sums[name] += s
+            sumsqs[name] += sq
+            counts[name] += count
+    out = {}
+    for name in sums:
+        mean = sums[name] / counts[name]
+        out[name] = (mean, np.maximum(sumsqs[name] / counts[name] - mean * mean, 0.0))
+    return out
+
+
 class TestStatsCollector:
+    def test_matches_three_dict_reference_bitwise(self):
+        rng = np.random.default_rng(5)
+        chunks = []
+        for n in (7, 16, 3, 9):
+            chunks.append(("bn1", rng.normal(3.0, 1e-3, size=(n, 5))))
+            chunks.append(("bn2", rng.normal(-2.0, 0.7, size=(n, 3, 4, 4))))
+        collector = StatsCollector()
+        for name, x in chunks:
+            collector.update(name, x)
+        got, expect = collector.finalize(), _three_dict_moments(chunks)
+        assert list(got) == list(expect) == ["bn1", "bn2"]
+        for name in expect:
+            for a, e in zip(got[name], expect[name]):
+                assert a.tobytes() == e.tobytes(), name
+
     def test_pooled_moments_match_direct(self):
         rng = np.random.default_rng(3)
         chunks = [rng.normal(size=(n, 5)) for n in (8, 16, 4)]

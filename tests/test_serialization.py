@@ -103,6 +103,12 @@ class TestBundle:
                 c = net.forward_at(x, b, mode="eval").data
             np.testing.assert_array_equal(a, c)
 
+    def test_loaded_bundle_re_exports_the_same_bytes(self, trained, tmp_path):
+        path, again = str(tmp_path / "m.aqdb"), str(tmp_path / "again.aqdb")
+        report = export_bundle(path, trained.net)
+        assert export_bundle(again, load_bundle(path).build_network()) == report
+        assert open(again, "rb").read() == open(path, "rb").read()
+
     def test_bundle_accuracy_matches(self, trained, tmp_path):
         path = str(tmp_path / "m.aqdb")
         export_bundle(path, trained.net)
@@ -772,3 +778,49 @@ def test_one_json_parse_and_no_error_conversion_in_the_loaders():
         if name in ("checkpoint.py", "bundle.py"):
             assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), name
     assert sites == {("config.py", "parse_json")}
+
+
+def _defined_and_named(path):
+    """(qualified names of the functions, classes and methods path defines,
+    every name it refers to). Dunder methods are called by Python itself."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    defined = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (child.name.startswith("__") and child.name.endswith("__"))):
+                owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+                defined[owner + child.name] = child.name
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and os.path.basename(os.path.dirname(path)) == "perfbench"):
+            named.add(node.value)  # the span tracer wraps functions by name
+    return defined, named
+
+
+def test_no_library_code_is_named_only_by_tests():
+    """Every function, class and method in src/flexquant is named somewhere
+    else in the package (its __init__ aside), the demos or perfbench."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = {d: sorted(os.path.join(root, d, n) for n in os.listdir(os.path.join(root, d))
+                       if n.endswith(".py") and n != "__init__.py")
+             for d in ("src/flexquant", "demos", "perfbench")}
+    defined, named = {}, set()
+    for d, files in paths.items():
+        for path in files:
+            defs, names = _defined_and_named(path)
+            named |= names
+            if d == "src/flexquant":
+                defined.update({f"{os.path.basename(path)}:{q}": n for q, n in defs.items()})
+    # kept for tests/test_acceptance.py (ROADMAP item 5); ag.tanh and ag.log
+    # pass only because other code names np.tanh and np.log
+    allowed = {"autograd.py:Tensor.item", "autograd.py:mul"}
+    assert {q for q, n in defined.items() if n not in named} == allowed

@@ -354,7 +354,7 @@ class TestTrainStep:
 
         def zero_all():
             for w in trainer.net.weights.values():
-                w.zero_grad()
+                w.grad = None
 
         summed = {}
         zero_all()
@@ -833,6 +833,13 @@ class TestCalibration:
 
 
 class TestEvaluate:
+    def test_empty_evaluation_set_rejected(self):
+        from flexquant.datasets import Dataset
+        t = make_trainer(mode="coquant", epochs=1)
+        empty = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), 4)
+        with pytest.raises(TrainingError, match="evaluation needs a non-empty dataset"):
+            t.evaluate(8, dataset=empty)
+
     def test_constant_logits_give_majority_class_frequency(self):
         t = make_trainer(mode="individual:8", bits=(8,), epochs=1)
         # zero the final BN gain and bias it toward class 1: constant logits
