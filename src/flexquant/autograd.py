@@ -475,7 +475,7 @@ def batchnorm(
 
         return record(out, (x, gamma, beta), bwd, "batchnorm_eval")
 
-    raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    raise numerics.ContractError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

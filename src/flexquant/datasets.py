@@ -120,7 +120,7 @@ def gen_synthetic_blobs(classes: int, samples: int, dim: int, spread: float,
         raise FormatError(f"invalid dim={dim} or spread={spread}")
     splits = ("train", "eval")
     if split not in splits:
-        raise ValueError(f"split must be one of {splits}, got {split!r}")
+        raise FormatError(f"split must be one of {splits}, got {split!r}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(1 + len(splits))
     center_rng = np.random.default_rng(children[0])
@@ -177,4 +177,4 @@ def load_dataset(spec) -> tuple[Dataset, Dataset]:
         train = load_csv_table(spec.path, spec.classes)
         test = load_csv_table(spec.eval_path, spec.classes) if spec.eval_path else train
         return train, test
-    raise ValueError(f"unknown dataset kind {spec.kind!r}")
+    raise FormatError(f"unknown dataset kind {spec.kind!r}")

@@ -79,13 +79,13 @@ class BatchRecord:
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(text)
+        raise FormatError(text)
     return value
 
 
 def _unquoted(text: str) -> str:
     if '"' in text:
-        raise ValueError(text)
+        raise FormatError(text)
     return text
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import autograd as ag
 from . import numerics
 from .autograd import Tensor
+from .numerics import ContractError
 from .quantizers import (
     BitWidthError,
     QuantizedWeightView,
@@ -44,11 +45,6 @@ class MissingBankError(numerics.FlexquantError, KeyError):
 
     def __str__(self):
         return self.args[0]
-
-
-class ContractError(numerics.FlexquantError, ValueError):
-    """An architecture description the network cannot build, or forward_at
-    called with an inconsistent mask/teacher combination."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +108,8 @@ class ArchSpec:
         if not layers:
             raise ContractError("architecture needs at least one layer")
         for i, spec in enumerate(layers):
+            if _LAYER_TYPES.get(getattr(spec, "kind", None)) is not type(spec):
+                raise ContractError(f"layer {i}: {spec!r} is not one of {', '.join(_LAYER_TYPES)}")
             for key, val in spec.__dict__.items():
                 low = 0 if key == "padding" else 1
                 if key != "kind" and (isinstance(val, bool)
@@ -141,7 +139,7 @@ class ArchSpec:
             return (spec.in_features, spec.out_features)
         if spec.kind == "conv":
             return (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-        raise ValueError(f"{name} is not a learnable layer")
+        raise ContractError(f"{name} is not a learnable layer")
 
     def to_json(self) -> list[dict]:
         out = []
@@ -274,9 +272,12 @@ class BNState:
 
 
 class BankEntry:
-    def __init__(self, arch: ArchSpec, alpha_init: float):
-        self.bn = {name: BNState(_bn_features(arch, name)) for name in arch.bn_names}
-        self.alpha = {
+    def __init__(self, arch: ArchSpec, alpha_init: float, bn: dict | None = None,
+                 alpha: dict | None = None):
+        """bn and alpha, when given, are another entry's dicts to share."""
+        self.bn = bn if bn is not None else {
+            name: BNState(_bn_features(arch, name)) for name in arch.bn_names}
+        self.alpha = alpha if alpha is not None else {
             name: Tensor(np.asarray(float(alpha_init)), requires_grad=True)
             for name in arch.quantized_names
         }
@@ -316,13 +317,10 @@ class PrecisionBank:
         self.bn_momentum = float(bn_momentum)
         self.entries: dict[int, BankEntry] = {}
         for b in bits:  # descending, so the b1 entry comes first
-            entry = BankEntry(arch, alpha_init)
-            first = self.entries.get(bits.b1, entry)
-            if share_bn:
-                entry.bn = first.bn
-            if share_alpha:
-                entry.alpha = first.alpha
-            self.entries[b] = entry
+            first = self.entries.get(bits.b1)
+            self.entries[b] = BankEntry(arch, alpha_init,
+                                        first.bn if first and share_bn else None,
+                                        first.alpha if first and share_alpha else None)
 
     def entry(self, b: int) -> BankEntry:
         """The entry for b; BitWidthError outside [2, b1], MissingBankError
@@ -484,7 +482,9 @@ class QuantNet:
         """
         b = int(b)
         if mode not in ("train", "eval", "calibrate"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ContractError(f"unknown mode {mode!r}")
+        if not self.weights:
+            raise ContractError("a network needs weights: build it with rng or from_codes")
         if self.frozen and mode != "eval":
             raise ContractError("a network loaded from codes is eval-only")
         self.bank.entry(b)  # fail fast: b outside [2, b1], or no entry for b
@@ -533,10 +533,8 @@ class QuantNet:
                 cur = ag.relu(cur)
             elif kind == "pool":
                 cur = ag.maxpool2d(cur, spec.window)
-            elif kind == "flatten":
-                cur = ag.flatten(cur)
             else:
-                raise ValueError(f"unknown layer kind {kind!r}")
+                cur = ag.flatten(cur)
         if mode == "eval":
             numerics.check_finite(cur.data, f"forward_at b={b} eval logits")
         return cur

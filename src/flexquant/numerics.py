@@ -1,6 +1,6 @@
-"""Shared numeric guards: epsilon clamps, finite checks, event counters;
-and FlexquantError, the root of the library's errors (defined here because
-this module imports nothing from the package, so every module can use it).
+"""Shared numeric guards: epsilon clamps, finite checks, event counters; and
+the library's root error FlexquantError and its API-misuse ContractError, here
+because this module imports nothing from the package, so every module can use them.
 
 Every epsilon clamp in the library goes through this module so runs can
 report how often the guards actually fired.
@@ -29,6 +29,10 @@ _event_counts: dict[str, int] = {}
 class FlexquantError(Exception):
     """Root of every error the library raises. Each subclass also keeps a
     builtin base (ValueError, KeyError, ...), so callers may catch either."""
+
+
+class ContractError(FlexquantError, ValueError):
+    """An argument outside its documented range or set, or an inconsistent mix."""
 
 
 class NonFiniteError(FlexquantError, ArithmeticError):

@@ -22,9 +22,9 @@ class ParamGroup:
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0, min_value: float | None = None):
         if lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {lr}")
+            raise numerics.ContractError(f"lr must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+            raise numerics.ContractError(f"momentum must be in [0, 1), got {momentum}")
         self.params = dict(params)
         self.base_lr = float(lr)
         self.lr = float(lr)
@@ -48,7 +48,7 @@ class SGD:
         for group in groups:
             for name in group.params:
                 if name in seen:
-                    raise ValueError(f"parameter {name!r} appears in two groups")
+                    raise numerics.ContractError(f"parameter {name!r} appears in two groups")
                 seen.add(name)
 
     def set_lr_factor(self, factor: float) -> None:

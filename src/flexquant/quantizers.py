@@ -36,10 +36,6 @@ class QuantizedWeightView:
     b1: int
     mean_b1: float
 
-    def __post_init__(self):
-        if np.any(self.codes >= (1 << self.b1)):
-            raise ValueError(f"codes exceed {self.b1}-bit range")
-
 
 def _check_bits(b: int, lo: int = 1) -> int:
     b = int(b)
@@ -58,7 +54,7 @@ def quantize_levels(x: np.ndarray, b: int) -> np.ndarray:
     b = _check_bits(b)
     x = np.asarray(x, dtype=np.float64)
     if x.size and (x.min() < -1e-9 or x.max() > 1.0 + 1e-9):
-        raise ValueError(f"inputs outside [0, 1]: range [{x.min()}, {x.max()}]")
+        raise numerics.ContractError(f"inputs outside [0, 1]: range [{x.min()}, {x.max()}]")
     x = np.clip(x, 0.0, 1.0)
     n = (1 << b) - 1
     return _round_half_away(n * x) / n

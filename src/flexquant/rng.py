@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import ContractError
+
 STREAM_NAMES = ("init", "shuffle", "swap")
 
 
@@ -33,16 +35,16 @@ class RngStreams:
         }
 
     def set_state(self, state) -> None:
-        """Restore a state() snapshot; ValueError naming what is wrong
+        """Restore a state() snapshot; ContractError naming what is wrong
         before any stream changes."""
         streams = state.get("streams") if isinstance(state, dict) else None
         if not isinstance(streams, dict) or type(state.get("seed")) is not int:
-            raise ValueError('expected {"seed": int, "streams": object}')
+            raise ContractError('expected {"seed": int, "streams": object}')
         if set(streams) != set(STREAM_NAMES):
-            raise ValueError(f"stream names {sorted(streams)} != {sorted(STREAM_NAMES)}")
+            raise ContractError(f"stream names {sorted(streams)} != {sorted(STREAM_NAMES)}")
         for name, gen_state in streams.items():
             if not _is_pcg64_state(gen_state):
-                raise ValueError(f"stream {name!r} does not hold a PCG64 state")
+                raise ContractError(f"stream {name!r} does not hold a PCG64 state")
         self.seed = state["seed"]
         for name, gen_state in streams.items():
             self._streams[name].bit_generator.state = gen_state

@@ -244,9 +244,13 @@ def check_bank_values(entries: dict, arch) -> None:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:  # after a failed write or replace, leave no temp file behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_file(path: str) -> bytes:

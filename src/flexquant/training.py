@@ -77,35 +77,23 @@ def select_teacher(student_b: int, teacher_probs: dict[int, np.ndarray], lam: fl
     return best
 
 
-@dataclass
-class SwapSchedule:
-    """Linear curriculum on the base swap probability, hitting 1 at the end."""
-
-    p1_initial: float
-    epochs_total: int
-
-    def __post_init__(self):
-        if not 0.0 < self.p1_initial <= 1.0:
-            raise ValueError(f"p1_initial must be in (0, 1], got {self.p1_initial}")
-
-    def p1_at(self, epoch: int) -> float:
-        if self.epochs_total <= 1 or epoch >= self.epochs_total - 1:
-            return 1.0
-        t = epoch / (self.epochs_total - 1)
-        return min(1.0, self.p1_initial + (1.0 - self.p1_initial) * t)
+def p1_at(epoch: int, p1_initial: float, epochs: int) -> float:
+    """Linear curriculum on the base swap probability, hitting 1 at the last epoch."""
+    if epochs <= 1 or epoch >= epochs - 1:
+        return 1.0
+    t = epoch / (epochs - 1)
+    return min(1.0, p1_initial + (1.0 - p1_initial) * t)
 
 
 def layer_probs(num_blocks: int, p1: float) -> np.ndarray:
     """Per-block student probabilities: p_l = min(1, (1 + l/L) p1), l = 1..L."""
-    if num_blocks == 0:
-        return np.zeros(0)
     l = np.arange(1, num_blocks + 1, dtype=np.float64)
     return np.minimum(1.0, (1.0 + l / num_blocks) * p1)
 
 
 def sample_swap_mask(num_blocks: int, p1: float, rng: np.random.Generator) -> SwapMask:
     if not 0.0 < p1 <= 1.0:
-        raise ValueError(f"p1 must be in (0, 1], got {p1}")
+        raise ContractError(f"p1 must be in (0, 1], got {p1}")
     probs = layer_probs(num_blocks, p1)
     return SwapMask(rng.random(num_blocks) < probs)
 
@@ -137,9 +125,9 @@ def loss_for_bit(b: int, logits: Tensor, labels: np.ndarray,
 def delta_b(accuracies: dict[int, float], reference: dict[int, float]) -> float:
     """Mean over bit-widths of accuracy relative to the reference, in percent."""
     if set(accuracies) != set(reference):
-        raise ValueError(f"bit coverage differs: {sorted(accuracies)} vs {sorted(reference)}")
+        raise ContractError(f"bit coverage differs: {sorted(accuracies)} vs {sorted(reference)}")
     if any(v <= 0 for v in reference.values()):
-        raise ValueError("reference accuracies must be positive")
+        raise ContractError("reference accuracies must be positive")
     ratios = [accuracies[b] / reference[b] for b in accuracies]
     return 100.0 * sum(ratios) / len(ratios)
 
@@ -160,11 +148,9 @@ class Trainer:
         self.streams = RngStreams(config.seed)
 
         kind = config.mode_kind
-        share_bn = kind == "joint"
-        share_alpha = kind in ("joint", "switchable_bn")
         self.bank = PrecisionBank(self.bits, self.arch, alpha_init=config.alpha.init,
-                                  bn_momentum=config.bn_momentum,
-                                  share_bn=share_bn, share_alpha=share_alpha)
+                                  bn_momentum=config.bn_momentum, share_bn=kind == "joint",
+                                  share_alpha=kind in ("joint", "switchable_bn"))
         self.net = QuantNet(self.bank, rng=self.streams["init"])
 
         bn_params, alpha_params = self.bank.named_parameters()
@@ -178,7 +164,6 @@ class Trainer:
                        weight_decay=config.alpha.weight_decay,
                        min_value=numerics.ALPHA_FLOOR),
         ])
-        self.swap_schedule = SwapSchedule(config.p1_initial, config.epochs)
         self.log = MetricsLog(config.to_json())
         self.epoch = 0
 
@@ -196,16 +181,8 @@ class Trainer:
             return [self.config.mode_bit]
         if kind in ("progressive_desc", "progressive_asc"):
             order = list(self.bits) if kind == "progressive_desc" else list(self.bits)[::-1]
-            n = len(order)
-            base, extra = divmod(self.config.epochs, n)
-            bounds, acc = [], 0
-            for i in range(n):
-                acc += base + (1 if i < extra else 0)
-                bounds.append(acc)
-            for i, end in enumerate(bounds):
-                if epoch < end:
-                    return [order[i]]
-            return [order[-1]]
+            phases = np.array_split(np.arange(self.config.epochs), len(order))
+            return [next((b for b, phase in zip(order, phases) if epoch in phase), order[-1])]
         return list(self.bits)
 
     # -- training -------------------------------------------------------------
@@ -217,8 +194,7 @@ class Trainer:
         coquant = cfg.mode_kind == "coquant"
         active = self._phase_bits(epoch)
         records: list[BatchRecord] = []
-        num_blocks = self.arch.num_blocks
-        p1 = self.swap_schedule.p1_at(epoch)
+        p1 = p1_at(epoch, cfg.p1_initial, cfg.epochs)
         with Tape() as tape:
             probs_by_bit: dict[int, Tensor] = {}
             total: Tensor | None = None
@@ -228,7 +204,7 @@ class Trainer:
                 if coquant and b != self.bits.b1:
                     candidates = {t: probs_by_bit[t].data for t in self.bits.teachers_of(b)}
                     choice = select_teacher(b, candidates, cfg.lam, self.net.model_distance)
-                    mask = sample_swap_mask(num_blocks, p1, self.streams["swap"])
+                    mask = sample_swap_mask(self.arch.num_blocks, p1, self.streams["swap"])
                     swap_fraction = mask.student_fraction
                     logits = self.net.forward_at(xb, b, mask=mask, teacher_b=choice.teacher_b,
                                                  mode="train")

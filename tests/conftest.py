@@ -1,9 +1,17 @@
 """Shared test helpers: finite-difference oracle and config builders."""
 
-import numpy as np
-import pytest
+import os
 
-from flexquant import autograd
+# One BLAS thread, set before numpy loads: the suite's matrices are small, and
+# default threading about doubles its CPU time for no wall-clock gain.
+# tests/test_cli.py sets its subprocesses' thread counts itself.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from flexquant import autograd  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

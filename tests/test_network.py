@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
+from flexquant import network
 from flexquant.autograd import Tape, Tensor, no_grad
 from flexquant.network import (
     ArchSpec,
@@ -372,6 +373,25 @@ class TestBankIsolation:
         arch = net.arch
         assert len(bn_params) == 2 * len(arch.bn_names)
         assert len(alpha_params) == len(arch.quantized_names)
+
+    @pytest.mark.parametrize("share_bn, share_alpha, bn_states, clips", [
+        (True, True, 3, 1),  # joint
+        (False, True, 9, 1),  # switchable_bn
+        (False, False, 9, 3),  # adabits
+    ])
+    def test_shared_values_are_built_once(self, monkeypatch, share_bn, share_alpha,
+                                          bn_states, clips):
+        """Entries that share BN or clipping state take the b1 entry's, rather
+        than building their own and dropping it."""
+        made = []
+        bn_init, tensor = network.BNState.__init__, network.Tensor
+        monkeypatch.setattr(network.BNState, "__init__",
+                            lambda st, n: made.append("bn") or bn_init(st, n))
+        monkeypatch.setattr(network, "Tensor",
+                            lambda data, **kw: made.append(np.ndim(data)) or tensor(data, **kw))
+        PrecisionBank(BitWidthSet([8, 4, 2]), mlp(16, [64, 64], 4),
+                      share_bn=share_bn, share_alpha=share_alpha)
+        assert (made.count("bn"), made.count(0)) == (bn_states, clips)
 
 
 class TestModelDistance:

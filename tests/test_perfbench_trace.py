@@ -2,9 +2,10 @@
 
 perfbench/tracing.py wraps library functions at the bindings their callers
 resolve. If the library stops resolving one (a call moved, a name was
-renamed), the traced benchmark run fails its REQUIRED_SPANS check; this
-test makes tier-1 fail the same way, on a one-epoch run of each training
-workload. It only reads perfbench/.
+renamed), the traced benchmark run fails its REQUIRED_SPANS check; these
+tests make tier-1 fail the same way, on a one-epoch run of each training
+workload and on serving a bundle exported from one. They only read
+perfbench/.
 """
 
 import importlib.util
@@ -14,7 +15,10 @@ import sys
 
 import pytest
 
+from flexquant.autograd import no_grad
+from flexquant.bundle import export_bundle
 from flexquant.config import RunConfig
+from flexquant.training import Trainer
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -63,4 +67,26 @@ def test_traced_unit_records_every_required_span(name, tmp_path):
     assert result.problems == []
     calls = {span: n for span, (_total, _self, n) in tracer.totals().items()}
     missing = [span for span in workloads.REQUIRED_SPANS[name] if not calls.get(span)]
+    assert missing == [], f"the tracer recorded no calls for {missing}"
+
+
+def test_traced_serve_records_every_required_span(tmp_path):
+    tracing, workloads = _perfbench_module("tracing"), _perfbench_module("workloads")
+    trainer = Trainer(_one_epoch(workloads.desk_config(0)))
+    trainer.run()
+    path = str(tmp_path / "model.aqdb")
+    export_bundle(path, trainer.net)
+    xb = workloads.serve_split(0).features[:workloads.SERVE_BATCH]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # through the module attributes the tracer wraps, as ServeWorkload calls them
+        net = workloads.bundle.load_bundle(path).build_network()
+        with no_grad():
+            for b in workloads.BITS:
+                net.forward_at(xb, b, mode="eval")
+    finally:
+        tracer.uninstall()
+    calls = {span: n for span, (_total, _self, n) in tracer.totals().items()}
+    missing = [span for span in workloads.REQUIRED_SPANS["bundle_serve"] if not calls.get(span)]
     assert missing == [], f"the tracer recorded no calls for {missing}"

@@ -17,7 +17,7 @@ from flexquant.config import RunConfig
 from flexquant.metrics import METRICS_COLUMNS, BatchRecord
 from flexquant.network import ContractError
 from flexquant.numerics import FlexquantError
-from flexquant.serialize import ByteReader, ByteWriter, CorruptFileError
+from flexquant.serialize import ByteReader, ByteWriter, CorruptFileError, atomic_write_bytes
 from flexquant.training import Trainer
 
 from conftest import blob_config
@@ -170,6 +170,20 @@ class TestBundle:
         net = load_bundle(path).build_network()
         with pytest.raises(ContractError):
             net.forward_at(trained.eval_set.features[:4], 8, mode="train")
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous")
+
+    def replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        atomic_write_bytes(str(path), b"new")
+    assert os.listdir(tmp_path) == ["out.bin"]
+    assert path.read_bytes() == b"previous"
 
 
 @pytest.mark.parametrize("kind", ["checkpoint", "bundle"])
@@ -780,47 +794,107 @@ def test_one_json_parse_and_no_error_conversion_in_the_loaders():
     assert sites == {("config.py", "parse_json")}
 
 
-def _defined_and_named(path):
-    """(qualified names of the functions, classes and methods path defines,
-    every name it refers to). Dunder methods are called by Python itself."""
-    with open(path) as f:
-        tree = ast.parse(f.read())
+def _flexquant_source(name, level=0):
+    """The flexquant module an import of name reads from ("" for the package
+    itself; a relative import is one inside the package), or None."""
+    if level:
+        return name or ""
+    if name == "flexquant" or (name or "").startswith("flexquant."):
+        return name[len("flexquant."):]
+    return None
+
+
+def _definitions(tree, module):
+    """{qualified name: (module or None, name)} for every function, class and
+    method tree defines. Dunder methods are called by Python itself. Module
+    level and nested definitions carry their module, since only a reference
+    resolved to that module names them; methods carry None, since any
+    attribute of that name may call them."""
     defined = {}
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (child.name.startswith("__") and child.name.endswith("__"))):
-                owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
-                defined[owner + child.name] = child.name
-    named = set()
+                method = isinstance(node, ast.ClassDef)
+                owner = f"{node.name}." if method else ""
+                defined[owner + child.name] = (None if method else module, child.name)
+    return defined
+
+
+def _references(tree, module, modules, reexports, constants):
+    """The (module, name) pairs and the attribute names tree refers to. A
+    bare name refers to its own module; a from-import to the module it reads
+    from (a name the package re-exports, to the module defining it); an
+    attribute of an alias of a flexquant module to that module."""
+    aliases = {}
+    refs, attrs = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                source = _flexquant_source(a.name)
+                if source is not None:
+                    aliases[a.asname or "flexquant"] = source if a.asname else ""
+        elif (isinstance(node, ast.ImportFrom)
+              and (source := _flexquant_source(node.module, node.level)) is not None):
+            for a in node.names:
+                if source == "" and a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    refs.add((reexports.get(a.name, source) if source == "" else source, a.name))
+
+    def owner(expr):
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
+        if isinstance(expr, ast.Attribute) and owner(expr.value) == "" and expr.attr in modules:
+            return expr.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and module is not None:
+            refs.add((module, node.id))
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.alias):
-            named.add(node.name.rpartition(".")[2])
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and os.path.basename(os.path.dirname(path)) == "perfbench"):
-            named.add(node.value)  # the span tracer wraps functions by name
-    return defined, named
+            attrs.add(node.attr)
+            if owner(node.value):
+                refs.add((owner(node.value), node.attr))
+        elif constants and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attrs.add(node.value)  # the span tracer wraps functions by name
+            refs |= {(m, node.value) for m in modules}
+    return refs, attrs
 
 
 def test_no_library_code_is_named_only_by_tests():
     """Every function, class and method in src/flexquant is named somewhere
-    else in the package (its __init__ aside), the demos or perfbench."""
+    else in the package (its __init__ aside), the demos or perfbench: a
+    module-level or nested definition by a reference that resolves to its
+    module, a method by an attribute of its name, either by a perfbench string."""
     root = os.path.join(os.path.dirname(__file__), "..")
-    paths = {d: sorted(os.path.join(root, d, n) for n in os.listdir(os.path.join(root, d))
-                       if n.endswith(".py") and n != "__init__.py")
-             for d in ("src/flexquant", "demos", "perfbench")}
-    defined, named = {}, set()
-    for d, files in paths.items():
-        for path in files:
-            defs, names = _defined_and_named(path)
-            named |= names
-            if d == "src/flexquant":
-                defined.update({f"{os.path.basename(path)}:{q}": n for q, n in defs.items()})
-    # kept for tests/test_acceptance.py (ROADMAP item 5); ag.tanh and ag.log
-    # pass only because other code names np.tanh and np.log
-    allowed = {"autograd.py:Tensor.item", "autograd.py:mul"}
-    assert {q for q, n in defined.items() if n not in named} == allowed
+    trees = {}
+    for d in ("src/flexquant", "demos", "perfbench"):
+        for n in sorted(os.listdir(os.path.join(root, d))):
+            if n.endswith(".py"):
+                with open(os.path.join(root, d, n)) as f:
+                    trees[d, n] = ast.parse(f.read())
+    modules = {n[:-3] for d, n in trees if d == "src/flexquant" and n != "__init__.py"}
+    reexports = {a.asname or a.name: node.module
+                 for node in ast.walk(trees["src/flexquant", "__init__.py"])
+                 if isinstance(node, ast.ImportFrom) for a in node.names}
+    defined, refs, attrs = {}, set(), set()
+    for (d, n), tree in trees.items():
+        if n == "__init__.py":
+            continue
+        module = n[:-3] if d == "src/flexquant" else None
+        r, a = _references(tree, module, modules, reexports, d == "perfbench")
+        refs |= r
+        attrs |= a
+        if module:
+            defined.update({f"{n}:{q}": ref for q, ref in _definitions(tree, module).items()})
+    unnamed = {q for q, (module, name) in defined.items()
+               if (module, name) not in refs and (module is not None or name not in attrs)}
+    # no library code calls these; tests/test_acceptance.py does (ROADMAP item 5)
+    allowed = {
+        "autograd.py:Tensor.item": "criterion 5 reads scalar losses with it",
+        "autograd.py:mul": "criterion 2 weights upstream gradients with it",
+        "autograd.py:tanh": "criterion 2's finite-difference graph",
+        "autograd.py:log": "criterion 2's finite-difference graph",
+    }
+    assert unnamed == set(allowed)

@@ -15,13 +15,13 @@ from flexquant.network import ContractError
 from flexquant.quantizers import BitWidthError
 from flexquant.training import (
     LossParts,
-    SwapSchedule,
     Trainer,
     TrainingError,
     delta_b,
     entropy,
     layer_probs,
     loss_for_bit,
+    p1_at,
     sample_swap_mask,
     select_teacher,
 )
@@ -223,14 +223,13 @@ class TestSwapSchedule:
             assert mask.beta.all()
 
     def test_curriculum_nondecreasing_reaches_one(self):
-        sched = SwapSchedule(0.3, 10)
-        values = [sched.p1_at(e) for e in range(10)]
+        values = [p1_at(e, 0.3, 10) for e in range(10)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == pytest.approx(0.3)
         assert values[-1] == 1.0
 
     def test_single_epoch_schedule_is_one(self):
-        assert SwapSchedule(0.5, 1).p1_at(0) == 1.0
+        assert p1_at(0, 0.5, 1) == 1.0
 
     def test_empirical_frequencies_within_3_sigma(self):
         rng = np.random.default_rng(3)
@@ -246,8 +245,6 @@ class TestSwapSchedule:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             sample_swap_mask(5, 0.0, rng)
-        with pytest.raises(ValueError):
-            SwapSchedule(1.5, 10)
 
 
 # ---------------------------------------------------------------------------
