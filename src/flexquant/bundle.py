@@ -19,9 +19,10 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
 The loader checks each field against the architecture the file declares:
 layer names in order, code bit-width 0 on exactly the first and last
 layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,
-bank bit-widths unique and within [2, b1], and bank values finite with
-running variances non-negative. Its arch and bank use the serialize codecs
-checkpoints share: ByteReader.parsed, check_bank_bits and the bank-entry codec.
+bank bit-widths unique and within [2, b1], running variances non-negative,
+and (in the reader's done()) every float finite. Its arch and bank use the
+serialize codecs checkpoints share: ByteReader.parsed, check_bank_bits and
+the bank-entry codec.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .config import parse_json
 from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
 from .quantizers import MAX_BITS, QuantizedWeightView
 from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
-                        check_bank_values, open_reader, read_array_of_shape, read_bank_entry,
-                        write_bank_entry)
+                        open_reader, read_array_of_shape, read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -145,7 +145,7 @@ def load_bundle(path: str) -> DeploymentBundle:
                 raise CorruptFileError(f"bundle layer {name!r} is full precision but has "
                                        f"code bit-width {bw}")
             fp_weights[name] = read_array_of_shape(r, shape, f"bundle layer {name!r}")
-            r.f64()  # stored mean, informational
+            r.f64(f"bundle layer {name!r} mean")  # informational
             continue
         if b1 is None:
             b1 = bw
@@ -164,13 +164,13 @@ def load_bundle(path: str) -> DeploymentBundle:
         if codes.max() >= 1 << b1:
             raise CorruptFileError(f"bundle layer {name!r} has code {codes.max()}, "
                                    f"not below 2^{b1}")
-        views[name] = QuantizedWeightView(codes=codes, b1=b1, mean_b1=r.f64())
+        views[name] = QuantizedWeightView(codes=codes, b1=b1,
+                                          mean_b1=r.f64(f"bundle layer {name!r} code mean"))
     stored = [r.u8() for _ in range(r.u8())]
     check_bank_bits(stored, b1 or MAX_BITS)
     bits = BitWidthSet(stored)
     bank = PrecisionBank(bits, arch)
     for b in bits:
-        read_bank_entry(r, bank.entry(b), arch)
-    check_bank_values(bank.entries, arch)
+        read_bank_entry(r, bank.entry(b), arch, b)
     r.done()
     return DeploymentBundle(bank, views, fp_weights)

@@ -12,8 +12,8 @@ Layout (version 2, little-endian, CRC32 trailer over everything before it):
 Version 1 ends after the RNG states with the zero-shot bit-widths
 (count u8, bit u8 each) and holds no run record; it loads with an empty one.
 Each section has one codec in serialize: write/read_named_arrays, the bank's
-check_bank_bits, write/read_bank_entry and check_bank_values, and
-ByteReader.parsed for the text sections.
+check_bank_bits and write/read_bank_entry, and ByteReader.parsed for the text
+sections. Every float is checked finite by the reader's done().
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import json
 from .config import RunConfig, parse_json
 from .metrics import MetricsLog
 from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
-                        check_bank_values, open_reader, read_bank_entry, read_named_arrays,
-                        write_bank_entry, write_named_arrays)
+                        open_reader, read_bank_entry, read_named_arrays, write_bank_entry,
+                        write_named_arrays)
 
 MAGIC = b"AQCK"
 VERSION = 2
@@ -71,11 +71,10 @@ def load_checkpoint(path: str):
     for _ in range(r.u8()):
         bits.append(r.u8())
         check_bank_bits(bits, trainer.bits.b1)
-        read_bank_entry(r, trainer.bank.ensure_entry(bits[-1]), trainer.arch)
+        read_bank_entry(r, trainer.bank.ensure_entry(bits[-1]), trainer.arch, bits[-1])
     missing = sorted(set(trainer.bits) - set(bits), reverse=True)
     if missing:
         raise CorruptFileError(f"checkpoint lacks bank entries for trained bit-widths {missing}")
-    check_bank_values(trainer.bank.entries, trainer.arch)
 
     params = {name: p.shape for group in trainer.optimizer.groups
               for name, p in group.params.items()}

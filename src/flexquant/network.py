@@ -118,6 +118,7 @@ class ArchSpec:
                                         f"integer >= {low}, got {val!r}")
         self.layers = list(layers)
         self.names = [f"{spec.kind}{i}" for i, spec in enumerate(self.layers)]
+        self.by_name = dict(zip(self.names, self.layers))
         self.learnable_names = [
             name for spec, name in zip(self.layers, self.names) if spec.kind in _LEARNABLE
         ]
@@ -134,12 +135,12 @@ class ArchSpec:
         return len(self.quantized_names)
 
     def weight_shape(self, name: str) -> tuple:
-        spec = self.layers[self.names.index(name)]
-        if spec.kind == "dense":
+        spec = self.by_name.get(name)
+        if isinstance(spec, Dense):
             return (spec.in_features, spec.out_features)
-        if spec.kind == "conv":
+        if isinstance(spec, Conv):
             return (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-        raise ContractError(f"{name} is not a learnable layer")
+        raise ContractError(f"{name!r} is not a learnable layer; those are {self.learnable_names}")
 
     def to_json(self) -> list[dict]:
         out = []
@@ -276,7 +277,7 @@ class BankEntry:
                  alpha: dict | None = None):
         """bn and alpha, when given, are another entry's dicts to share."""
         self.bn = bn if bn is not None else {
-            name: BNState(_bn_features(arch, name)) for name in arch.bn_names}
+            name: BNState(arch.by_name[name].features) for name in arch.bn_names}
         self.alpha = alpha if alpha is not None else {
             name: Tensor(np.asarray(float(alpha_init)), requires_grad=True)
             for name in arch.quantized_names
@@ -294,10 +295,6 @@ class BankEntry:
                 st.running_var = other.running_var.copy()
         for name, a in self.alpha.items():
             a.data = src.alpha[name].data.copy()
-
-
-def _bn_features(arch: ArchSpec, name: str) -> int:
-    return arch.layers[arch.names.index(name)].features
 
 
 class PrecisionBank:
@@ -414,27 +411,27 @@ class QuantNet:
     """Shared latent weights over one precision bank, whose architecture and
     trained bit-width set the network takes as its own."""
 
-    def __init__(self, bank: PrecisionBank, rng: np.random.Generator | None = None):
-        self.bank = bank
-        self.arch = bank.arch
-        self.bits = bank.bits
+    def __init__(self, bank: PrecisionBank, rng: np.random.Generator):
+        """A live network, its latent weights drawn from rng."""
+        if not isinstance(rng, np.random.Generator):
+            raise ContractError(f"a network draws its weights from a np.random.Generator, not "
+                                f"{rng!r}; one from stored codes is built with from_codes")
+        self.bank, self.arch, self.bits = bank, bank.arch, bank.bits
+        self.frozen, self._views = False, {}
         self.weights: dict[str, Tensor] = {}
-        self.frozen = False
-        self._views: dict[str, QuantizedWeightView] = {}
-        if rng is not None:
-            for name in self.arch.learnable_names:
-                shape = self.arch.weight_shape(name)
-                fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-                self.weights[name] = Tensor(w, requires_grad=True)
+        for name in self.arch.learnable_names:
+            shape = self.arch.weight_shape(name)
+            fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+            self.weights[name] = Tensor(w, requires_grad=True)
 
     @classmethod
     def from_codes(cls, bank: PrecisionBank, views: dict[str, QuantizedWeightView],
                    fp_weights: dict[str, np.ndarray]) -> "QuantNet":
         """Eval-only network reconstructed from stored integer codes."""
-        net = cls(bank)
-        net.frozen = True
-        net._views = views
+        net = cls.__new__(cls)  # no weights to draw
+        net.bank, net.arch, net.bits = bank, bank.arch, bank.bits
+        net.frozen, net._views = True, views
         net.weights = {name: Tensor(w) for name, w in fp_weights.items()}
         return net
 
@@ -483,8 +480,6 @@ class QuantNet:
         b = int(b)
         if mode not in ("train", "eval", "calibrate"):
             raise ContractError(f"unknown mode {mode!r}")
-        if not self.weights:
-            raise ContractError("a network needs weights: build it with rng or from_codes")
         if self.frozen and mode != "eval":
             raise ContractError("a network loaded from codes is eval-only")
         self.bank.entry(b)  # fail fast: b outside [2, b1], or no entry for b

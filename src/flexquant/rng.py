@@ -25,6 +25,8 @@ class RngStreams:
         }
 
     def __getitem__(self, name: str) -> np.random.Generator:
+        if name not in self._streams:
+            raise ContractError(f"no random stream {name!r}; the streams are {STREAM_NAMES}")
         return self._streams[name]
 
     def state(self) -> dict:

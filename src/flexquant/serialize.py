@@ -65,7 +65,7 @@ class ByteWriter:
 
 
 class ByteReader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path: str):
         if len(buf) < 4:
             raise CorruptFileError("file shorter than its checksum")
         body, trailer = buf[:-4], buf[-4:]
@@ -75,6 +75,8 @@ class ByteReader:
             raise CorruptFileError(f"CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
         self.buf = body
         self.pos = 0
+        self.path = path
+        self._floats: list[tuple[str, bytes]] = []  # (name, raw bytes) of each float read
 
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
@@ -92,8 +94,12 @@ class ByteReader:
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+    def f64(self, what: str) -> float:
+        """The next float; done() checks it finite, as every float read, and
+        names it by what if it is not."""
+        raw = self._take(8)
+        self._floats.append((what, raw))
+        return struct.unpack("<d", raw)[0]
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -113,24 +119,31 @@ class ByteReader:
         except (FlexquantError, ValueError) as e:
             raise CorruptFileError(f"{self.path} {what}: {e}") from None
 
-    def f64_array(self) -> np.ndarray:
+    def f64_array(self, what: str) -> np.ndarray:
         ndim = self.u8()
         if ndim > MAX_ARRAY_DIMS:
             raise CorruptFileError(f"array at byte {self.pos - 1} has {ndim} dims, "
                                    f"more than {MAX_ARRAY_DIMS}")
-        shape = tuple(self.u32() for _ in range(ndim))
+        shape = tuple([self.u32() for _ in range(ndim)])  # a list builds faster here
         # a Python int, so huge dims fail _take's bounds check instead of wrapping
         raw = self._take(8 * math.prod(shape))
+        self._floats.append((what, raw))
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
     def done(self) -> None:
+        """CorruptFileError unless every byte was read and every float is finite."""
         if self.pos != len(self.buf):
-            raise CorruptFileError(f"{len(self.buf) - self.pos} unread bytes after last field")
+            raise CorruptFileError(f"{self.path}: unread bytes after byte {self.pos}")
+        # one pass over every float read; the walk only names the first bad one
+        if not np.isfinite(np.frombuffer(b"".join(raw for _, raw in self._floats), "<f8")).all():
+            what = next(what for what, raw in self._floats
+                        if not np.isfinite(np.frombuffer(raw, "<f8")).all())
+            raise CorruptFileError(f"{self.path} {what} is not finite")
 
 
 def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -> ByteReader:
     """Reader over a framed file, positioned after its magic and version,
-    which it keeps as r.version (and the path as r.path).
+    which it keeps as r.version.
 
     The magic is checked first, so a file of another format is named as
     such rather than as a CRC failure; then the CRC, then the version.
@@ -138,8 +151,7 @@ def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -
     buf = read_file(path)
     if buf[:len(magic)] != magic:
         raise CorruptFileError(f"bad magic {buf[:len(magic)]!r}, expected {magic!r}")
-    r = ByteReader(buf)
-    r.path = path
+    r = ByteReader(buf, path)
     r.raw(len(magic))
     r.version = r.u32()
     if r.version not in versions:
@@ -193,53 +205,27 @@ def write_bank_entry(w: ByteWriter, entry, arch) -> None:
 
 
 def read_array_of_shape(r: ByteReader, shape: tuple, what: str) -> np.ndarray:
-    """The next array, which must have the given shape."""
-    arr = r.f64_array()
+    """The next array, which must have the given shape; what names it."""
+    arr = r.f64_array(what)
     if arr.shape != shape:
         raise CorruptFileError(f"{what} has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def read_bank_entry(r: ByteReader, entry, arch) -> None:
-    """Overwrite entry in place with the fields write_bank_entry wrote,
-    each BN array checked against the shape the entry already has."""
+def read_bank_entry(r: ByteReader, entry, arch, b: int) -> None:
+    """Overwrite bit-width b's entry in place with the fields write_bank_entry
+    wrote, each BN array checked against the shape the entry already has and
+    each running variance non-negative."""
     for name in arch.bn_names:
-        st = entry.bn[name]
-        st.gamma.data = read_array_of_shape(r, st.gamma.shape, f"{name} gamma")
-        st.beta.data = read_array_of_shape(r, st.beta.shape, f"{name} beta")
-        st.running_mean = read_array_of_shape(r, st.running_mean.shape, f"{name} running mean")
-        st.running_var = read_array_of_shape(r, st.running_var.shape, f"{name} running var")
+        st, what = entry.bn[name], f"bank entry {b} {name}"
+        st.gamma.data = read_array_of_shape(r, st.gamma.shape, f"{what} gamma")
+        st.beta.data = read_array_of_shape(r, st.beta.shape, f"{what} beta")
+        st.running_mean = read_array_of_shape(r, st.running_mean.shape, f"{what} running mean")
+        st.running_var = read_array_of_shape(r, st.running_var.shape, f"{what} running var")
+        if st.running_var.min() < 0.0:  # a NaN passes here and fails in r.done()
+            raise CorruptFileError(f"{what} running var is negative")
     for name in arch.quantized_names:
-        entry.alpha[name].data = np.asarray(r.f64())
-
-
-def check_bank_values(entries: dict, arch) -> None:
-    """Every value of the bank entries read is finite and every running
-    variance non-negative; CorruptFileError names the entry and field
-    otherwise."""
-    bn = [entry.bn[name] for entry in entries.values() for name in arch.bn_names]
-    empty = np.zeros(0)  # an architecture may have no BN or no quantized layer
-    values = [empty, *(a for st in bn for a in (st.gamma.data, st.beta.data,
-                                                st.running_mean, st.running_var)),
-              *(entry.alpha[name].data.reshape(1) for entry in entries.values()
-                for name in arch.quantized_names)]
-    # one pass over the whole bank; the loops below only name the bad field
-    if (np.isfinite(np.concatenate(values)).all()
-            and (np.concatenate([empty, *(st.running_var for st in bn)]) >= 0.0).all()):
-        return
-    for b, entry in entries.items():
-        for name in arch.bn_names:
-            st = entry.bn[name]
-            for field, arr in (("gamma", st.gamma.data), ("beta", st.beta.data),
-                               ("running mean", st.running_mean),
-                               ("running var", st.running_var)):
-                if not np.isfinite(arr).all():
-                    raise CorruptFileError(f"bank entry {b} {name} {field} is not finite")
-            if (st.running_var < 0.0).any():
-                raise CorruptFileError(f"bank entry {b} {name} running var is negative")
-        for name in arch.quantized_names:
-            if not np.isfinite(entry.alpha[name].data):
-                raise CorruptFileError(f"bank entry {b} {name} alpha is not finite")
+        entry.alpha[name].data = np.asarray(r.f64(f"bank entry {b} {name} alpha"))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

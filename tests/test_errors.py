@@ -67,12 +67,16 @@ MISUSES = {
     "sample_swap_mask p1": lambda: sample_swap_mask(2, 0.0, np.random.default_rng(0)),
     "delta_b coverage": lambda: delta_b({8: 1.0}, {4: 1.0}),
     "forward_at mode": lambda: _net(rng=np.random.default_rng(0)).forward_at(_X, 8, mode="bogus"),
-    "forward_at without weights": lambda: _net().forward_at(_X, 8),
+    "QuantNet without rng": lambda: _net(rng=None),
+    "model_distance without rng": lambda: _net(rng=None).model_distance(8, 4),
+    "weight_at without rng": lambda: _net(rng=None).weight_at("dense3", 4),
+    "codes without rng": lambda: _net(rng=None).codes("dense3"),
     "batchnorm mode": lambda: ag.batchnorm(Tensor(_X), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                                            np.zeros(4), np.ones(4), 0.1, "bogus"),
     "gen_synthetic_blobs split": lambda: gen_synthetic_blobs(2, 4, 2, 1.0, 0, split="test"),
     "load_dataset kind": lambda: load_dataset(DatasetSpec(kind="bogus")),
     "weight_shape of a bn layer": lambda: mlp(4, [8], 3).weight_shape("bn1"),
+    "weight_shape of an unknown layer": lambda: mlp(4, [8], 3).weight_shape("nope"),
     "ArchSpec layer kind": lambda: ArchSpec([Dense(4, 3), _Dropout()]),
     "ParamGroup lr": lambda: ParamGroup({}, lr=0.0),
     "ParamGroup momentum": lambda: ParamGroup({}, lr=0.1, momentum=1.0),
@@ -80,6 +84,7 @@ MISUSES = {
                                        ParamGroup({"w": _W}, lr=0.1)]),
     "quantize_levels range": lambda: quantize_levels(np.array([1.5]), 4),
     "RngStreams.set_state": lambda: RngStreams(0).set_state({}),
+    "RngStreams unknown stream": lambda: RngStreams(0)["nope"],
 }
 
 

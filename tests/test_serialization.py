@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import struct
 import zlib
 
@@ -39,12 +40,12 @@ class TestFraming:
         w.text("hello")
         w.f64_array(np.arange(6.0).reshape(2, 3))
         data = w.finish()
-        r = ByteReader(data)
+        r = ByteReader(data, "t.bin")
         assert r.u8() == 7
         assert r.u32() == 1234567
-        assert r.f64() == 3.5
+        assert r.f64("x") == 3.5
         assert r.text() == "hello"
-        np.testing.assert_array_equal(r.f64_array(), np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(r.f64_array("a"), np.arange(6.0).reshape(2, 3))
         r.done()
 
     def test_array_rank_bounded(self):
@@ -52,7 +53,7 @@ class TestFraming:
         w.u8(200)
         w.raw(bytes(800))  # 200 zero dims: an empty array numpy cannot shape
         with pytest.raises(CorruptFileError, match="array at byte 0 has 200 dims"):
-            ByteReader(w.finish()).f64_array()
+            ByteReader(w.finish(), "t.bin").f64_array("a")
 
     def test_crc_detects_corruption(self):
         w = ByteWriter()
@@ -60,14 +61,14 @@ class TestFraming:
         data = bytearray(w.finish())
         data[3] ^= 0xFF
         with pytest.raises(CorruptFileError, match="CRC"):
-            ByteReader(bytes(data))
+            ByteReader(bytes(data), "t.bin")
 
     def test_truncation_detected(self):
         w = ByteWriter()
         w.u32(99)
         data = w.finish()
         with pytest.raises(CorruptFileError):
-            r = ByteReader(data)
+            r = ByteReader(data, "t.bin")
             r.u32()
             r.u32()  # nothing left
 
@@ -78,7 +79,7 @@ class TestFraming:
         w.u32(2**32 - 1)
         w.raw(bytes(64))
         with pytest.raises(CorruptFileError, match="truncated"):
-            ByteReader(w.finish()).f64_array()
+            ByteReader(w.finish(), "t.bin").f64_array("a")
 
 
 class TestBundle:
@@ -675,6 +676,67 @@ def _u32_offsets(load, path) -> list[int]:
     return offsets
 
 
+def _float_fields(load, path) -> list[tuple[str, int, int]]:
+    """(name, body offset, count) of every float field a good load of path
+    reads, as _u32_offsets finds the u32s."""
+    fields = []
+
+    def spy(read):
+        def named_read(r, what):
+            value = read(r, what)
+            fields.append((what, r.pos - 8 * np.size(value), np.size(value)))
+            return value
+        return named_read
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ByteReader, "f64", spy(ByteReader.f64))
+        mp.setattr(ByteReader, "f64_array", spy(ByteReader.f64_array))
+        load(path)
+    return fields
+
+
+# the section of each float field a file holds, by the label the loader gives it
+FLOAT_SECTIONS = {"weight": r"checkpoint weight '\w+'", "velocity": r"checkpoint velocity '.+'",
+                  "bank array": r"bank entry \d+ bn\d+ (gamma|beta|running mean|running var)",
+                  "clipping value": r"bank entry \d+ dense\d+ alpha",
+                  "full-precision weight": r"bundle layer '\w+'",
+                  "stored mean": r"bundle layer '\w+' mean",
+                  "code mean": r"bundle layer '\w+' code mean"}
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "bundle"])
+def test_every_float_field_must_be_finite(kind, tmp_path):
+    """A seeded sample of each section's float fields, set to NaN and to Inf
+    (CRC re-sealed), fails to load with an error naming the file and field."""
+    trainer = Trainer(RunConfig.from_dict(blob_config(epochs=1, samples=200)))
+    trainer.run()
+    path = str(tmp_path / "good")
+    if kind == "checkpoint":
+        save_checkpoint(path, trainer)
+        load, expect = load_checkpoint, {"weight", "velocity", "bank array", "clipping value"}
+    else:
+        export_bundle(path, trainer.net)
+        load, expect = load_bundle, {"full-precision weight", "stored mean", "code mean",
+                                     "bank array", "clipping value"}
+    by_section = {}
+    for what, at, count in _float_fields(load, path):
+        section, = [s for s, label in FLOAT_SECTIONS.items() if re.fullmatch(label, what)]
+        by_section.setdefault(section, []).append((what, at, count))
+    assert set(by_section) == expect
+    body, bad = open(path, "rb").read()[:-4], str(tmp_path / "bad")
+    rng = np.random.default_rng(0)
+    for fields in by_section.values():
+        for i in rng.choice(len(fields), size=min(3, len(fields)), replace=False):
+            what, at, count = fields[i]
+            for value in (np.nan, np.inf):
+                edited = bytearray(body)
+                struct.pack_into("<d", edited, at + 8 * int(rng.integers(count)), value)
+                open(bad, "wb").write(bytes(edited) + struct.pack("<I", zlib.crc32(edited)))
+                with pytest.raises(CorruptFileError) as info:
+                    load(bad)
+                assert str(info.value) == f"{bad} {what} is not finite"
+
+
 def _mutants(path, load, rng, flips=200, truncations=20, length_edits=60):
     """(description, bytes) of seeded edits to a framed file, each re-sealed
     with a fresh CRC: byte flips, truncations, and length fields set off by
@@ -715,11 +777,25 @@ def _hostile_sections(path, texts):
                 "<I", zlib.crc32(edited))
 
 
+def _held_floats(loaded) -> np.ndarray:
+    """Every float a loaded Trainer or DeploymentBundle holds from its file."""
+    bank = [v for entry in loaded.bank.entries.values() for v in (
+        *(a for st in entry.bn.values()
+          for a in (st.gamma.data, st.beta.data, st.running_mean, st.running_var)),
+        *(a.data for a in entry.alpha.values()))]
+    if isinstance(loaded, Trainer):
+        rest = [*(w.data for w in loaded.net.weights.values()),
+                *loaded.optimizer.velocity.values()]
+    else:
+        rest = [*loaded.fp_weights.values(), *(v.mean_b1 for v in loaded.views.values())]
+    return np.concatenate([np.ravel(v) for v in bank + rest])
+
+
 def _survives(path, load, evaluate, rng, texts) -> int:
     """Load every mutant of path and every hostile replacement of its text
     sections texts: each load raises CorruptFileError, or returns an object
-    that evaluates at every bank bit-width to an accuracy or to a
-    FlexquantError. Returns how many loaded."""
+    that holds only finite floats and evaluates at every bank bit-width to
+    an accuracy or to a FlexquantError. Returns how many loaded."""
     loaded = 0
     for what, blob in [*_mutants(path, load, rng), *_hostile_sections(path, texts)]:
         open(path + ".bad", "wb").write(blob)
@@ -730,6 +806,7 @@ def _survives(path, load, evaluate, rng, texts) -> int:
         except Exception as e:
             pytest.fail(f"{what}: load raised {type(e).__name__}: {e}")
         loaded += 1
+        assert np.isfinite(_held_floats(obj)).all(), f"{what}: loaded a non-finite float"
         for b in sorted(obj.bank.entries):
             try:
                 assert 0.0 <= evaluate(obj, b) <= 100.0
@@ -779,18 +856,21 @@ def _json_loads_sites(tree, where="<module>"):
 
 def test_one_json_parse_and_no_error_conversion_in_the_loaders():
     """JSON is parsed only in config.parse_json, and the checkpoint and bundle
-    loaders convert no error themselves: their text sections go through
-    ByteReader.parsed and every other check raises CorruptFileError."""
+    loaders convert no error and check no finiteness themselves: their text
+    sections go through ByteReader.parsed, every float through
+    ByteReader.done, and every other check raises CorruptFileError."""
     package = os.path.join(os.path.dirname(__file__), "..", "src", "flexquant")
     sites = set()
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(package, name)) as f:
-            tree = ast.parse(f.read())
+            source = f.read()
+        tree = ast.parse(source)
         sites |= {(name, where) for where in _json_loads_sites(tree)}
         if name in ("checkpoint.py", "bundle.py"):
             assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), name
+            assert not re.search("isfinite|check_finite", source), name
     assert sites == {("config.py", "parse_json")}
 
 

@@ -246,6 +246,17 @@ class TestSwapSchedule:
         with pytest.raises(ValueError):
             sample_swap_mask(5, 0.0, rng)
 
+    def test_deep_run_swaps_before_the_last_epoch_only(self):
+        """Three quantized blocks at the default p1_initial: some student
+        batches of epoch 0 run a teacher block, and none of the last epoch."""
+        trainer = make_trainer(mode="coquant", epochs=3, batch_size=100, seed=0, samples=800,
+                               classes=16, dim=16, spread=2.0, data_seed=11,
+                               hidden=(16, 8, 8, 16))
+        trainer.run()
+        students = [r for r in trainer.log.batch_rows if r.b != trainer.bits.b1]
+        assert any(r.swap_student_fraction < 1.0 for r in students if r.epoch == 0)
+        assert all(r.swap_student_fraction == 1.0 for r in students if r.epoch == 2)
+
 
 # ---------------------------------------------------------------------------
 # losses
