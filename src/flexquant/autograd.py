@@ -34,7 +34,9 @@ gradient or of anything else). The engine adopts a fresh array as the
 input's .grad without copying it and copies everything else: the upstream
 gradient itself, views, read-only arrays, and an array already adopted for
 another input of the same node. Later uses of the input add into that
-buffer in place.
+buffer in place. The sweep frees each node output's .grad as that node's
+rule runs, so after ``backward`` only leaves (tensors no node produced:
+weights, batch-norm parameters, clipping values, inputs) hold one.
 """
 
 from __future__ import annotations
@@ -181,30 +183,43 @@ def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tenso
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Add d loss / d t into .grad of every requires_grad leaf t reachable
+    from loss; a leaf whose .grad is None gets a fresh array.
+
+    Node outputs end the sweep with .grad None: each is freed as its rule
+    runs. So a second backward over the same tape adds exactly the same
+    gradients into the leaves again.
+    """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphError("loss does not depend on any requires_grad tensor")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        out_grad = node.output.grad
-        if out_grad is None:
+        # every use of this output ran later, so its gradient is complete and
+        # no other rule reads it: the rule's call holds the last reference
+        out_grad, node.output.grad = node.output.grad, None
+        if out_grad is not None:
+            _accumulate(node.inputs, node.backward_fn(out_grad), out_grad)
+
+
+def _accumulate(inputs: tuple, grads, out_grad: np.ndarray) -> None:
+    """Add a rule's gradients into its inputs' .grad, adopting or copying
+    as the module docstring says; nothing the rule returned outlives the call
+    except what an input adopts."""
+    adopted = []
+    for inp, g in zip(inputs, grads):
+        if g is None or not inp.requires_grad:
             continue
-        grads = node.backward_fn(out_grad)
-        adopted = []
-        for inp, g in zip(node.inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
-            if inp.grad is None:
-                # keep what the rule just allocated; copy anything shared
-                if (g is out_grad or g.base is not None or not g.flags.writeable
-                        or any(g is a for a in adopted)):
-                    g = np.array(g)
-                inp.grad = g
-                adopted.append(g)
-            else:
-                inp.grad += g
+        if inp.grad is None:
+            # keep what the rule just allocated; copy anything shared
+            if (g is out_grad or g.base is not None or not g.flags.writeable
+                    or any(g is a for a in adopted)):
+                g = np.array(g)
+            inp.grad = g
+            adopted.append(g)
+        else:
+            inp.grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -510,14 +525,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     f, cw, kh, kw = wd.shape
     if cw != c:
         raise DimensionError(f"conv2d channel mismatch: input {c}, kernel {cw}")
-    if kh > h + 2 * padding or kw > wid + 2 * padding:
-        raise DimensionError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{wid + 2 * padding}"
-        )
+    hp, wp = h + 2 * padding, wid + 2 * padding
+    if kh > hp or kw > wp:
+        raise DimensionError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(wid, kw, stride, padding)
     if padding:
-        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding))
+        xp = np.zeros((n, c, hp, wp))
         xp[:, :, padding : padding + h, padding : padding + wid] = xd
     else:
         xp = xd
@@ -537,7 +551,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # col2im into a channel-last (N, H, W, C) buffer, so each window
         # offset adds a block with contiguous channels; the (i, j) order
         # fixes the order of every overlapping sum.
-        dxp = np.zeros((n, xp.shape[2], xp.shape[3], c))
+        dxp = np.zeros((n, hp, wp, c))
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += (

@@ -85,8 +85,8 @@ def load_checkpoint(path: str):
         r.raw(r.u8())  # the zero-shot slot; the bank entries already say which
     else:
         # two texts: the metrics.csv text, then the eval accuracy JSON
-        log = r.parsed(lambda csv_text: MetricsLog.from_record(csv_text, r.text(), "run record"),
-                       "run record")
+        log = r.parsed(lambda csv_text: MetricsLog.from_record(
+            csv_text, r.text("run record eval accuracy"), "run record"), "run record")
         trainer.log = _check_record(log, config_json, trainer.epoch, path)
     r.done()
     return trainer

@@ -66,21 +66,22 @@ class ByteWriter:
 
 class ByteReader:
     def __init__(self, buf: bytes, path: str):
+        self.path = path  # every error the reader raises names the file
         if len(buf) < 4:
-            raise CorruptFileError("file shorter than its checksum")
+            raise CorruptFileError(f"{path}: file shorter than its checksum")
         body, trailer = buf[:-4], buf[-4:]
         expect = struct.unpack("<I", trailer)[0]
         got = zlib.crc32(body) & 0xFFFFFFFF
         if got != expect:
-            raise CorruptFileError(f"CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
+            raise CorruptFileError(
+                f"{path}: CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
         self.buf = body
         self.pos = 0
-        self.path = path
         self._floats: list[tuple[str, bytes]] = []  # (name, raw bytes) of each float read
 
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CorruptFileError(f"truncated at byte {self.pos} (need {n} more)")
+            raise CorruptFileError(f"{self.path}: truncated at byte {self.pos} (need {n} more)")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -104,26 +105,30 @@ class ByteReader:
     def blob(self) -> bytes:
         return self._take(self.u32())
 
-    def text(self) -> str:
+    def text(self, what: str = "text") -> str:
         start = self.pos
         try:
             return self.blob().decode("utf-8")
         except UnicodeDecodeError as e:
-            raise CorruptFileError(f"text at byte {start} is not UTF-8: {e}") from None
+            raise CorruptFileError(
+                f"{self.path} {what} at byte {start} is not UTF-8: {e}") from None
 
     def parsed(self, parse, what: str):
         """parse(next text); CorruptFileError naming the file and what if the
         text is not UTF-8 or parse raises a library error or a ValueError."""
+        text = self.text(what)
         try:
-            return parse(self.text())
+            return parse(text)
+        except CorruptFileError:
+            raise  # the reader's own, from a parse that reads on; it names the file
         except (FlexquantError, ValueError) as e:
             raise CorruptFileError(f"{self.path} {what}: {e}") from None
 
     def f64_array(self, what: str) -> np.ndarray:
         ndim = self.u8()
         if ndim > MAX_ARRAY_DIMS:
-            raise CorruptFileError(f"array at byte {self.pos - 1} has {ndim} dims, "
-                                   f"more than {MAX_ARRAY_DIMS}")
+            raise CorruptFileError(f"{self.path}: array at byte {self.pos - 1} has {ndim} "
+                                   f"dims, more than {MAX_ARRAY_DIMS}")
         shape = tuple([self.u32() for _ in range(ndim)])  # a list builds faster here
         # a Python int, so huge dims fail _take's bounds check instead of wrapping
         raw = self._take(8 * math.prod(shape))
@@ -150,12 +155,12 @@ def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -
     """
     buf = read_file(path)
     if buf[:len(magic)] != magic:
-        raise CorruptFileError(f"bad magic {buf[:len(magic)]!r}, expected {magic!r}")
+        raise CorruptFileError(f"{path}: bad magic {buf[:len(magic)]!r}, expected {magic!r}")
     r = ByteReader(buf, path)
     r.raw(len(magic))
     r.version = r.u32()
     if r.version not in versions:
-        raise CorruptFileError(f"unsupported {kind} version {r.version}")
+        raise CorruptFileError(f"{path}: unsupported {kind} version {r.version}")
     return r
 
 

@@ -1,6 +1,8 @@
 """Tensor engine tests: forward values, hand-checked gradients, and the
 finite-difference oracle over every smooth op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,15 +214,30 @@ class TestBackward:
     def test_upstream_gradient_and_views_are_copied(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         y = Tensor(np.ones(6), requires_grad=True)
+        upstream, views = [], []
+
+        def identity(g):  # hands back its upstream gradient itself
+            upstream.append(g)
+            return (g,)
+
+        def unflatten(g):  # hands back a view of its upstream gradient
+            upstream.append(g)
+            views.append(g.reshape(6))
+            return (views[-1],)
+
         with Tape() as tape:
-            same = ag.record(x.data.copy(), (x,), lambda g: (g,), "identity")
-            flat = ag.reshape(same, (6,))
-            loss = ag.sum_(ag.add(flat, y))
+            same = ag.record(x.data.copy(), (x,), identity, "identity")
+            grid = ag.record(y.data.reshape(2, 3), (y,), unflatten, "unflatten")
+            loss = ag.sum_(ag.add(same, grid))
         tape.backward(loss)
-        assert x.grad is not same.grad and not np.shares_memory(x.grad, same.grad)
-        assert x.grad.base is None and x.grad.flags.writeable
-        assert not np.shares_memory(same.grad, flat.grad)
-        assert not np.shares_memory(y.grad, flat.grad)
+        assert len(upstream) == 2 and views[0].base is not None
+        for leaf in (x, y):
+            assert leaf.grad.base is None and leaf.grad.flags.writeable
+            for held in (*upstream, *views):
+                assert not np.shares_memory(leaf.grad, held)
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(y.grad, np.ones(6))
 
     def test_add_inputs_get_separate_buffers(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -249,6 +266,61 @@ class TestBackward:
         assert not np.shares_memory(x.grad, y.grad)
         np.testing.assert_array_equal(x.grad, [1.0 + 2.0, 1.0 + 4.0])
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_second_backward_adds_the_same_gradients(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor(2.0, requires_grad=True)
+        with Tape() as tape:
+            loss = ag.sum_(ag.relu(ag.mul(x, w)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 2.0])
+        assert w.grad == 4.0
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [4.0, 0.0, 4.0])
+        assert w.grad == 8.0
+
+    def test_only_leaves_hold_gradients_after_backward(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(4, 2, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        w = Tensor(rng.normal(size=(27, 5)), requires_grad=True)
+        frozen = Tensor(rng.normal(size=(27, 5)))
+        with Tape() as tape:
+            h = ag.conv2d(x, k, padding=1)
+            h = ag.batchnorm(h, gamma, beta, np.zeros(3), np.ones(3), 0.1, "train")
+            h = ag.flatten(ag.maxpool2d(ag.relu(h)))
+            logits = ag.add(ag.matmul(h, w), ag.matmul(h, frozen))
+            loss = ag.cross_entropy(ag.softmax(logits), np.array([0, 1, 2, 3]))
+        tape.backward(loss)
+        assert len(tape) == 10
+        assert all(node.output.grad is None for node in tape.nodes)
+        for leaf in (x, k, gamma, beta, w):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        assert frozen.grad is None
+
+    def test_backward_holds_few_buffers_over_a_long_chain(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=2**17), requires_grad=True)  # 1 MB
+        shift = Tensor(rng.normal(size=2**17))
+        with Tape() as tape:
+            y = x
+            for _ in range(20):
+                y = ag.relu(ag.add(y, shift))
+            loss = ag.sum_(y)
+        assert len(tape) == 41
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the gradient in hand, the one being made, relu's mask and x.grad;
+        # keeping every node output's gradient would hold about 40
+        assert peak < 4 * x.data.nbytes
 
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)

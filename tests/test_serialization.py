@@ -52,7 +52,7 @@ class TestFraming:
         w = ByteWriter()
         w.u8(200)
         w.raw(bytes(800))  # 200 zero dims: an empty array numpy cannot shape
-        with pytest.raises(CorruptFileError, match="array at byte 0 has 200 dims"):
+        with pytest.raises(CorruptFileError, match="^t.bin: array at byte 0 has 200 dims"):
             ByteReader(w.finish(), "t.bin").f64_array("a")
 
     def test_crc_detects_corruption(self):
@@ -60,17 +60,31 @@ class TestFraming:
         w.text("payload")
         data = bytearray(w.finish())
         data[3] ^= 0xFF
-        with pytest.raises(CorruptFileError, match="CRC"):
+        with pytest.raises(CorruptFileError, match="^t.bin: CRC mismatch: computed 0x"):
             ByteReader(bytes(data), "t.bin")
+
+    def test_shorter_than_checksum(self):
+        with pytest.raises(CorruptFileError, match="^t.bin: file shorter than its checksum$"):
+            ByteReader(b"abc", "t.bin")
 
     def test_truncation_detected(self):
         w = ByteWriter()
         w.u32(99)
         data = w.finish()
-        with pytest.raises(CorruptFileError):
-            r = ByteReader(data, "t.bin")
-            r.u32()
+        r = ByteReader(data, "t.bin")
+        r.u32()
+        with pytest.raises(CorruptFileError, match=r"^t.bin: truncated at byte 4 \(need 4 more\)$"):
             r.u32()  # nothing left
+
+    def test_text_must_be_utf8(self):
+        w = ByteWriter()
+        w.blob(b"\xff\xfe")
+        w.blob(b"\xff\xfe")
+        r = ByteReader(w.finish(), "t.bin")
+        with pytest.raises(CorruptFileError, match="^t.bin text at byte 0 is not UTF-8: "):
+            r.text()
+        with pytest.raises(CorruptFileError, match="^t.bin config at byte 6 is not UTF-8: "):
+            r.parsed(json.loads, "config")
 
     def test_huge_array_dims_rejected_before_reading(self):
         w = ByteWriter()
@@ -202,7 +216,7 @@ class TestHeaders:
         blob = bytearray(open(path, "rb").read())
         blob[:4] = b"NOPE"  # the CRC no longer matches either
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(CorruptFileError, match="bad magic b'NOPE'"):
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: bad magic b'NOPE'"):
             load(path)
 
     def test_unsupported_version_with_valid_crc(self, kind, trained, tmp_path):
@@ -210,7 +224,25 @@ class TestHeaders:
         body = bytearray(open(path, "rb").read()[:-4])
         body[4:8] = struct.pack("<I", 3)
         open(path, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CorruptFileError, match=f"unsupported {kind} version 3"):
+        with pytest.raises(CorruptFileError,
+                           match=f"^{re.escape(path)}: unsupported {kind} version 3$"):
+            load(path)
+
+    def test_truncated_file_named(self, kind, trained, tmp_path):
+        path, load = self.save(kind, trained, tmp_path)
+        body = open(path, "rb").read()[:-12]  # the last 8 bytes go; the CRC is re-sealed
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        expect = rf"^{re.escape(path)}: truncated at byte \d+ \(need \d+ more\)$"
+        with pytest.raises(CorruptFileError, match=expect):
+            load(path)
+
+    def test_bad_crc_named(self, kind, trained, tmp_path):
+        path, load = self.save(kind, trained, tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[-1] ^= 0xFF  # the stored CRC
+        open(path, "wb").write(bytes(blob))
+        expect = f"^{re.escape(path)}: CRC mismatch: computed 0x[0-9a-f]{{8}}, stored 0x"
+        with pytest.raises(CorruptFileError, match=expect):
             load(path)
 
 
