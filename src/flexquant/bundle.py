@@ -10,7 +10,7 @@ evaluation exactly.
 Layout (version 1, little-endian, CRC32 trailer over everything before it):
   magic "AQDB" | version u32 | arch JSON (length-prefixed UTF-8)
   per learnable layer: name | code bit-width u8 (0 = full precision)
-                       dims | packed codes + mean_b1 f64, or raw f64 weights
+                       array header | packed codes + mean_b1 f64, or raw f64 weights
   bank: every entry of the network's PrecisionBank, trained or zero-shot,
         as a checkpoint holds them: n_bits u8, bit u8 each (descending);
         per bit: per BN layer gamma/beta/mean/var f64 arrays, then per
@@ -20,9 +20,10 @@ The loader checks each field against the architecture the file declares:
 layer names in order, code bit-width 0 on exactly the first and last
 layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,
 bank bit-widths unique and within [2, b1], running variances non-negative,
-and (in the reader's done()) every float finite. Its arch and bank use the
-serialize codecs checkpoints share: ByteReader.parsed, check_bank_bits and
-the bank-entry codec.
+and (in the reader's done()) every float finite; every check raises through
+ByteReader.fail, so each error names the file. Its array headers, arch and
+bank use the serialize codecs checkpoints share: ByteWriter/ByteReader.dims,
+ByteReader.parsed, check_bank_bits and the bank-entry codec.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from .config import parse_json
 from .network import ArchSpec, BitWidthSet, PrecisionBank, QuantNet
 from .quantizers import MAX_BITS, QuantizedWeightView
-from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
-                        open_reader, read_array_of_shape, read_bank_entry, write_bank_entry)
+from .serialize import (ByteWriter, atomic_write_bytes, check_bank_bits, open_reader,
+                        read_bank_entry, write_bank_entry)
 
 MAGIC = b"AQDB"
 VERSION = 1
@@ -101,9 +102,7 @@ def export_bundle(path: str, net: QuantNet) -> SizeReport:
         if name in arch.block_index:
             view = net.codes(name)
             w.u8(view.b1)
-            w.u8(len(shape))
-            for d in shape:
-                w.u32(d)
+            w.dims(shape)
             packed = _pack_codes(view.codes, view.b1)
             w.blob(packed)
             w.f64(view.mean_b1)
@@ -137,37 +136,31 @@ def load_bundle(path: str) -> DeploymentBundle:
     for name in arch.learnable_names:
         stored = r.text()
         if stored != name:
-            raise CorruptFileError(f"bundle layer {stored!r} where the architecture has {name!r}")
+            raise r.fail(f"bundle layer {stored!r} where the architecture has {name!r}")
         bw = r.u8()
         shape = arch.weight_shape(name)
         if name not in arch.block_index:
             if bw != 0:
-                raise CorruptFileError(f"bundle layer {name!r} is full precision but has "
-                                       f"code bit-width {bw}")
-            fp_weights[name] = read_array_of_shape(r, shape, f"bundle layer {name!r}")
+                raise r.fail(f"bundle layer {name!r} is full precision but has code bit-width {bw}")
+            fp_weights[name] = r.f64_array(shape, f"bundle layer {name!r}")
             r.f64(f"bundle layer {name!r} mean")  # informational
             continue
         if b1 is None:
             b1 = bw
         if bw != b1 or not 2 <= bw <= MAX_BITS:
-            raise CorruptFileError(f"bundle layer {name!r} has code bit-width {bw}; quantized "
-                                   f"layers share one in [2, {MAX_BITS}]")
-        dims = tuple(r.u32() for _ in range(r.u8()))
-        if dims != shape:
-            raise CorruptFileError(f"bundle layer {name!r} codes have shape {dims}, "
-                                   f"expected {shape}")
-        raw = r.blob()
-        if len(raw) != math.prod(shape) * _code_bytes(b1):
-            raise CorruptFileError(f"bundle layer {name!r} holds {len(raw)} code bytes, "
-                                   f"expected {math.prod(shape) * _code_bytes(b1)}")
+            raise r.fail(f"bundle layer {name!r} has code bit-width {bw}; quantized "
+                         f"layers share one in [2, {MAX_BITS}]")
+        r.dims(shape, f"bundle layer {name!r} code array")
+        raw, size = r.blob(), math.prod(shape) * _code_bytes(b1)
+        if len(raw) != size:
+            raise r.fail(f"bundle layer {name!r} holds {len(raw)} code bytes, expected {size}")
         codes = _unpack_codes(raw, b1, shape)
         if codes.max() >= 1 << b1:
-            raise CorruptFileError(f"bundle layer {name!r} has code {codes.max()}, "
-                                   f"not below 2^{b1}")
+            raise r.fail(f"bundle layer {name!r} has code {codes.max()}, not below 2^{b1}")
         views[name] = QuantizedWeightView(codes=codes, b1=b1,
                                           mean_b1=r.f64(f"bundle layer {name!r} code mean"))
     stored = [r.u8() for _ in range(r.u8())]
-    check_bank_bits(stored, b1 or MAX_BITS)
+    check_bank_bits(r, stored, b1 or MAX_BITS)
     bits = BitWidthSet(stored)
     bank = PrecisionBank(bits, arch)
     for b in bits:

@@ -11,9 +11,11 @@ Layout (version 2, little-endian, CRC32 trailer over everything before it):
   run record: metrics.csv text | per-epoch eval accuracy JSON (metrics.py)
 Version 1 ends after the RNG states with the zero-shot bit-widths
 (count u8, bit u8 each) and holds no run record; it loads with an empty one.
-Each section has one codec in serialize: write/read_named_arrays, the bank's
+Each section has one codec in serialize: write/read_named_arrays (each array
+a ByteWriter/ByteReader.dims header, then its f64s), the bank's
 check_bank_bits and write/read_bank_entry, and ByteReader.parsed for the text
-sections. Every float is checked finite by the reader's done().
+sections. The reader's done() checks every float finite; every check raises
+through ByteReader.fail, so each error names the file.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import json
 
 from .config import RunConfig, parse_json
 from .metrics import MetricsLog
-from .serialize import (ByteWriter, CorruptFileError, atomic_write_bytes, check_bank_bits,
-                        open_reader, read_bank_entry, read_named_arrays, write_bank_entry,
-                        write_named_arrays)
+from .serialize import (ByteWriter, atomic_write_bytes, check_bank_bits, open_reader,
+                        read_bank_entry, read_named_arrays, write_bank_entry, write_named_arrays)
 
 MAGIC = b"AQCK"
 VERSION = 2
@@ -63,18 +64,18 @@ def load_checkpoint(path: str):
                                "checkpoint weight")
     missing = sorted(set(weights) - set(stored))
     if missing:
-        raise CorruptFileError(f"checkpoint lacks weights {missing}")
+        raise r.fail(f"checkpoint lacks weights {missing}")
     for name, arr in stored.items():
         weights[name].data = arr
 
     bits = []  # the bank interleaves bit-widths and entries, so each is checked as read
     for _ in range(r.u8()):
         bits.append(r.u8())
-        check_bank_bits(bits, trainer.bits.b1)
+        check_bank_bits(r, bits, trainer.bits.b1)
         read_bank_entry(r, trainer.bank.ensure_entry(bits[-1]), trainer.arch, bits[-1])
     missing = sorted(set(trainer.bits) - set(bits), reverse=True)
     if missing:
-        raise CorruptFileError(f"checkpoint lacks bank entries for trained bit-widths {missing}")
+        raise r.fail(f"checkpoint lacks bank entries for trained bit-widths {missing}")
 
     params = {name: p.shape for group in trainer.optimizer.groups
               for name, p in group.params.items()}
@@ -87,22 +88,22 @@ def load_checkpoint(path: str):
         # two texts: the metrics.csv text, then the eval accuracy JSON
         log = r.parsed(lambda csv_text: MetricsLog.from_record(
             csv_text, r.text("run record eval accuracy"), "run record"), "run record")
-        trainer.log = _check_record(log, config_json, trainer.epoch, path)
+        trainer.log = _check_record(r, log, config_json, trainer.epoch)
     r.done()
     return trainer
 
 
-def _check_record(log: MetricsLog, config_json: str, epoch: int, path: str) -> MetricsLog:
+def _check_record(r, log: MetricsLog, config_json: str, epoch: int) -> MetricsLog:
     """The run record, which must carry the checkpoint's config and cover
     every epoch before its own from the record's first (0, unless the run
-    was resumed from a version-1 checkpoint) on."""
+    was resumed from a version-1 checkpoint) on; r's error otherwise."""
     if log.config_json != config_json:
-        raise CorruptFileError(f"{path}: the run record's config line is not the checkpoint's")
+        raise r.fail("the run record's config line is not the checkpoint's")
     epochs = sorted(log.eval_accuracy)
     first = epochs[0] if epochs else epoch
     # no list for a span the record cannot cover: a corrupt epoch may be huge
     covered = list(range(first, epoch)) if epoch - first == len(epochs) else None
     if epochs != covered or sorted({row.epoch for row in log.batch_rows}) != covered:
-        raise CorruptFileError(f"{path}: the run record must cover consecutive epochs up to "
-                               f"{epoch - 1}; its eval accuracies cover {epochs}")
+        raise r.fail(f"the run record must cover consecutive epochs up to {epoch - 1}; "
+                     f"its eval accuracies cover {epochs}")
     return log

@@ -7,6 +7,7 @@ loudly instead of silently running with a default.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .network import ArchSpec, BitWidthSet, ContractError, mlp, small_cnn
@@ -33,7 +34,7 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) ->
 
 
 # What a JSON value must be for a field annotated with each type; an int
-# passes for a float (and is kept as given).
+# passes for a float (and is kept as given), and a float must be finite.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list, "dict": dict}
 
 
@@ -41,6 +42,9 @@ def _check_type(value, type_name: str, where: str) -> None:
     want = _JSON_TYPES[type_name]
     if isinstance(value, bool) or not isinstance(value, want):
         raise ConfigError(f"{where} must be {type_name}, got {value!r}")
+    # false for NaN, the infinities and an int too large for a float
+    if type_name == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _check_field_types(settings, where: str) -> None:
@@ -151,6 +155,8 @@ class DatasetSpec:
         _require_keys(d, {"kind", *keys}, {"kind", *required}, "dataset")
         spec = DatasetSpec(**d)
         _check_field_types(spec, "dataset")
+        if spec.seed < 0:
+            raise ConfigError(f"dataset.seed must be non-negative, got {spec.seed}")
         if kind == "synthetic_blobs":
             if spec.eval_samples <= 0:
                 spec.eval_samples = max(spec.classes, spec.samples // 4)
@@ -248,12 +254,16 @@ class RunConfig:
                 )
             if kind == "direct" and self.mode_bit not in bits:
                 raise ConfigError(f"direct source bit {self.mode_bit} must be in bits {self.bits}")
+        elif ":" in self.mode:
+            raise ConfigError(f"mode {kind!r} takes no bit-width suffix, got {self.mode!r}")
         if not 0.0 < self.p1_initial <= 1.0:
             raise ConfigError(f"p1_initial must be in (0, 1], got {self.p1_initial}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.bn_momentum <= 1.0:
             raise ConfigError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
         self.build_arch()  # fail early on malformed arch

@@ -1,8 +1,10 @@
 """Little-endian length-prefixed binary framing with a CRC32 trailer.
 
-Shared by the deployment bundle and checkpoint formats, as is the layout of
-one precision-bank entry. Writers accumulate bytes and finish with a CRC
-over everything written; readers verify the CRC before yielding any field.
+Shared by the deployment bundle and checkpoint formats, as are the array
+header codec (ByteWriter/ByteReader.dims: a u8 rank, then a u32 per dim) and
+the layout of one precision-bank entry. Writers accumulate bytes and finish
+with a CRC over everything written; readers verify the CRC before yielding
+any field. ByteReader.fail builds every reader error: "<path>: <message>".
 """
 
 from __future__ import annotations
@@ -51,12 +53,16 @@ class ByteWriter:
     def text(self, s: str) -> None:
         self.blob(s.encode("utf-8"))
 
+    def dims(self, shape: tuple) -> None:
+        """The array header: a u8 rank, then a u32 per dim."""
+        self.u8(len(shape))
+        for d in shape:
+            self.u32(d)
+
     def f64_array(self, arr: np.ndarray) -> None:
         # asarray keeps 0-d arrays 0-d; ascontiguousarray would promote them
         arr = np.asarray(arr, dtype="<f8", order="C")
-        self.u8(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
+        self.dims(arr.shape)
         self._push(arr.tobytes())
 
     def finish(self) -> bytes:
@@ -66,22 +72,25 @@ class ByteWriter:
 
 class ByteReader:
     def __init__(self, buf: bytes, path: str):
-        self.path = path  # every error the reader raises names the file
+        self.path = path
         if len(buf) < 4:
-            raise CorruptFileError(f"{path}: file shorter than its checksum")
+            raise self.fail("file shorter than its checksum")
         body, trailer = buf[:-4], buf[-4:]
         expect = struct.unpack("<I", trailer)[0]
         got = zlib.crc32(body) & 0xFFFFFFFF
         if got != expect:
-            raise CorruptFileError(
-                f"{path}: CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
+            raise self.fail(f"CRC mismatch: computed {got:#010x}, stored {expect:#010x}")
         self.buf = body
         self.pos = 0
         self._floats: list[tuple[str, bytes]] = []  # (name, raw bytes) of each float read
 
+    def fail(self, msg: str) -> CorruptFileError:
+        """The error for msg, naming the file; every check on a file raises one."""
+        return CorruptFileError(f"{self.path}: {msg}")
+
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CorruptFileError(f"{self.path}: truncated at byte {self.pos} (need {n} more)")
+            raise self.fail(f"truncated at byte {self.pos} (need {n} more)")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -110,8 +119,7 @@ class ByteReader:
         try:
             return self.blob().decode("utf-8")
         except UnicodeDecodeError as e:
-            raise CorruptFileError(
-                f"{self.path} {what} at byte {start} is not UTF-8: {e}") from None
+            raise self.fail(f"{what} at byte {start} is not UTF-8: {e}") from None
 
     def parsed(self, parse, what: str):
         """parse(next text); CorruptFileError naming the file and what if the
@@ -122,15 +130,21 @@ class ByteReader:
         except CorruptFileError:
             raise  # the reader's own, from a parse that reads on; it names the file
         except (FlexquantError, ValueError) as e:
-            raise CorruptFileError(f"{self.path} {what}: {e}") from None
+            raise self.fail(f"{what}: {e}") from None
 
-    def f64_array(self, what: str) -> np.ndarray:
+    def dims(self, shape: tuple, what: str) -> None:
+        """The next array header, which must give shape; what names the array."""
         ndim = self.u8()
         if ndim > MAX_ARRAY_DIMS:
-            raise CorruptFileError(f"{self.path}: array at byte {self.pos - 1} has {ndim} "
-                                   f"dims, more than {MAX_ARRAY_DIMS}")
-        shape = tuple([self.u32() for _ in range(ndim)])  # a list builds faster here
-        # a Python int, so huge dims fail _take's bounds check instead of wrapping
+            raise self.fail(f"array at byte {self.pos - 1} has {ndim} dims, "
+                            f"more than {MAX_ARRAY_DIMS}")
+        stored = tuple([self.u32() for _ in range(ndim)])  # a list builds faster here
+        if stored != shape:
+            raise self.fail(f"{what} has shape {stored}, expected {shape}")
+
+    def f64_array(self, shape: tuple, what: str) -> np.ndarray:
+        """The next array, of shape (checked before the payload); what names it."""
+        self.dims(shape, what)
         raw = self._take(8 * math.prod(shape))
         self._floats.append((what, raw))
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
@@ -138,12 +152,12 @@ class ByteReader:
     def done(self) -> None:
         """CorruptFileError unless every byte was read and every float is finite."""
         if self.pos != len(self.buf):
-            raise CorruptFileError(f"{self.path}: unread bytes after byte {self.pos}")
+            raise self.fail(f"unread bytes after byte {self.pos}")
         # one pass over every float read; the walk only names the first bad one
         if not np.isfinite(np.frombuffer(b"".join(raw for _, raw in self._floats), "<f8")).all():
             what = next(what for what, raw in self._floats
                         if not np.isfinite(np.frombuffer(raw, "<f8")).all())
-            raise CorruptFileError(f"{self.path} {what} is not finite")
+            raise self.fail(f"{what} is not finite")
 
 
 def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -> ByteReader:
@@ -160,7 +174,7 @@ def open_reader(path: str, magic: bytes, versions: tuple[int, ...], kind: str) -
     r.raw(len(magic))
     r.version = r.u32()
     if r.version not in versions:
-        raise CorruptFileError(f"{path}: unsupported {kind} version {r.version}")
+        raise r.fail(f"unsupported {kind} version {r.version}")
     return r
 
 
@@ -179,23 +193,23 @@ def read_named_arrays(r: ByteReader, shapes: dict[str, tuple], what: str) -> dic
     for _ in range(r.u32()):
         name = r.text()
         if name not in shapes:
-            raise CorruptFileError(f"{what} {name!r} is not one this run has")
+            raise r.fail(f"{what} {name!r} is not one this run has")
         if name in out:
-            raise CorruptFileError(f"{what} {name!r} appears twice")
-        out[name] = read_array_of_shape(r, shapes[name], f"{what} {name!r}")
+            raise r.fail(f"{what} {name!r} appears twice")
+        out[name] = r.f64_array(shapes[name], f"{what} {name!r}")
     return out
 
 
-def check_bank_bits(bits: list[int], top: int) -> None:
-    """A bank's bit-widths as stored (or as far as read): at least one, none
-    twice, each within [2, top]; CorruptFileError naming the first bad one."""
+def check_bank_bits(r: ByteReader, bits: list[int], top: int) -> None:
+    """A bank's bit-widths as r stored them (or as far as read): at least one,
+    none twice, each within [2, top]; r's error naming the first bad one."""
     for i, b in enumerate(bits):
         if not 2 <= b <= top or b in bits[:i]:
             problem = f"outside [2, {top}]" if not 2 <= b <= top else "appears twice"
-            raise CorruptFileError(f"bank bit-width {b} {problem}: bit-widths {bits} "
-                                   f"must be unique and within [2, {top}]")
+            raise r.fail(f"bank bit-width {b} {problem}: bit-widths {bits} "
+                         f"must be unique and within [2, {top}]")
     if not bits:
-        raise CorruptFileError("bank holds no bit-width")
+        raise r.fail("bank holds no bit-width")
 
 
 def write_bank_entry(w: ByteWriter, entry, arch) -> None:
@@ -209,26 +223,18 @@ def write_bank_entry(w: ByteWriter, entry, arch) -> None:
         w.f64(float(entry.alpha[name].data))
 
 
-def read_array_of_shape(r: ByteReader, shape: tuple, what: str) -> np.ndarray:
-    """The next array, which must have the given shape; what names it."""
-    arr = r.f64_array(what)
-    if arr.shape != shape:
-        raise CorruptFileError(f"{what} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
 def read_bank_entry(r: ByteReader, entry, arch, b: int) -> None:
     """Overwrite bit-width b's entry in place with the fields write_bank_entry
     wrote, each BN array checked against the shape the entry already has and
     each running variance non-negative."""
     for name in arch.bn_names:
         st, what = entry.bn[name], f"bank entry {b} {name}"
-        st.gamma.data = read_array_of_shape(r, st.gamma.shape, f"{what} gamma")
-        st.beta.data = read_array_of_shape(r, st.beta.shape, f"{what} beta")
-        st.running_mean = read_array_of_shape(r, st.running_mean.shape, f"{what} running mean")
-        st.running_var = read_array_of_shape(r, st.running_var.shape, f"{what} running var")
+        st.gamma.data = r.f64_array(st.gamma.shape, f"{what} gamma")
+        st.beta.data = r.f64_array(st.beta.shape, f"{what} beta")
+        st.running_mean = r.f64_array(st.running_mean.shape, f"{what} running mean")
+        st.running_var = r.f64_array(st.running_var.shape, f"{what} running var")
         if st.running_var.min() < 0.0:  # a NaN passes here and fails in r.done()
-            raise CorruptFileError(f"{what} running var is negative")
+            raise r.fail(f"{what} running var is negative")
     for name in arch.quantized_names:
         entry.alpha[name].data = np.asarray(r.f64(f"bank entry {b} {name} alpha"))
 

@@ -65,6 +65,12 @@ class TestTrain:
         assert (open(os.path.join(a, "checkpoint.ckpt"), "rb").read()
                 != open(os.path.join(b, "checkpoint.ckpt"), "rb").read())
 
+    def test_negative_seed_override_is_one_error_line(self, config_path, tmp_path, capsys):
+        out = run_dir(tmp_path)
+        assert main(["train", "--seed", "-1", "--config", config_path, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not os.path.exists(out)
+
     def test_seed_rejected_outside_train(self, tmp_path):
         # only train reads a seed; eval must not accept one it would ignore
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
 """RunConfig parsing: strict keys, mode rules, canonical serialization."""
 
+import json
+import re
+
 import pytest
 
 from flexquant.config import ConfigError, RunConfig
@@ -192,6 +195,47 @@ class TestValidation:
     def test_non_string_dataset_kind_rejected(self):
         with pytest.raises(ConfigError, match="dataset.kind"):
             RunConfig.from_dict(blob_config(dataset={"kind": ["csv_table"]}))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path, where", [
+        (("lambda",), "lambda"), (("optimizer", "lr"), "optimizer.lr"),
+        (("alpha", "init"), "alpha.init"), (("dataset", "spread"), "dataset.spread"),
+    ], ids=["lambda", "optimizer_lr", "alpha_init", "dataset_spread"])
+    def test_non_finite_float_rejected(self, path, where, literal):
+        d = blob_config()
+        target = d
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = "PLACEHOLDER"
+        text = json.dumps(d).replace('"PLACEHOLDER"', literal)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be a finite number, "
+                                              f"got -?(nan|inf)$"):
+            RunConfig.from_json(text)
+
+    def test_float_too_large_for_a_float_rejected(self):
+        d = blob_config()
+        d["lambda"] = 10**400
+        with pytest.raises(ConfigError, match="^lambda must be a finite number"):
+            RunConfig.from_dict(d)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            RunConfig.from_dict(blob_config(seed=-1))
+        cfg = RunConfig.from_dict(blob_config())
+        cfg.seed = -1  # as train's --seed override sets it; Trainer() validates
+        with pytest.raises(ConfigError, match="^seed must be non-negative"):
+            cfg.validate()
+
+    def test_negative_dataset_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^dataset.seed must be non-negative, got -2$"):
+            RunConfig.from_dict(blob_config(data_seed=-2))
+
+    @pytest.mark.parametrize("mode", ["coquant:8", "joint:4", "adabits:2", "progressive_desc:8"])
+    def test_suffix_on_a_mode_that_takes_none_rejected(self, mode):
+        kind = mode.split(":")[0]
+        with pytest.raises(ConfigError, match=f"^mode '{kind}' takes no bit-width suffix, "
+                                              f"got '{mode}'$"):
+            RunConfig.from_dict(blob_config(mode=mode))
 
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
+from flexquant import serialize
 from flexquant.autograd import Tensor
 from flexquant.config import DatasetSpec
 from flexquant.datasets import gen_synthetic_blobs, load_dataset
@@ -21,6 +22,7 @@ from flexquant.numerics import FlexquantError
 from flexquant.optim import SGD, ParamGroup
 from flexquant.quantizers import quantize_levels
 from flexquant.rng import RngStreams
+from flexquant.serialize import ByteReader
 from flexquant.training import delta_b, sample_swap_mask
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "flexquant")
@@ -34,7 +36,9 @@ def _resolve(expr, namespace):
 
 def test_every_raise_names_a_library_error():
     """Each `raise X(...)` (or `raise X`) in the package names a class that
-    derives from FlexquantError; a bare `raise` re-raises and is not checked."""
+    derives from FlexquantError, and each `raise r.fail(...)` raises what
+    ByteReader.fail returns; a bare `raise` re-raises and is not checked."""
+    fail_returns = getattr(serialize, ByteReader.fail.__annotations__["return"])
     bare = []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py") or name == "__init__.py":
@@ -45,7 +49,10 @@ def test_every_raise_names_a_library_error():
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                cls = _resolve(exc, namespace)
+                if isinstance(exc, ast.Attribute) and exc.attr == "fail":
+                    cls = fail_returns
+                else:
+                    cls = _resolve(exc, namespace)
                 if not (isinstance(cls, type) and issubclass(cls, FlexquantError)):
                     bare.append(f"{name}:{node.lineno} {ast.unparse(exc)}")
     assert bare == []

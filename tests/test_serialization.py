@@ -45,7 +45,7 @@ class TestFraming:
         assert r.u32() == 1234567
         assert r.f64("x") == 3.5
         assert r.text() == "hello"
-        np.testing.assert_array_equal(r.f64_array("a"), np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(r.f64_array((2, 3), "a"), np.arange(6.0).reshape(2, 3))
         r.done()
 
     def test_array_rank_bounded(self):
@@ -53,7 +53,7 @@ class TestFraming:
         w.u8(200)
         w.raw(bytes(800))  # 200 zero dims: an empty array numpy cannot shape
         with pytest.raises(CorruptFileError, match="^t.bin: array at byte 0 has 200 dims"):
-            ByteReader(w.finish(), "t.bin").f64_array("a")
+            ByteReader(w.finish(), "t.bin").f64_array((), "a")
 
     def test_crc_detects_corruption(self):
         w = ByteWriter()
@@ -81,9 +81,9 @@ class TestFraming:
         w.blob(b"\xff\xfe")
         w.blob(b"\xff\xfe")
         r = ByteReader(w.finish(), "t.bin")
-        with pytest.raises(CorruptFileError, match="^t.bin text at byte 0 is not UTF-8: "):
+        with pytest.raises(CorruptFileError, match="^t.bin: text at byte 0 is not UTF-8: "):
             r.text()
-        with pytest.raises(CorruptFileError, match="^t.bin config at byte 6 is not UTF-8: "):
+        with pytest.raises(CorruptFileError, match="^t.bin: config at byte 6 is not UTF-8: "):
             r.parsed(json.loads, "config")
 
     def test_huge_array_dims_rejected_before_reading(self):
@@ -92,8 +92,9 @@ class TestFraming:
         w.u32(2**32 - 1)
         w.u32(2**32 - 1)
         w.raw(bytes(64))
-        with pytest.raises(CorruptFileError, match="truncated"):
-            ByteReader(w.finish(), "t.bin").f64_array("a")
+        expect = r"^t.bin: a has shape \(4294967295, 4294967295\), expected \(2, 2\)$"
+        with pytest.raises(CorruptFileError, match=expect):
+            ByteReader(w.finish(), "t.bin").f64_array((2, 2), "a")
 
 
 class TestBundle:
@@ -393,64 +394,70 @@ class _ListsFourTwice(dict):
 # each edits a one-epoch run before it is saved, so the file is CRC-valid
 BAD_CHECKPOINTS = {
     "weight_renamed": (lambda t: _rename(t.net.weights, "dense3", "dense9"),
-                       "weight 'dense9' is not one this run has"),
+                       "checkpoint weight 'dense9' is not one this run has$"),
     "velocity_renamed": (lambda t: _rename(t.optimizer.velocity, "weights.dense3",
                                            "weights.dense9"),
-                         "velocity 'weights.dense9' is not one this run has"),
+                         "checkpoint velocity 'weights.dense9' is not one this run has$"),
     "weight_wrong_shape": (lambda t: setattr(t.net.weights["dense3"], "data", np.zeros((3, 5))),
-                           r"'dense3' has shape \(3, 5\), expected \(32, 32\)"),
+                           r"checkpoint weight 'dense3' has shape \(3, 5\), expected \(32, 32\)$"),
     "velocity_wrong_shape": (lambda t: t.optimizer.velocity.update(
-        {"bank8.dense3.alpha": np.zeros(2)}), r"'bank8.dense3.alpha' has shape \(2,\)"),
+        {"bank8.dense3.alpha": np.zeros(2)}),
+        r"checkpoint velocity 'bank8.dense3.alpha' has shape \(2,\), expected \(\)$"),
     "weight_missing": (lambda t: t.net.weights.pop("dense6"),
-                       r"lacks weights \['dense6'\]"),
+                       r"checkpoint lacks weights \['dense6'\]$"),
     "bank_bit_above_b1": (lambda t: t.bank.entries.update({9: t.bank.entries[8]}),
-                          r"bank bit-width 9 outside \[2, 8\]"),
+                          r"bank bit-width 9 outside \[2, 8\]: bit-widths \[9\] must be"),
     "bank_bit_below_2": (lambda t: t.bank.entries.update({1: t.bank.entries[2]}),
-                         r"bank bit-width 1 outside \[2, 8\]"),
+                         r"bank bit-width 1 outside \[2, 8\]: bit-widths \[8, 4, 2, 1\]"),
     "bank_bit_repeated": (lambda t: setattr(t.bank, "entries", _ListsFourTwice(t.bank.entries)),
-                          "bank bit-width 4 appears twice"),
+                          r"bank bit-width 4 appears twice: bit-widths \[8, 4, 4\]"),
     "bank_trained_bit_missing": (lambda t: t.bank.entries.pop(2),
-                                 r"lacks bank entries for trained bit-widths \[2\]"),
+                                 r"checkpoint lacks bank entries for trained bit-widths \[2\]$"),
     "bn_wrong_shape": (lambda t: _set_running_mean(t, 4, np.zeros(7)),
-                       r"bn4 running mean has shape \(7,\), expected \(32,\)"),
+                       r"bank entry 4 bn4 running mean has shape \(7,\), expected \(32,\)$"),
     **{f"bank_{case}": (lambda t, field=field, value=value: _set_bank_value(t, 4, field, value),
-                        f"bank entry 4 {message}")
+                        f"bank entry 4 {message}$")
        for case, (field, value, message) in BAD_BANK_VALUES.items()},
     "record_other_config": (lambda t: setattr(t.log, "config_json", "{}"),
-                            "config line is not the checkpoint's"),
+                            "the run record's config line is not the checkpoint's$"),
     "record_without_config_line": (lambda t: setattr(t.log, "config_json", None),
-                                   "config line is not the checkpoint's"),
+                                   "the run record's config line is not the checkpoint's$"),
     "record_epoch_missing": (lambda t: t.log.eval_accuracy.pop(0),
-                             r"cover consecutive epochs up to 0; its eval accuracies cover \[\]"),
+                             r"the run record must cover consecutive epochs up to 0; "
+                             r"its eval accuracies cover \[\]$"),
     "record_rows_missing": (lambda t: t.log.lines.clear(),
-                            "cover consecutive epochs up to 0"),
+                            "the run record must cover consecutive epochs up to 0;"),
     "record_epoch_huge": (lambda t: setattr(t, "epoch", 2**32 - 1),
-                          "cover consecutive epochs up to 4294967294; its eval accuracies cover"),
+                          "the run record must cover consecutive epochs up to 4294967294;"),
     "record_epoch_beyond": (lambda t: t.log.end_epoch(1, {8: 50.0}),
-                            r"eval accuracies cover \[0, 1\]"),
+                            r"the run record must cover .* its eval accuracies cover \[0, 1\]$"),
     "record_row_malformed": (lambda t: _set_field(t, 3, "teacher_b", "x"),
-                             r"run record line 6: teacher_b 'x' is not an integer"),
+                             r"run record: run record line 6: teacher_b 'x' is not an integer"),
     # fields Python's int and float take but the writer never writes
     "record_int_padded": (lambda t: _set_field(t, 3, "b", " 8"),
-                          "run record line 6: '0,1,coquant, 8,.*' is not as written, "
+                          "run record: run record line 6: '0,1,coquant, 8,.*' is not as written, "
                           "'0,1,coquant,8,"),
     "record_int_underscore": (lambda t: _set_field(t, 3, "batch", "1_0"),
-                              "run record line 6: .* is not as written, '0,10,"),
+                              "run record: run record line 6: .* is not as written, '0,10,"),
     "record_int_leading_zero": (lambda t: _set_field(t, 3, "b", "08"),
-                                "run record line 6: .* is not as written, '0,1,coquant,8,"),
+                                "run record: run record line 6: .* is not as written, "
+                                "'0,1,coquant,8,"),
     "record_float_exponent": (lambda t: _set_field(t, 3, "swap_student_fraction", "1e0"),
-                              r"run record line 6: .* is not as written, '.*,1\.0'"),
+                              r"run record: run record line 6: .* is not as written, '.*,1\.0'"),
     "record_float_nan": (lambda t: _set_field(t, 3, "ce", "nan"),
-                         "run record line 6: ce 'nan' is not a finite number"),
+                         "run record: run record line 6: ce 'nan' is not a finite number"),
     "record_field_quoted": (lambda t: _set_field(t, 3, "mode", '"coquant"'),
-                            "run record line 6: mode '\"coquant\"' is not unquoted text"),
+                            "run record: run record line 6: mode '\"coquant\"' "
+                            "is not unquoted text"),
     "record_crlf": (lambda t: _set_field(t, 3, "swap_student_fraction", "1.0\r"),
-                    r"run record line 6: '.*,1\.0\\r' is not as written"),
+                    r"run record: run record line 6: '.*,1\.0\\r' is not as written"),
     "record_accuracy_not_finite": (lambda t: t.log.eval_accuracy[0].update({4: float("nan")}),
-                                   "eval accuracy of epoch '0' must map bit-widths"),
+                                   "run record: run record eval accuracy of epoch '0' "
+                                   "must map bit-widths"),
     "record_accuracy_key_padded": (lambda t: setattr(t.log, "eval_accuracy",
                                                      {"00": t.log.eval_accuracy[0]}),
-                                   "eval accuracy is not as written, '{\"0\": "),
+                                   "run record: run record eval accuracy is not as written, "
+                                   "'{\"0\": "),
 }
 
 
@@ -462,7 +469,7 @@ def test_checkpoint_fields_checked_against_the_run(case, tmp_path):
     mutate(trainer)
     path = str(tmp_path / "bad.ckpt")
     save_checkpoint(path, trainer)
-    with pytest.raises(CorruptFileError, match=message):
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: {message}"):
         load_checkpoint(path)
 
 
@@ -505,7 +512,7 @@ BAD_SECTIONS = {
                                "RNG states: stream 'swap' does not hold a PCG64 state"),
     "rng_stream_state_negative": ("rng", lambda text: _with_stream(text, "init", {
         "bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0,
-        "uinteger": 0}), "stream 'init' does not hold a PCG64 state"),
+        "uinteger": 0}), "RNG states: stream 'init' does not hold a PCG64 state"),
     "config_truncated": ("config", lambda text: text[:40], "config: .* is not valid JSON"),
     "config_nested_too_deep": ("config", lambda text: DEEP_JSON,
                                "config: config is not valid JSON: maximum recursion depth"),
@@ -514,7 +521,8 @@ BAD_SECTIONS = {
                                  "run record: run record eval accuracy is not valid JSON: "
                                  "maximum recursion depth"),
     "accuracy_epoch_key_huge": ("accuracy", lambda text: f'{{"{HUGE_KEY}": {{}}}}',
-                                "eval accuracy of epoch '1{5000}' must map bit-widths"),
+                                "run record: run record eval accuracy of epoch '1{5000}' "
+                                "must map"),
 }
 
 
@@ -527,7 +535,7 @@ def test_checkpoint_sections_checked(case, trained, tmp_path):
             "rng": json.dumps(trained.streams.state(), sort_keys=True),
             "accuracy": trained.log.eval_accuracy_json()}[section]
     _replace_text(path, text, edit(text))
-    with pytest.raises(CorruptFileError, match=message):
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: {message}"):
         load_checkpoint(path)
 
 
@@ -539,7 +547,8 @@ def test_duplicate_weight_name_rejected(trained, tmp_path):
     assert body.count(stored) == 1  # the weights section; velocity names are longer
     body = body.replace(stored, struct.pack("<I", 6) + b"dense0")
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(CorruptFileError, match="weight 'dense0' appears twice"):
+    with pytest.raises(CorruptFileError,
+                       match=f"^{re.escape(path)}: checkpoint weight 'dense0' appears twice$"):
         load_checkpoint(path)
 
 
@@ -549,7 +558,8 @@ def test_bundle_bn_shape_checked(tmp_path):
     _set_running_mean(trainer, 2, np.zeros((32, 1)))
     path = str(tmp_path / "bad.aqdb")
     export_bundle(path, trainer.net)
-    with pytest.raises(CorruptFileError, match=r"bn4 running mean has shape \(32, 1\)"):
+    expect = rf"^{re.escape(path)}: bank entry 2 bn4 running mean has shape \(32, 1\), expected"
+    with pytest.raises(CorruptFileError, match=expect):
         load_bundle(path)
 
 
@@ -561,7 +571,7 @@ def test_bundle_bank_values_checked(case, tmp_path):
     _set_bank_value(trainer, 2, field, value)
     path = str(tmp_path / "bad.aqdb")
     export_bundle(path, trainer.net)
-    with pytest.raises(CorruptFileError, match=f"bank entry 2 {message}"):
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: bank entry 2 {message}$"):
         load_bundle(path)
 
 
@@ -636,34 +646,42 @@ def _dims(*shape) -> bytes:
 # once), then re-seals the CRC
 BAD_BUNDLES = {
     "layer_renamed": ((8, 4, 2), _layer("dense3"), _layer("dense7"),
-                      "bundle layer 'dense7' where the architecture has 'dense3'"),
+                      "bundle layer 'dense7' where the architecture has 'dense3'$"),
     "fp_layer_coded": ((8, 4, 2), _layer("dense0") + b"\x00", _layer("dense0") + b"\x08",
-                       "'dense0' is full precision but has code bit-width 8"),
+                       "bundle layer 'dense0' is full precision but has code bit-width 8$"),
     "quantized_layer_uncoded": ((8, 4, 2), _layer("dense3") + b"\x08",
-                                _layer("dense3") + b"\x00", "'dense3' has code bit-width 0"),
+                                _layer("dense3") + b"\x00",
+                                "bundle layer 'dense3' has code bit-width 0; quantized layers"),
     "code_bits_differ": ((8, 4, 2), _layer("dense6") + b"\x08", _layer("dense6") + b"\x04",
-                         "'dense6' has code bit-width 4; quantized layers share one"),
+                         "bundle layer 'dense6' has code bit-width 4; quantized layers share one"),
     "code_bits_9": ((8, 4, 2), _layer("dense6") + b"\x08", _layer("dense6") + b"\x09",
-                    "'dense6' has code bit-width 9"),
+                    r"bundle layer 'dense6' has code bit-width 9; .* in \[2, 16\]$"),
     "code_bytes_short": ((8, 4, 2), _layer("dense3") + b"\x08", _layer("dense3") + b"\x09",
-                         "'dense3' holds 1024 code bytes, expected 2048"),
+                         "bundle layer 'dense3' holds 1024 code bytes, expected 2048$"),
     "code_shape": ((8, 4, 2), _layer("dense3") + b"\x08" + _dims(32, 32),
                    _layer("dense3") + b"\x08" + _dims(16, 64),
-                   r"'dense3' codes have shape \(16, 64\), expected \(32, 32\)"),
+                   r"bundle layer 'dense3' code array has shape \(16, 64\), "
+                   r"expected \(32, 32\)$"),
+    "code_rank_200": ((8, 4, 2), _layer("dense3") + b"\x08" + _dims(32, 32),
+                      _layer("dense3") + b"\x08\xc8",
+                      r"array at byte \d+ has 200 dims, more than 32$"),
     "fp_weight_shape": ((8, 4, 2), _layer("dense0") + b"\x00" + _dims(8, 32),
                         _layer("dense0") + b"\x00" + _dims(16, 16),
-                        r"'dense0' has shape \(16, 16\), expected \(8, 32\)"),
+                        r"bundle layer 'dense0' has shape \(16, 16\), expected \(8, 32\)$"),
     "code_out_of_range": ((10, 4), _layer("dense3") + b"\x0a" + _dims(32, 32)
                           + struct.pack("<I", 2048),
                           _layer("dense3") + b"\x0a" + _dims(32, 32) + struct.pack("<I", 2048)
-                          + b"\xff\xff", "'dense3' has code 65535, not below 2\\^10"),
+                          + b"\xff\xff", r"bundle layer 'dense3' has code 65535, not below 2\^10$"),
     "bank_bit_repeated": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
                           b"\x03\x08\x04\x04" + _dims(32),
-                          r"bit-widths \[8, 4, 4\] must be unique and within \[2, 8\]"),
+                          r"bank bit-width 4 appears twice: bit-widths \[8, 4, 4\] must be unique "
+                          r"and within \[2, 8\]$"),
     "bank_bit_above_b1": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
-                          b"\x03\x09\x04\x02" + _dims(32), r"within \[2, 8\]"),
+                          b"\x03\x09\x04\x02" + _dims(32),
+                          r"bank bit-width 9 outside \[2, 8\]: bit-widths \[9, 4, 2\]"),
     "bank_bit_below_2": ((8, 4, 2), b"\x03\x08\x04\x02" + _dims(32),
-                         b"\x03\x08\x04\x01" + _dims(32), r"within \[2, 8\]"),
+                         b"\x03\x08\x04\x01" + _dims(32),
+                         r"bank bit-width 1 outside \[2, 8\]: bit-widths \[8, 4, 1\]"),
 }
 
 
@@ -675,13 +693,13 @@ def test_bundle_fields_checked_against_the_arch(case, tmp_path):
     at = body.index(old)
     body = body[:at] + new + body[at + len(new):]
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(CorruptFileError, match=message):
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: {message}"):
         load_bundle(path)
 
 
 # each replaces the architecture text of a good bundle
 BAD_ARCH_TEXTS = {
-    "nested_too_deep": (DEEP_JSON, "m.aqdb architecture: maximum recursion depth"),
+    "nested_too_deep": (DEEP_JSON, "architecture: maximum recursion depth"),
     "key_huge": (f'[{{"kind": "dense", "{HUGE_KEY}": 8}}]', "architecture: layer 0 .* keys"),
     "truncated": ('[{"kind": "dense"', "architecture: Expecting"),
 }
@@ -693,7 +711,7 @@ def test_bundle_arch_text_checked(case, tmp_path):
     path, body = _trained_bundle(tmp_path)
     stored = body[12:12 + struct.unpack_from("<I", body, 8)[0]]  # after magic and version
     _replace_text(path, stored.decode(), text)
-    with pytest.raises(CorruptFileError, match=message):
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(path)}: {message}"):
         load_bundle(path)
 
 
@@ -714,8 +732,9 @@ def _float_fields(load, path) -> list[tuple[str, int, int]]:
     fields = []
 
     def spy(read):
-        def named_read(r, what):
-            value = read(r, what)
+        def named_read(r, *args):  # f64(what) or f64_array(shape, what)
+            what = args[-1]
+            value = read(r, *args)
             fields.append((what, r.pos - 8 * np.size(value), np.size(value)))
             return value
         return named_read
@@ -766,7 +785,7 @@ def test_every_float_field_must_be_finite(kind, tmp_path):
                 open(bad, "wb").write(bytes(edited) + struct.pack("<I", zlib.crc32(edited)))
                 with pytest.raises(CorruptFileError) as info:
                     load(bad)
-                assert str(info.value) == f"{bad} {what} is not finite"
+                assert str(info.value) == f"{bad}: {what} is not finite"
 
 
 def _mutants(path, load, rng, flips=200, truncations=20, length_edits=60):
@@ -833,7 +852,8 @@ def _survives(path, load, evaluate, rng, texts) -> int:
         open(path + ".bad", "wb").write(blob)
         try:
             obj = load(path + ".bad")
-        except CorruptFileError:
+        except CorruptFileError as e:
+            assert str(e).startswith(f"{path}.bad: "), f"{what}: {e}"
             continue
         except Exception as e:
             pytest.fail(f"{what}: load raised {type(e).__name__}: {e}")
@@ -888,11 +908,13 @@ def _json_loads_sites(tree, where="<module>"):
 
 def test_one_json_parse_and_no_error_conversion_in_the_loaders():
     """JSON is parsed only in config.parse_json, and the checkpoint and bundle
-    loaders convert no error and check no finiteness themselves: their text
-    sections go through ByteReader.parsed, every float through
-    ByteReader.done, and every other check raises CorruptFileError."""
+    loaders convert no error, check no finiteness and build no error
+    themselves: their text sections go through ByteReader.parsed, every float
+    through ByteReader.done, and every other check raises ByteReader.fail's
+    error. CorruptFileError is built only by ByteReader.fail and by
+    open_reader's magic check, which runs before there is a reader."""
     package = os.path.join(os.path.dirname(__file__), "..", "src", "flexquant")
-    sites = set()
+    sites, built = set(), []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -900,10 +922,13 @@ def test_one_json_parse_and_no_error_conversion_in_the_loaders():
             source = f.read()
         tree = ast.parse(source)
         sites |= {(name, where) for where in _json_loads_sites(tree)}
+        built += [name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "CorruptFileError"]
         if name in ("checkpoint.py", "bundle.py"):
             assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), name
-            assert not re.search("isfinite|check_finite", source), name
+            assert not re.search("isfinite|check_finite|CorruptFileError", source), name
     assert sites == {("config.py", "parse_json")}
+    assert built == ["serialize.py", "serialize.py"]
 
 
 def _flexquant_source(name, level=0):
