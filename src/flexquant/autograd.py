@@ -14,18 +14,20 @@ input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer) and skip computing it; the engine skips None.
 
 Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
-and dies with it; ``active_memo()`` returns the innermost block's. Values
-memoized there (a network's quantized weights) are never seen by another
-block, so what they derive from may change between blocks, never inside one.
-A Tape's memo also holds op results that do not depend on the bit-width
-(``once_per_tape``): a training step runs every bit-width on the same batch,
-so the first layer's output and its batch statistics, and each latent weight
-tensor's b1 codes, are computed once per step. They are keyed by the
-identity of the input arrays, so an op's input arrays (data, weights) are
-never written to while the tape is active. Each call still records its own
-node, so the tape and the bits are the same as without the reuse.
-``no_grad`` blocks reuse nothing: a long one (a serving loop) would
-otherwise keep every batch's results until it ends.
+and dies with it; ``active_memo()`` returns the innermost block's and
+``memoized`` gets or computes a value there. Values memoized there (a
+network's quantized weights, eval batch norm's per-channel affine) are never
+seen by another block, so what they derive from may change between blocks,
+never inside one. A Tape's memo also holds op results that do not depend on
+the bit-width (``once_per_tape``): a training step runs every bit-width on
+the same batch, so the first layer's output and its batch statistics, and
+each latent weight tensor's b1 codes, are computed once per step. They are
+keyed by the identity of the input arrays, so an op's input arrays (data,
+weights) are never written to while the tape is active. Each call still
+records its own node, so the tape and the bits are the same as without the
+reuse. ``no_grad`` blocks reuse parameter-derived values only, never
+per-batch results: a long one (a serving loop) would otherwise keep every
+batch's results until it ends.
 
 Gradient ownership: a rule never writes into its upstream gradient or into
 any array captured from its forward, so calling it twice gives the same
@@ -145,22 +147,26 @@ def active_memo() -> dict | None:
     return _tape_stack[-1].memo if _tape_stack else None
 
 
-def once_per_tape(key: tuple, arrays: tuple, compute):
-    """compute(), at most once per active Tape for these input arrays.
+def memoized(key: tuple, arrays: tuple, compute):
+    """compute(), at most once per innermost block for key and these arrays.
 
-    The result is kept in the tape's memo under key and the ids of arrays;
-    the entry holds the arrays, so no id is recycled while the tape lives.
-    Outside a Tape (inside no_grad, or outside any block) compute() runs on
-    every call and nothing is kept.
+    The result is kept in the block's memo under key and the ids of arrays;
+    the entry holds the arrays, so no id is recycled while the block lives.
+    Outside any block compute() runs on every call and nothing is kept.
     """
-    tape = active_tape()
-    if tape is None:
+    memo = active_memo()
+    if memo is None:
         return compute()
     k = (*key, *map(id, arrays))
-    hit = tape.memo.get(k)
+    hit = memo.get(k)
     if hit is None:
-        hit = tape.memo[k] = (arrays, compute())
+        hit = memo[k] = (arrays, compute())
     return hit[1]
+
+
+def once_per_tape(key: tuple, arrays: tuple, compute):
+    """memoized(key, arrays, compute) under a Tape; compute() anywhere else."""
+    return compute() if active_tape() is None else memoized(key, arrays, compute)
 
 
 def record(out_data: np.ndarray, inputs: tuple, backward_fn, name: str) -> Tensor:
@@ -410,8 +416,10 @@ def batchnorm(
     update_running: bool = True,
 ) -> Tensor:
     """Normalize per feature/channel. Train mode uses batch statistics and,
-    unless told otherwise, folds them into the running estimates; eval mode
-    uses the running estimates. Variances are biased (ddof=0) throughout.
+    unless told otherwise, folds them into the running estimates (never
+    inside no_grad); eval mode applies the running estimates as one
+    per-channel affine map and records nothing, so never runs under a Tape.
+    Variances are biased (ddof=0) throughout.
     """
     xd = x.data
     axes, pshape = _bn_axes(xd)
@@ -422,6 +430,9 @@ def batchnorm(
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     if mode == "train":
+        if update_running and _tape_stack and active_tape() is None:
+            raise numerics.ContractError("train-mode batchnorm cannot update running statistics "
+                                         "inside no_grad, whose eval affines derive from them")
         m = xd.size // pshape[1]
         spare = []  # the squares buffer, when this call computes the statistics
 
@@ -476,19 +487,20 @@ def batchnorm(
         return record(out, (x, gamma, beta), bwd, "batchnorm_train")
 
     if mode == "eval":
-        s = np.sqrt(running_var.reshape(pshape) + numerics.EPS)
-        x_hat = xd - running_mean.reshape(pshape)
-        x_hat /= s
-        out = gam * x_hat
-        out += bet
+        if active_tape() is not None:
+            raise numerics.ContractError("eval-mode batchnorm has no backward rule; "
+                                         "run it under no_grad")
 
-        def bwd(g):
-            dgamma = np.sum(g * x_hat, axis=axes)
-            dbeta = np.sum(g, axis=axes)
-            dx = g * (gam / s)
-            return dx, dgamma, dbeta
+        def affine():
+            scale = gam / np.sqrt(running_var.reshape(pshape) + numerics.EPS)
+            return scale, bet - running_mean.reshape(pshape) * scale
 
-        return record(out, (x, gamma, beta), bwd, "batchnorm_eval")
+        # fixed for a whole eval pass, so once per (layer, bank entry) per block
+        scale, shift = memoized(("batchnorm_eval",),
+                                (gamma.data, beta.data, running_mean, running_var), affine)
+        out = xd * scale
+        out += shift
+        return Tensor(out)
 
     raise numerics.ContractError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 

@@ -87,7 +87,7 @@ def load_checkpoint(path: str):
     else:
         # two texts: the metrics.csv text, then the eval accuracy JSON
         log = r.parsed(lambda csv_text: MetricsLog.from_record(
-            csv_text, r.text("run record eval accuracy"), "run record"), "run record")
+            csv_text, r.text("run record eval accuracy")), "run record")
         trainer.log = _check_record(r, log, config_json, trainer.epoch)
     r.done()
     return trainer
@@ -100,10 +100,11 @@ def _check_record(r, log: MetricsLog, config_json: str, epoch: int) -> MetricsLo
     if log.config_json != config_json:
         raise r.fail("the run record's config line is not the checkpoint's")
     epochs = sorted(log.eval_accuracy)
-    first = epochs[0] if epochs else epoch
-    # no list for a span the record cannot cover: a corrupt epoch may be huge
-    covered = list(range(first, epoch)) if epoch - first == len(epochs) else None
-    if epochs != covered or sorted({row.epoch for row in log.batch_rows}) != covered:
-        raise r.fail(f"the run record must cover consecutive epochs up to {epoch - 1}; "
-                     f"its eval accuracies cover {epochs}")
+    rows = sorted({row.epoch for row in log.batch_rows})
+    first = min(epochs[:1] + rows[:1], default=epoch)
+    for what, got in (("eval accuracies", epochs), ("batch rows", rows)):
+        # no list longer than got: a corrupt epoch may be huge
+        if len(got) != epoch - first or got != list(range(first, epoch)):
+            raise r.fail(f"the run record must cover consecutive epochs up to {epoch - 1}; "
+                         f"its {what} cover {got}")
     return log

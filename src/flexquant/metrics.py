@@ -173,21 +173,20 @@ class MetricsLog:
         return log
 
     @classmethod
-    def from_record(cls, csv_text: str, accuracy_json: str, source: str) -> "MetricsLog":
+    def from_record(cls, csv_text: str, accuracy_json: str) -> "MetricsLog":
         """The log whose metrics_csv_text() and eval_accuracy_json() these
         texts are, exactly; FormatError, or ConfigError for text that is not
-        a JSON object, naming source otherwise."""
-        log = cls.from_csv_text(csv_text, source)
-        table = parse_json_object(accuracy_json, f"{source} eval accuracy")
+        a JSON object, naming the text ("metrics.csv" or "eval accuracy") but
+        not the record, which the caller names."""
+        log = cls.from_csv_text(csv_text, "metrics.csv")
+        table = parse_json_object(accuracy_json, "eval accuracy")
         for e, accs in table.items():
             if not (_is_number_key(e) and isinstance(accs, dict)
                     and all(_is_number_key(b) and _is_number(a) for b, a in accs.items())):
-                raise FormatError(f"{source} eval accuracy of epoch {e!r} must map "
-                                  "bit-widths to numbers")
+                raise FormatError(f"eval accuracy of epoch {e!r} must map bit-widths to numbers")
             log.eval_accuracy[int(e)] = {int(b): a for b, a in accs.items()}
         if log.eval_accuracy_json() != accuracy_json:
-            raise FormatError(f"{source} eval accuracy is not as written, "
-                              f"{log.eval_accuracy_json()!r}")
+            raise FormatError(f"eval accuracy is not as written, {log.eval_accuracy_json()!r}")
         return log
 
 

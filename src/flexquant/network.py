@@ -4,7 +4,7 @@ One set of latent full-precision weights serves every precision.
 QuantNet.weight_at(layer, b) is the one way to read a quantized block: it
 codes the latent weights at b1 and derives b from the codes (a net loaded
 from codes derives b from its stored codes). Results are memoized per
-(layer, b) for the innermost Tape or no_grad block (autograd.active_memo)
+(layer, b) for the innermost Tape or no_grad block (autograd.memoized)
 and die with it, so latent weights may change between blocks, never inside
 one; outside any block they are recomputed on every call. Per-precision
 state (batch-norm parameters and statistics, activation clipping values)
@@ -453,17 +453,12 @@ class QuantNet:
         stored codes. Results are memoized in the innermost block's memo under
         (net, layer, b); outside any block they are recomputed.
         """
-        memo = ag.active_memo()
-        key = (self, name, int(b))
-        w = None if memo is None else memo.get(key)
-        if w is None:
+        def compute():
             if self.frozen:
-                w = Tensor(weights_from_codes(self._views[name], b))
-            else:
-                w = quantize_weights_at(self.weights[name], b, self.bits.b1)
-            if memo is not None:
-                memo[key] = w
-        return w
+                return Tensor(weights_from_codes(self._views[name], b))
+            return quantize_weights_at(self.weights[name], b, self.bits.b1)
+
+        return ag.memoized((self, name, int(b)), (), compute)
 
     # -- execution ----------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from flexquant import autograd as ag
 from flexquant.autograd import DimensionError, GraphError, Tape, Tensor, no_grad
+from flexquant.numerics import ContractError
 from flexquant.optim import SGD, ParamGroup, StepError
 
 from conftest import numerical_gradient
@@ -143,6 +144,35 @@ class TestBatchnorm:
         out = ag.batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
                            np.zeros(4), np.ones(4), 0.1, "eval")
         np.testing.assert_allclose(out.data, x.data, atol=1e-9)
+
+    def test_eval_under_a_tape_raises(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape, pytest.raises(ContractError, match="run it under no_grad"):
+            ag.batchnorm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3)),
+                         np.zeros(3), np.ones(3), 0.1, "eval")
+        assert len(tape) == 0
+
+    def test_running_update_inside_no_grad_raises(self):
+        """A no_grad block memoizes eval affines from the running statistics,
+        so nothing may change them in place inside one."""
+        x = Tensor(np.random.default_rng(9).normal(size=(5, 3)))
+        mean, var = np.zeros(3), np.ones(3)
+
+        def train(update_running=True):
+            ag.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), mean, var, 0.1, "train",
+                         update_running=update_running)
+
+        with no_grad():
+            with pytest.raises(ContractError, match="inside no_grad"):
+                train()
+            train(update_running=False)  # calibration's form
+        assert mean.tobytes() == np.zeros(3).tobytes() and var.tobytes() == np.ones(3).tobytes()
+        with Tape():
+            with no_grad(), pytest.raises(ContractError, match="inside no_grad"):
+                train()
+            train()
+        train()  # outside any block
+        assert np.all(mean != 0.0)
 
     def test_train_constant_batch_gives_beta(self):
         x = Tensor(np.full((5, 3), 2.5))

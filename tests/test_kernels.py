@@ -1,19 +1,22 @@
-"""Bitwise oracles for the training kernels.
+"""Bitwise oracles for the training and eval kernels.
 
 Each reference below is the earlier, plainer formulation of a kernel
 (np.mean/np.var batch statistics, a channel-first col2im, an argmax max-pool,
-and activation rounding through the general level quantizer). The library
-kernels compute the same floating-point operations in the same order with
-fewer array passes, so their outputs and gradients must match these
-references bit for bit, signed zeros included.
+and activation rounding through the general level quantizer), or, for eval
+batch norm, its per-channel affine map in plain numpy. The library kernels
+compute the same floating-point operations in the same order with fewer
+array passes, so their outputs and gradients must match these references bit
+for bit, signed zeros included.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from flexquant import autograd as ag
 from flexquant import numerics
-from flexquant.autograd import Tape, Tensor
+from flexquant.autograd import Tape, Tensor, no_grad
 from flexquant.quantizers import quantize_activation
 
 
@@ -54,6 +57,20 @@ def ref_batchnorm_train(xd, gamma, beta, running_mean, running_var, momentum, g)
     gx_mean = np.mean(g * x_hat, axis=axes).reshape(pshape)
     dx = (gam / s) * (g - g_mean - x_hat * gx_mean)
     return out, dx, dgamma, dbeta
+
+
+def ref_batchnorm_eval(xd, gamma, beta, running_mean, running_var):
+    pshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
+    scale = gamma.reshape(pshape) / np.sqrt(running_var.reshape(pshape) + numerics.EPS)
+    shift = beta.reshape(pshape) - running_mean.reshape(pshape) * scale
+    return xd * scale + shift
+
+
+def ref_batchnorm_eval_four_pass(xd, gamma, beta, running_mean, running_var):
+    """The formulation before the affine map: subtract, divide, scale, shift."""
+    pshape = (1, xd.shape[1]) + (1,) * (xd.ndim - 2)
+    s = np.sqrt(running_var.reshape(pshape) + numerics.EPS)
+    return gamma.reshape(pshape) * ((xd - running_mean.reshape(pshape)) / s) + beta.reshape(pshape)
 
 
 def ref_conv2d(xd, wd, stride, padding, g):
@@ -151,6 +168,35 @@ def test_batchnorm_train_matches_reference(shape, seed):
     for got_arr, want_arr in zip((out, dx, dgamma, dbeta, rm, rv),
                                  (*want, ref_rm, ref_rv)):
         assert_bitwise(got_arr, want_arr)
+
+
+# ---------------------------------------------------------------------------
+# batch-norm, eval mode
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 3), (3, 4, 5, 6), (2, 3, 1, 7)])
+@pytest.mark.parametrize("seed", range(4))
+def test_batchnorm_eval_matches_reference(shape, seed):
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    gamma = rng.uniform(0.5, 1.5, size=c)
+    beta = rng.normal(size=c)
+    # running statistics near the inputs' own, as a trained or calibrated bank holds
+    rm = 10.0 * seed + rng.normal(scale=0.2, size=c)
+    rv = (1.0 + seed) ** 2 * rng.uniform(0.5, 2.0, size=c)
+    xs = [with_signed_zeros(rng, rng.normal(10.0 * seed, 1.0 + seed, size=shape))
+          for _ in range(2)]
+    params = (Tensor(gamma), Tensor(beta), rm, rv)
+
+    # in a no_grad block the second batch reuses the first one's affine map;
+    # outside any block each call computes its own
+    for block in (no_grad, contextlib.nullcontext):
+        with block():
+            outs = [ag.batchnorm(Tensor(xd), *params, 0.1, "eval").data for xd in xs]
+        for xd, out in zip(xs, outs):
+            assert_bitwise(out, ref_batchnorm_eval(xd, gamma, beta, rm, rv))
+            np.testing.assert_allclose(
+                out, ref_batchnorm_eval_four_pass(xd, gamma, beta, rm, rv), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +302,14 @@ def test_exact_half_levels_exist():
 # backward rules are pure
 # ---------------------------------------------------------------------------
 
-def _bn_case(shape, mode):
+def _bn_case(shape):
     def build(rng):
         c = shape[1]
         x = Tensor(rng.normal(2.0, 3.0, size=shape), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, size=c), requires_grad=True)
         beta = Tensor(rng.normal(size=c), requires_grad=True)
         rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, mode)), (x, gamma, beta)
+        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train")), (x, gamma, beta)
     return build
 
 
@@ -309,9 +355,8 @@ def _quantize_activation_case(rng):
 
 
 PURE_BACKWARD_CASES = {
-    "batchnorm_train_2d": _bn_case((9, 4), "train"),
-    "batchnorm_train_4d": _bn_case((3, 4, 5, 6), "train"),
-    "batchnorm_eval": _bn_case((3, 4, 5, 6), "eval"),
+    "batchnorm_train_2d": _bn_case((9, 4)),
+    "batchnorm_train_4d": _bn_case((3, 4, 5, 6)),
     "conv2d": _conv_case,
     "maxpool2d": _maxpool_case,
     "relu": _relu_case,

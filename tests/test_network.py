@@ -114,6 +114,13 @@ class TestForwardContracts:
             b = net.forward_at(batch, 4, mode="eval").data
         np.testing.assert_array_equal(a, b)
 
+    def test_eval_under_a_tape_and_train_inside_no_grad_raise(self, batch):
+        net = make_net()
+        with Tape(), pytest.raises(ContractError, match="eval-mode batchnorm"):
+            net.forward_at(batch, 8, mode="eval")
+        with no_grad(), pytest.raises(ContractError, match="inside no_grad"):
+            net.forward_at(batch, 8, mode="train")
+
     def test_missing_bank_raises_with_bit_width(self, batch):
         net = make_net()
         with pytest.raises(MissingBankError, match="bit-width 3"):
@@ -256,10 +263,15 @@ class TestSharedWeights:
                 for b in (8, 4, 2):
                     net.forward_at(xb, b, mode="eval")
                 net.forward_at(xb, 4, mode="calibrate")  # train-mode batch norm
-            keys = list(block.memo)
-        # only the quantized weights, one per (block, bit-width)
-        assert sorted(keys, key=lambda k: (k[1], k[2])) == [
-            (net, name, b) for name in net.arch.quantized_names for b in (2, 4, 8)]
+            keys = set(block.memo)
+        # only parameter-derived values: the quantized weights, one per
+        # (block, bit-width), and eval batch norm's affine, one per (BN layer, entry)
+        weights = {(net, name, b) for name in net.arch.quantized_names for b in (2, 4, 8)}
+        affines = {("batchnorm_eval", *map(id, (st.gamma.data, st.beta.data, st.running_mean,
+                                                st.running_var)))
+                   for b in (2, 4, 8) for st in net.bank.entry(b).bn.values()}
+        assert len(affines) == 3 * len(net.arch.bn_names)
+        assert keys == weights | affines
 
     def test_tape_runs_the_first_layer_once_per_batch(self, batch):
         net = make_net()

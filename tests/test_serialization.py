@@ -426,37 +426,38 @@ BAD_CHECKPOINTS = {
                              r"the run record must cover consecutive epochs up to 0; "
                              r"its eval accuracies cover \[\]$"),
     "record_rows_missing": (lambda t: t.log.lines.clear(),
-                            "the run record must cover consecutive epochs up to 0;"),
+                            r"the run record must cover consecutive epochs up to 0; "
+                            r"its batch rows cover \[\]$"),
     "record_epoch_huge": (lambda t: setattr(t, "epoch", 2**32 - 1),
                           "the run record must cover consecutive epochs up to 4294967294;"),
     "record_epoch_beyond": (lambda t: t.log.end_epoch(1, {8: 50.0}),
                             r"the run record must cover .* its eval accuracies cover \[0, 1\]$"),
     "record_row_malformed": (lambda t: _set_field(t, 3, "teacher_b", "x"),
-                             r"run record: run record line 6: teacher_b 'x' is not an integer"),
+                             "run record: metrics.csv line 6: teacher_b 'x' is not an integer$"),
     # fields Python's int and float take but the writer never writes
     "record_int_padded": (lambda t: _set_field(t, 3, "b", " 8"),
-                          "run record: run record line 6: '0,1,coquant, 8,.*' is not as written, "
+                          "run record: metrics.csv line 6: '0,1,coquant, 8,.*' is not as written, "
                           "'0,1,coquant,8,"),
     "record_int_underscore": (lambda t: _set_field(t, 3, "batch", "1_0"),
-                              "run record: run record line 6: .* is not as written, '0,10,"),
+                              "run record: metrics.csv line 6: .* is not as written, '0,10,"),
     "record_int_leading_zero": (lambda t: _set_field(t, 3, "b", "08"),
-                                "run record: run record line 6: .* is not as written, "
+                                "run record: metrics.csv line 6: .* is not as written, "
                                 "'0,1,coquant,8,"),
     "record_float_exponent": (lambda t: _set_field(t, 3, "swap_student_fraction", "1e0"),
-                              r"run record: run record line 6: .* is not as written, '.*,1\.0'"),
+                              r"run record: metrics.csv line 6: .* is not as written, '.*,1\.0'"),
     "record_float_nan": (lambda t: _set_field(t, 3, "ce", "nan"),
-                         "run record: run record line 6: ce 'nan' is not a finite number"),
+                         "run record: metrics.csv line 6: ce 'nan' is not a finite number"),
     "record_field_quoted": (lambda t: _set_field(t, 3, "mode", '"coquant"'),
-                            "run record: run record line 6: mode '\"coquant\"' "
+                            "run record: metrics.csv line 6: mode '\"coquant\"' "
                             "is not unquoted text"),
     "record_crlf": (lambda t: _set_field(t, 3, "swap_student_fraction", "1.0\r"),
-                    r"run record: run record line 6: '.*,1\.0\\r' is not as written"),
+                    r"run record: metrics.csv line 6: '.*,1\.0\\r' is not as written"),
     "record_accuracy_not_finite": (lambda t: t.log.eval_accuracy[0].update({4: float("nan")}),
-                                   "run record: run record eval accuracy of epoch '0' "
+                                   "run record: eval accuracy of epoch '0' "
                                    "must map bit-widths"),
     "record_accuracy_key_padded": (lambda t: setattr(t.log, "eval_accuracy",
                                                      {"00": t.log.eval_accuracy[0]}),
-                                   "run record: run record eval accuracy is not as written, "
+                                   "run record: eval accuracy is not as written, "
                                    "'{\"0\": "),
 }
 
@@ -518,10 +519,10 @@ BAD_SECTIONS = {
                                "config: config is not valid JSON: maximum recursion depth"),
     "rng_nested_too_deep": ("rng", lambda text: DEEP_JSON, "RNG states: maximum recursion depth"),
     "accuracy_nested_too_deep": ("accuracy", lambda text: DEEP_JSON,
-                                 "run record: run record eval accuracy is not valid JSON: "
+                                 "run record: eval accuracy is not valid JSON: "
                                  "maximum recursion depth"),
     "accuracy_epoch_key_huge": ("accuracy", lambda text: f'{{"{HUGE_KEY}": {{}}}}',
-                                "run record: run record eval accuracy of epoch '1{5000}' "
+                                "run record: eval accuracy of epoch '1{5000}' "
                                 "must map"),
 }
 

@@ -766,6 +766,19 @@ class TestCalibration:
             for n, a in t.bank.entry(b).alpha.items():
                 np.testing.assert_array_equal(a.data, alphas_before[b][n])
 
+    def test_fresh_block_after_calibration_serves_the_new_statistics(self):
+        t = make_trainer(mode="coquant", epochs=1)
+        t.run()
+        x = t.eval_set.features
+        with ag.no_grad():
+            before = t.net.forward_at(x, 8, mode="eval").data
+        t.calibrate(8)
+        with ag.no_grad():
+            after = t.net.forward_at(x, 8, mode="eval").data
+        # outside any block the affine is recomputed from the bank as it is now
+        np.testing.assert_array_equal(after, t.net.forward_at(x, 8, mode="eval").data)
+        assert np.any(after != before)
+
     def test_creates_missing_entry(self):
         t = make_trainer(mode="coquant", epochs=1)
         t.run()
