@@ -22,10 +22,11 @@ never inside one. A Tape's memo also holds op results that do not depend on
 the bit-width (``once_per_tape``): a training step runs every bit-width on
 the same batch, so the first layer's output and its batch statistics, and
 each latent weight tensor's b1 codes, are computed once per step. They are
-keyed by the identity of the input arrays, so an op's input arrays (data,
-weights) are never written to while the tape is active. Each call still
-records its own node, so the tape and the bits are the same as without the
-reuse. ``no_grad`` blocks reuse parameter-derived values only, never
+keyed by the identity of the input arrays, and a conv2d node keeps its input,
+not its im2col columns, which its backward rebuilds. So no tensor's .data is
+written in place from a tape's first op until its backward has run. Each call
+still records its own node, so the tape and the bits are the same as without
+the reuse. ``no_grad`` blocks reuse parameter-derived values only, never
 per-batch results: a long one (a serving loop) would otherwise keep every
 batch's results until it ends.
 
@@ -513,23 +514,22 @@ def _conv_out_size(h: int, k: int, stride: int, padding: int) -> int:
     return (h + 2 * padding - k) // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # (N, Ho, Wo, C, kh, kw) -> rows of receptive fields
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * ho * wo, c * kh * kw
-    )
+def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+            ho: int, wo: int) -> np.ndarray:
+    """Receptive fields of NCHW xd as rows in (kh, kw, C) order, cut from a
+    channel-last padded copy, so each window offset copies contiguous channels."""
+    n, c, h, wid = xd.shape
+    xp = np.zeros((n, h + 2 * padding, wid + 2 * padding, c))
+    xp[:, padding : padding + h, padding : padding + wid] = xd.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, shape=(n, ho, wo, kh, kw, c), strides=(
+        sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * c)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with FCKK kernels."""
+    """Cross-correlation of NCHW input with FCKK kernels. The node keeps the
+    input, not its im2col columns: the backward rebuilds them for dw."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input and kernel, got {xd.shape}, {wd.shape}")
@@ -542,24 +542,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(wid, kw, stride, padding)
-    if padding:
-        xp = np.zeros((n, c, hp, wp))
-        xp[:, :, padding : padding + h, padding : padding + wid] = xd
-    else:
-        xp = xd
+    wmat = wd.transpose(0, 2, 3, 1).reshape(f, kh * kw * c)  # the columns' K order
+    im2col = (xd, kh, kw, stride, padding, ho, wo)
     # the first layer sees the same batch and weights at every bit-width
-    cols = once_per_tape(("im2col", kh, kw, stride, padding), (xd,),
-                         lambda: _im2col(xp, kh, kw, stride, ho, wo))
-    wmat = wd.reshape(f, c * kh * kw)
     out = once_per_tape(("conv2d", stride, padding), (xd, wd), lambda: np.ascontiguousarray(
-        (cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)))
+        (_im2col(*im2col) @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)))
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        dw = (g2.T @ cols).reshape(f, c, kh, kw)
+        dw = (g2.T @ _im2col(*im2col)).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         if not x.requires_grad:
             return None, dw
-        dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
+        dcols = (g2 @ wmat).reshape(n, ho, wo, kh, kw, c)
         # col2im into a channel-last (N, H, W, C) buffer, so each window
         # offset adds a block with contiguous channels; the (i, j) order
         # fixes the order of every overlapping sum.
@@ -567,7 +561,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
-                    dcols[..., i, j]
+                    dcols[:, :, :, i, j]
                 )
         if padding:
             dxp = dxp[:, padding:-padding, padding:-padding]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .config import RunConfig, parse_json
+from .config import RunConfig, parse_json, parse_json_object
 from .metrics import MetricsLog
 from .serialize import (ByteWriter, atomic_write_bytes, check_bank_bits, open_reader,
                         read_bank_entry, read_named_arrays, write_bank_entry, write_named_arrays)
@@ -55,7 +55,9 @@ def load_checkpoint(path: str):
     from .training import Trainer
 
     r = open_reader(path, MAGIC, (1, VERSION), "checkpoint")
-    config_json, config = r.parsed(lambda text: (text, RunConfig.from_json(text)), "config")
+    # the section is named once: by parsed, not by RunConfig.from_json
+    config_json, config = r.parsed(
+        lambda text: (text, RunConfig.from_dict(parse_json_object(text, "its text"))), "config")
     trainer = Trainer(config)
     trainer.epoch = r.u32()
 

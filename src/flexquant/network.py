@@ -477,6 +477,8 @@ class QuantNet:
             raise ContractError(f"unknown mode {mode!r}")
         if self.frozen and mode != "eval":
             raise ContractError("a network loaded from codes is eval-only")
+        if mode == "eval" and ag.active_tape() is not None:  # before any op records a node
+            raise ContractError("eval-mode batchnorm has no backward rule; run eval under no_grad")
         self.bank.entry(b)  # fail fast: b outside [2, b1], or no entry for b
         if mask is not None:
             if len(mask.beta) != self.arch.num_blocks:

@@ -1,0 +1,92 @@
+"""Exact cost counters as bounds: costs that repeat to the byte or to the
+call between processes, so a regression of a few per cent fails here where
+timing noise would hide it.
+
+Each bound sits just above the value the current code measures. A change
+that lowers a cost tightens its bound in the same diff; any change to a
+bound is named with its reason in CHANGES.md.
+"""
+
+import sys
+import tracemalloc
+
+import numpy as np
+
+from flexquant.config import RunConfig
+from flexquant.training import Trainer
+
+from test_datasets import write_idx_images, write_idx_labels
+
+# One cnn_coquant-shaped step (channels [16, 16, 32], 16x16 images, batch 64,
+# bits 8/4/2) reads 49.93 MB; it read 79.25 MB while every conv node kept its
+# im2col columns.
+CNN_STEP_TRACED_PEAK_BYTES = 51_000_000
+# One desk step (the criterion-6 MLP 16-64-64-4, batch 200) makes 1,045
+# Python-level calls, numpy's own Python functions included.
+DESK_STEP_PY_CALLS = 1_100
+
+
+def _second_step(trainer: Trainer, batch: int):
+    """The first batch, stepped once to warm up; returns a call running the
+    measured second step."""
+    xb, yb = trainer.train_set.features[:batch], trainer.train_set.labels[:batch]
+    trainer.train_step(xb, yb, 0, 0)
+    return lambda: trainer.train_step(xb, yb, 0, 1)
+
+
+def cnn_trainer(tmp_path) -> Trainer:
+    rng = np.random.default_rng(1)
+    protos = rng.uniform(0.0, 255.0, size=(4, 16, 16))
+    labels = rng.permutation(np.arange(512) % 4)
+    images = np.clip(0.5 * protos[labels] + rng.normal(64.0, 60.0, size=(512, 16, 16)),
+                     0.0, 255.0)
+    write_idx_images(tmp_path / "images", images)
+    write_idx_labels(tmp_path / "labels", labels)
+    return Trainer(RunConfig.from_dict({
+        "schema_version": 1, "mode": "coquant", "bits": [8, 4, 2],
+        "dataset": {"kind": "idx_images", "train_images": str(tmp_path / "images"),
+                    "train_labels": str(tmp_path / "labels"), "mean": 0.5, "std": 0.25,
+                    "classes": 4},
+        "arch": {"kind": "cnn", "in_channels": 1, "image_size": 16, "classes": 4,
+                 "channels": [16, 16, 32]},
+        "epochs": 4, "batch_size": 64, "seed": 1,
+        "alpha": {"init": 1.0, "lr": 0.01, "weight_decay": 5e-4},
+    }))
+
+
+def desk_trainer() -> Trainer:
+    return Trainer(RunConfig.from_dict({
+        "schema_version": 1, "mode": "coquant", "bits": [8, 4, 2],
+        "dataset": {"kind": "synthetic_blobs", "classes": 4, "samples": 4000, "dim": 16,
+                    "spread": 2.0, "seed": 11, "center_scale": 2.0, "center_offset": 10.0},
+        "arch": {"kind": "mlp", "input_dim": 16, "hidden": [64, 64], "classes": 4},
+        "epochs": 30, "batch_size": 200, "seed": 1,
+        "alpha": {"init": 1.0, "lr": 0.01, "weight_decay": 5e-4},
+    }))
+
+
+def test_cnn_step_traced_peak_is_bounded(tmp_path):
+    step = _second_step(cnn_trainer(tmp_path), 64)
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CNN_STEP_TRACED_PEAK_BYTES, f"traced peak {peak} bytes"
+
+
+def test_desk_step_python_calls_are_bounded():
+    step = _second_step(desk_trainer(), 200)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        step()
+    finally:
+        sys.setprofile(None)
+    assert calls <= DESK_STEP_PY_CALLS, f"{calls} Python calls"

@@ -3,7 +3,8 @@
 Each reference below is the earlier, plainer formulation of a kernel
 (np.mean/np.var batch statistics, a channel-first col2im, an argmax max-pool,
 and activation rounding through the general level quantizer), or, for eval
-batch norm, its per-channel affine map in plain numpy. The library kernels
+batch norm, its per-channel affine map in plain numpy, and for conv2d an
+im2col cut window by window. The library kernels
 compute the same floating-point operations in the same order with fewer
 array passes, so their outputs and gradients must match these references bit
 for bit, signed zeros included.
@@ -74,6 +75,37 @@ def ref_batchnorm_eval_four_pass(xd, gamma, beta, running_mean, running_var):
 
 
 def ref_conv2d(xd, wd, stride, padding, g):
+    """im2col with rows in (kh, kw, C) order, cut window by window from a
+    channel-last padded copy, and a channel-first col2im."""
+    n, c, h, wid = xd.shape
+    f, _, kh, kw = wd.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wid + 2 * padding - kw) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xl = xp.transpose(0, 2, 3, 1)
+    cols = np.zeros((n, ho, wo, kh, kw, c))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j] = xl[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
+    cols = cols.reshape(n * ho * wo, kh * kw * c)
+    wmat = np.ascontiguousarray(wd.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
+    out = np.ascontiguousarray((cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+    dw = np.ascontiguousarray((g2.T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+    dcols = (g2 @ wmat).reshape(n, ho, wo, kh, kw, c)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
+                dcols[:, :, :, i, j].transpose(0, 3, 1, 2)
+            )
+    dx = dxp[:, :, padding : padding + h, padding : padding + wid]
+    return out, dx, dw
+
+
+def ref_conv2d_channel_first(xd, wd, stride, padding, g):
+    """The formulation before the channel-last im2col: rows in (C, kh, kw)
+    order. Only the forward gemm's sum order differs from ref_conv2d's."""
     n, c, h, wid = xd.shape
     f, _, kh, kw = wd.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -226,6 +258,29 @@ def test_conv2d_matches_reference(stride, padding, kernel):
             assert dx.flags.c_contiguous
         else:
             assert dx is None
+
+
+@pytest.mark.parametrize("n,c,size,f", [(2, 3, 7, 4), (64, 16, 8, 16), (256, 16, 8, 32),
+                                        (8, 1, 16, 16), (2, 1, 7, 4)])
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_conv2d_channel_last_moves_only_the_forward_sum_order(n, c, size, f, stride, padding):
+    """Against the channel-first formulation: dx and dw are bitwise equal
+    (their sums run over the batch and over the kernels, in the same order);
+    the output's sum over (C, kh, kw) runs in another order, so it is equal
+    within rounding, and bitwise with one input channel."""
+    rng = np.random.default_rng(n + c + f)
+    xd = rng.normal(size=(n, c, size, size + 1))
+    wd = rng.normal(size=(f, c, 3, 3))
+    ho = (size + 2 * padding - 3) // stride + 1
+    wo = (size + 1 + 2 * padding - 3) // stride + 1
+    g = rng.normal(size=(n, f, ho, wo))
+    out, dx, dw = ref_conv2d(xd, wd, stride, padding, g)
+    first_out, first_dx, first_dw = ref_conv2d_channel_first(xd, wd, stride, padding, g)
+    assert_bitwise(dx, first_dx)
+    assert_bitwise(dw, first_dw)
+    np.testing.assert_allclose(out, first_out, rtol=0, atol=1e-13)
+    if c == 1:
+        assert_bitwise(out, first_out)
 
 
 # ---------------------------------------------------------------------------

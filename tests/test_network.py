@@ -121,6 +121,12 @@ class TestForwardContracts:
         with no_grad(), pytest.raises(ContractError, match="inside no_grad"):
             net.forward_at(batch, 8, mode="train")
 
+    def test_eval_under_a_tape_records_nothing(self, batch):
+        net = make_net()  # its first layer's weights require grad
+        with Tape() as tape, pytest.raises(ContractError, match="eval-mode batchnorm"):
+            net.forward_at(batch, 8, mode="eval")
+        assert tape.nodes == []
+
     def test_missing_bank_raises_with_bit_width(self, batch):
         net = make_net()
         with pytest.raises(MissingBankError, match="bit-width 3"):

@@ -516,7 +516,7 @@ BAD_SECTIONS = {
         "uinteger": 0}), "RNG states: stream 'init' does not hold a PCG64 state"),
     "config_truncated": ("config", lambda text: text[:40], "config: .* is not valid JSON"),
     "config_nested_too_deep": ("config", lambda text: DEEP_JSON,
-                               "config: config is not valid JSON: maximum recursion depth"),
+                               "config: its text is not valid JSON: maximum recursion depth"),
     "rng_nested_too_deep": ("rng", lambda text: DEEP_JSON, "RNG states: maximum recursion depth"),
     "accuracy_nested_too_deep": ("accuracy", lambda text: DEEP_JSON,
                                  "run record: eval accuracy is not valid JSON: "

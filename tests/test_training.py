@@ -29,6 +29,11 @@ from flexquant.training import (
 from conftest import blob_config
 
 
+# blob_config's default alpha.init (6.0) lies above every activation, so no
+# clipping value would move and adabits would train exactly as switchable_bn
+MOVING_ALPHA = {"alpha": {"init": 1.0}}
+
+
 def make_trainer(**kwargs) -> Trainer:
     return Trainer(RunConfig.from_dict(blob_config(**kwargs)))
 
@@ -340,7 +345,7 @@ class TestTrainStep:
     def test_mode_equivalence_single_bit(self):
         runs = {}
         for mode in ("adabits", "switchable_bn", "individual:8"):
-            t = make_trainer(mode=mode, bits=(8,), epochs=2)
+            t = make_trainer(mode=mode, bits=(8,), epochs=2, **MOVING_ALPHA)
             t.run()
             runs[mode] = {n: w.data.copy() for n, w in t.net.weights.items()}
         for name in runs["individual:8"]:
@@ -351,7 +356,7 @@ class TestTrainStep:
 
     def test_gradient_accumulation_equivalence(self):
         # one backward over the summed loss == the sum of per-bit backwards
-        trainer = make_trainer(mode="adabits", epochs=1)
+        trainer = make_trainer(mode="adabits", epochs=1, **MOVING_ALPHA)
         xb = trainer.train_set.features[:32]
         yb = trainer.train_set.labels[:32]
 
@@ -617,6 +622,13 @@ class TestBankSharingByMode:
         name = t.arch.quantized_names[0]
         assert t.bank.entry(8).alpha[name] is not t.bank.entry(2).alpha[name]
 
+    def test_adabits_clipping_values_train_apart(self):
+        t = make_trainer(mode="adabits", epochs=2, **MOVING_ALPHA)
+        t.run()
+        alphas = [float(t.bank.entry(b).alpha["dense3"].data) for b in t.bits]
+        assert len(set(alphas)) == len(alphas), alphas
+        assert MOVING_ALPHA["alpha"]["init"] not in alphas
+
 
 class TestProgressive:
     def test_descending_phase_order(self):
@@ -789,7 +801,7 @@ class TestCalibration:
         assert t.evaluate(3) > 0.0
 
     def test_self_consistency_on_trained_bit(self):
-        t = make_trainer(mode="adabits", epochs=4)
+        t = make_trainer(mode="adabits", epochs=4, **MOVING_ALPHA)
         t.run()
         before = t.evaluate(8)
         t.calibrate(8, dataset=t.train_set)
