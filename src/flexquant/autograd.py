@@ -12,9 +12,12 @@ reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer) and skip computing it; the engine skips None.
+A train-mode batch norm and the ReLU after it may record one node
+(``batchnorm(..., relu=True)``), which keeps no pre-activation tensor.
 
 Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
-and dies with it; ``active_memo()`` returns the innermost block's and
+and dies with it. Blocks nest per thread, so threads that each open their
+own never see each other's. ``active_memo()`` returns the innermost block's and
 ``memoized`` gets or computes a value there. Values memoized there (a
 network's quantized weights, eval batch norm's per-channel affine) are never
 seen by another block, so what they derive from may change between blocks,
@@ -43,6 +46,8 @@ weights, batch-norm parameters, clipping values, inputs) hold one.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -106,11 +111,11 @@ class _Block:
         self.memo: dict = {}
 
     def __enter__(self):
-        _tape_stack.append(self)
+        _blocks.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _tape_stack.pop()
+        popped = _blocks.stack.pop()
         if popped is not self:
             raise GraphError("tape stack corrupted")
         return False
@@ -134,18 +139,23 @@ class no_grad(_Block):
     """Context manager that suppresses recording entirely."""
 
 
-_tape_stack: list[_Block] = []
+class _ThreadBlocks(threading.local):
+    def __init__(self):
+        self.stack: list[_Block] = []  # this thread's open blocks, innermost last
+
+
+_blocks = _ThreadBlocks()
 
 
 def active_tape() -> Tape | None:
     """The innermost block if it is a Tape; None inside no_grad or outside any block."""
-    top = _tape_stack[-1] if _tape_stack else None
+    top = stack[-1] if (stack := _blocks.stack) else None
     return top if isinstance(top, Tape) else None
 
 
 def active_memo() -> dict | None:
     """The innermost Tape's or no_grad block's memo; None outside any block."""
-    return _tape_stack[-1].memo if _tape_stack else None
+    return stack[-1].memo if (stack := _blocks.stack) else None
 
 
 def memoized(key: tuple, arrays: tuple, compute):
@@ -415,12 +425,15 @@ def batchnorm(
     momentum: float,
     mode: str,
     update_running: bool = True,
+    relu: bool = False,
 ) -> Tensor:
     """Normalize per feature/channel. Train mode uses batch statistics and,
     unless told otherwise, folds them into the running estimates (never
     inside no_grad); eval mode applies the running estimates as one
     per-channel affine map and records nothing, so never runs under a Tape.
-    Variances are biased (ddof=0) throughout.
+    Variances are biased (ddof=0) throughout. relu applies the ReLU after it
+    in the output buffer, and train mode masks the gradient by that output
+    (> 0 where its input is): one node, the bits of two, no pre-activation.
     """
     xd = x.data
     axes, pshape = _bn_axes(xd)
@@ -431,7 +444,7 @@ def batchnorm(
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     if mode == "train":
-        if update_running and _tape_stack and active_tape() is None:
+        if update_running and _blocks.stack and active_tape() is None:
             raise numerics.ContractError("train-mode batchnorm cannot update running statistics "
                                          "inside no_grad, whose eval affines derive from them")
         m = xd.size // pshape[1]
@@ -470,8 +483,12 @@ def batchnorm(
         else:
             out = gam * x_hat
         out += bet
+        if relu:
+            np.maximum(out, 0.0, out=out)
 
         def bwd(g):
+            if relu:
+                g = g * (out > 0.0)  # the rule's own array, so dx is formed in it
             # (gam / s) * (g - g_mean - x_hat * gx_mean), with the factor
             # applied last; IEEE multiplication commutes, so the bits match
             buf = g * x_hat
@@ -479,7 +496,7 @@ def batchnorm(
             dbeta = np.add.reduce(g, axes)
             g_mean = (dbeta / m).reshape(pshape)
             gx_mean = (dgamma / m).reshape(pshape)
-            dx = g - g_mean
+            dx = np.subtract(g, g_mean, out=g if relu else None)
             np.multiply(x_hat, gx_mean, out=buf)
             dx -= buf
             dx *= gam / s
@@ -501,6 +518,8 @@ def batchnorm(
                                 (gamma.data, beta.data, running_mean, running_var), affine)
         out = xd * scale
         out += shift
+        if relu:
+            np.maximum(out, 0.0, out=out)
         return Tensor(out)
 
     raise numerics.ContractError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlexquantError
+from .numerics import ContractError, FlexquantError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -48,12 +48,13 @@ class Dataset:
         return self.features.shape[0]
 
     def batches(self, batch_size: int, order: np.ndarray | None = None):
-        """Yield (features, labels) slices; `order` permutes samples first."""
-        n = len(self)
-        idx = np.arange(n) if order is None else np.asarray(order)
-        for start in range(0, n, batch_size):
-            sel = idx[start : start + batch_size]
-            yield self.features[sel], self.labels[sel]
+        """(features, labels) slices of batch_size samples; `order` permutes
+        samples first. ContractError unless batch_size is a positive integer."""
+        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+            raise ContractError(f"batch size must be a positive integer, got {batch_size!r}")
+        idx = np.arange(len(self)) if order is None else np.asarray(order)
+        return ((self.features[sel], self.labels[sel]) for sel in (
+            idx[start : start + batch_size] for start in range(0, len(self), batch_size)))
 
 
 def _read_idx(path: str, expect_magic: int, ndim: int) -> np.ndarray:

@@ -495,8 +495,8 @@ class QuantNet:
                     )
                 self.bank.entry(teacher_b)
         cur = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        owner = b
-        for spec, name in zip(self.arch.layers, self.arch.names):
+        owner, fused, layers = b, None, self.arch.layers
+        for i, (spec, name) in enumerate(zip(layers, self.arch.names)):
             kind = spec.kind
             if kind in _LEARNABLE:
                 block = self.arch.block_index.get(name)
@@ -518,11 +518,15 @@ class QuantNet:
                 st = self.bank.entry(owner).bn[name]
                 if mode == "calibrate" and collector is not None:
                     collector.update(name, cur.data)
+                # train mode runs the ReLU after a batch norm in its node
+                if mode != "eval" and i + 1 < len(layers) and layers[i + 1].kind == "relu":
+                    fused = i + 1
                 cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean, st.running_var,
                                    self.bank.bn_momentum, "eval" if mode == "eval" else "train",
-                                   update_running=mode == "train")
+                                   update_running=mode == "train", relu=fused == i + 1)
             elif kind == "relu":
-                cur = ag.relu(cur)
+                if fused != i:
+                    cur = ag.relu(cur)
             elif kind == "pool":
                 cur = ag.maxpool2d(cur, spec.window)
             else:

@@ -263,14 +263,15 @@ class Trainer:
     # -- evaluation / calibration ----------------------------------------------
 
     def evaluate(self, b: int, dataset: Dataset | None = None,
-                 batch_size: int = 512) -> float:
-        """Eval-mode top-1 accuracy in percent at bit-width b."""
+                 batch_size: int | None = None) -> float:
+        """Eval-mode top-1 accuracy in percent at bit-width b; batches default to the run's size."""
         data = dataset if dataset is not None else self.eval_set
+        size = self.config.batch_size if batch_size is None else batch_size
         if len(data) == 0:
             raise TrainingError("evaluation needs a non-empty dataset")
         correct = 0
         with no_grad():
-            for xb, yb in data.batches(batch_size):
+            for xb, yb in data.batches(size):
                 logits = self.net.forward_at(xb, int(b), mode="eval")
                 pred = np.argmax(logits.data, axis=1)
                 correct += int(np.sum(pred == yb))

@@ -18,9 +18,9 @@ from flexquant import autograd  # noqa: E402
 def no_leaked_blocks():
     """A test that leaves a Tape or no_grad block on the stack fails at the
     leak, rather than changing memo lifetimes for the tests after it."""
-    assert autograd._tape_stack == [], "a block was left open before this test"
+    assert autograd._blocks.stack == [], "a block was left open before this test"
     yield
-    assert autograd._tape_stack == [], "this test left a Tape or no_grad block open"
+    assert autograd._blocks.stack == [], "this test left a Tape or no_grad block open"
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

@@ -18,12 +18,17 @@ from flexquant.training import Trainer
 from test_datasets import write_idx_images, write_idx_labels
 
 # One cnn_coquant-shaped step (channels [16, 16, 32], 16x16 images, batch 64,
-# bits 8/4/2) reads 49.93 MB; it read 79.25 MB while every conv node kept its
-# im2col columns.
-CNN_STEP_TRACED_PEAK_BYTES = 51_000_000
-# One desk step (the criterion-6 MLP 16-64-64-4, batch 200) makes 1,045
-# Python-level calls, numpy's own Python functions included.
-DESK_STEP_PY_CALLS = 1_100
+# bits 8/4/2) reads 38.91 MB; it read 49.93 MB while each train-mode batch
+# norm and its ReLU were two nodes, and 79.25 MB while every conv node kept
+# its im2col columns.
+CNN_STEP_TRACED_PEAK_BYTES = 39_700_000
+# Trainer.evaluate on that trainer's 512 images, in batches of its 64, reads
+# 6.53 MB; it read 51.49 MB in one 512-image batch.
+CNN_EVALUATE_TRACED_PEAK_BYTES = 6_700_000
+# One desk step (the criterion-6 MLP 16-64-64-4, batch 200) makes 991
+# Python-level calls, numpy's own Python functions included (1,045 with a
+# ReLU node of its own after each batch norm).
+DESK_STEP_PY_CALLS = 1_000
 
 
 def _second_step(trainer: Trainer, batch: int):
@@ -74,6 +79,18 @@ def test_cnn_step_traced_peak_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= CNN_STEP_TRACED_PEAK_BYTES, f"traced peak {peak} bytes"
+
+
+def test_cnn_evaluate_traced_peak_is_bounded(tmp_path):
+    trainer = cnn_trainer(tmp_path)
+    trainer.evaluate(8)  # warm up
+    tracemalloc.start()
+    try:
+        trainer.evaluate(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CNN_EVALUATE_TRACED_PEAK_BYTES, f"traced peak {peak} bytes"
 
 
 def test_desk_step_python_calls_are_bounded():

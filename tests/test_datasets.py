@@ -14,6 +14,7 @@ from flexquant.datasets import (
     load_idx_images,
     load_idx_labels,
 )
+from flexquant.numerics import ContractError
 
 
 def write_idx_images(path, images: np.ndarray):
@@ -161,6 +162,16 @@ class TestBlobs:
         xb, yb = next(ds.batches(4, order))
         np.testing.assert_array_equal(yb, ds.labels[order[:4]])
         np.testing.assert_array_equal(xb, ds.features[order[:4]])
+
+    @pytest.mark.parametrize("size", [-5, 0, 2.5, np.float64(4.0)])
+    def test_batches_reject_a_size_that_is_no_positive_integer(self, size):
+        ds = gen_synthetic_blobs(2, 10, 2, 1.0, seed=3)
+        with pytest.raises(ContractError, match=re.escape(f"positive integer, got {size!r}")):
+            ds.batches(size)  # at the call, before the first batch
+
+    def test_batches_cover_every_sample_once(self):
+        ds = gen_synthetic_blobs(2, 10, 2, 1.0, seed=3)
+        assert [len(yb) for _, yb in ds.batches(np.int64(4))] == [4, 4, 2]
 
     def test_dataset_length_mismatch_rejected(self):
         with pytest.raises(FormatError):

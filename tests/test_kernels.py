@@ -203,6 +203,82 @@ def test_batchnorm_train_matches_reference(shape, seed):
 
 
 # ---------------------------------------------------------------------------
+# batch-norm + ReLU, train mode: one node
+# ---------------------------------------------------------------------------
+
+def _bn_relu_input(rng, shape):
+    """Normal entries with signed zeros, and channel 1 of signed zeros only:
+    its batch mean is +0, so it normalizes to exact zeros of both signs."""
+    xd = with_signed_zeros(rng, rng.normal(1.0, 2.0, size=shape))
+    zeros = xd[:, 1]
+    zeros[...] = np.where(rng.random(zeros.shape) < 0.5, -0.0, 0.0)
+    return xd
+
+
+def assert_same_bits(got, want):
+    """Every float64 bit equal: signed zeros, and NaN in the same places."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bn_relu_run(x, params, g, fused, pre):
+    """Outputs, running statistics and gradients of one tape that runs each
+    (gamma, beta, rm, rv) set on x in turn: the first call computes the batch
+    statistics, the others reuse them. Unfused, each pre-activation goes to pre."""
+    outs, grads = [], []
+    with Tape() as tape:
+        for gamma, beta, rm, rv in params:
+            y = ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=fused)
+            outs.append(y if fused else ag.relu(y))
+            if not fused:
+                pre.append(y.data)
+    nodes = iter(tape.nodes)
+    for _ in params:
+        if fused:
+            grads.append(next(nodes).backward_fn(g))
+        else:
+            bn, relu = next(nodes), next(nodes)
+            assert relu.inputs == (bn.output,)
+            (gy,) = relu.backward_fn(g)
+            grads.append(bn.backward_fn(gy))
+    assert [n.name for n in tape.nodes] == (
+        ["batchnorm_train"] * len(params) if fused else ["batchnorm_train", "relu"] * len(params))
+    return [(o.data, rm, rv, *gs) for o, (_, _, rm, rv), gs in zip(outs, params, grads)]
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (3, 4, 5, 6)])
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("shared", [1, 2])
+def test_batchnorm_relu_matches_batchnorm_then_relu(shape, special, shared):
+    rng = np.random.default_rng(len(shape) + 2 * special + 4 * shared)
+    c = shape[1]
+    xd = _bn_relu_input(rng, shape)
+    if special:
+        xd[0, 0], xd[-1, 2], xd[0, 3] = np.inf, -np.inf, np.nan
+    g = with_signed_zeros(rng, rng.normal(size=shape))
+    # beta of +-0 on the zero channel, so its outputs keep both signs
+    params = [(rng.uniform(0.5, 1.5, size=c), np.where(np.arange(c) == 1, sign * 0.0,
+                                                       rng.normal(size=c)),
+               rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+              for sign in (-1.0, 1.0)[:shared]]
+
+    runs, pre = [], []
+    for fused in (False, True):
+        tensors = [(Tensor(gm, requires_grad=True), Tensor(bt, requires_grad=True),
+                    rm.copy(), rv.copy()) for gm, bt, rm, rv in params]
+        with np.errstate(invalid="ignore"):
+            runs.append(_bn_relu_run(Tensor(xd, requires_grad=True), tensors, g, fused, pre))
+    for want, got in zip(*runs):
+        for w, a in zip(want, got):
+            assert_same_bits(a, w)
+    # the ReLU saw exact zeros of both signs, and non-finite values when asked
+    zeros = np.signbit(np.concatenate([y[y == 0.0] for y in pre]))
+    assert zeros.any() and not zeros.all()
+    assert all(np.isnan(y).any() == special for y in pre)
+
+
+# ---------------------------------------------------------------------------
 # batch-norm, eval mode
 # ---------------------------------------------------------------------------
 
@@ -229,6 +305,9 @@ def test_batchnorm_eval_matches_reference(shape, seed):
             assert_bitwise(out, ref_batchnorm_eval(xd, gamma, beta, rm, rv))
             np.testing.assert_allclose(
                 out, ref_batchnorm_eval_four_pass(xd, gamma, beta, rm, rv), rtol=0, atol=1e-14)
+    # relu applies the ReLU after it, in eval mode too
+    fused = ag.batchnorm(Tensor(xs[0]), *params, 0.1, "eval", relu=True).data
+    assert_bitwise(fused, ag.relu(Tensor(outs[0])).data)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +436,15 @@ def test_exact_half_levels_exist():
 # backward rules are pure
 # ---------------------------------------------------------------------------
 
-def _bn_case(shape):
+def _bn_case(shape, relu=False):
     def build(rng):
         c = shape[1]
         x = Tensor(rng.normal(2.0, 3.0, size=shape), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, size=c), requires_grad=True)
         beta = Tensor(rng.normal(size=c), requires_grad=True)
         rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train")), (x, gamma, beta)
+        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=relu)), (
+            x, gamma, beta)
     return build
 
 
@@ -412,6 +492,7 @@ def _quantize_activation_case(rng):
 PURE_BACKWARD_CASES = {
     "batchnorm_train_2d": _bn_case((9, 4)),
     "batchnorm_train_4d": _bn_case((3, 4, 5, 6)),
+    "batchnorm_relu_train": _bn_case((3, 4, 5, 6), relu=True),
     "conv2d": _conv_case,
     "maxpool2d": _maxpool_case,
     "relu": _relu_case,

@@ -302,6 +302,31 @@ class TestSharedWeights:
                 np.testing.assert_array_equal(net.forward_at(batch, 4, mode="eval").data,
                                               alone[net])
 
+    def test_train_tape_folds_each_relu_after_a_batch_norm_into_its_node(self, batch):
+        net = make_net()
+        with Tape() as tape:
+            net.forward_at(batch, 4, mode="train")
+        names = [n.name for n in tape.nodes]
+        assert "relu" not in names
+        assert names.count("batchnorm_train") == len(net.arch.bn_names)
+        # a ReLU after anything else, or a second one, records its own node
+        arch = ArchSpec([Dense(6, 8), ReLU(), Dense(8, 8), BatchNorm(8), ReLU(), ReLU(),
+                         Dense(8, 3), BatchNorm(3)])
+        other = QuantNet(PrecisionBank(BitWidthSet([8, 4]), arch), rng=np.random.default_rng(0))
+        with Tape() as tape:
+            other.forward_at(batch, 4, mode="train")
+        assert [n.name for n in tape.nodes if n.name in ("relu", "batchnorm_train")] == [
+            "relu", "batchnorm_train", "relu", "batchnorm_train"]
+
+    def test_eval_calls_relu_after_each_batch_norm(self, batch, monkeypatch):
+        net = make_net()
+        calls = []
+        real = ag.relu
+        monkeypatch.setattr(ag, "relu", lambda a: (calls.append(a), real(a))[1])
+        with no_grad():
+            net.forward_at(batch, 4, mode="eval")
+        assert len(calls) == net.arch.layers.count(ReLU())
+
     def test_weight_cache_follows_active_tape(self):
         net = make_net()
         name = net.arch.quantized_names[0]

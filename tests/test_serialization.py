@@ -119,6 +119,45 @@ class TestBundle:
                 c = net.forward_at(x, b, mode="eval").data
             np.testing.assert_array_equal(a, c)
 
+    def test_threads_serve_one_loaded_network(self, trained, tmp_path):
+        """Each thread opens its own no_grad blocks: none pops another's
+        block or reads its memo, and each gets the serial logits."""
+        import sys
+        import threading
+
+        path = str(tmp_path / "m.aqdb")
+        export_bundle(path, trained.net)
+        net = load_bundle(path).build_network()
+        x = trained.eval_set.features[:20]
+        bits = (8, 4, 2, 8)  # more threads than cores
+        with no_grad():
+            serial = {b: net.forward_at(x, b, mode="eval").data for b in bits}
+        errors, results = [], [[] for _ in bits]
+
+        def serve(b, outs):
+            try:
+                for _ in range(300):
+                    with no_grad():
+                        outs.append(net.forward_at(x, b, mode="eval").data)
+            except Exception as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-block included
+        try:
+            threads = [threading.Thread(target=serve, args=args) for args in zip(bits, results)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for b, outs in zip(bits, results):
+            assert len(outs) == 300
+            for out in outs:
+                np.testing.assert_array_equal(out, serial[b])
+
     def test_loaded_bundle_re_exports_the_same_bytes(self, trained, tmp_path):
         path, again = str(tmp_path / "m.aqdb"), str(tmp_path / "again.aqdb")
         report = export_bundle(path, trained.net)

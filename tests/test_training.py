@@ -897,6 +897,24 @@ class TestEvaluate:
         b = t.evaluate(4, batch_size=17)
         assert a == b
 
+    def test_batches_at_the_run_batch_size_unless_told(self, monkeypatch):
+        t = make_trainer(mode="coquant", epochs=1, samples=250, batch_size=100)
+        seen = []
+        real = t.net.forward_at
+        monkeypatch.setattr(t.net, "forward_at", lambda x, *a, **k: (
+            seen.append(len(x)), real(x, *a, **k))[1])
+        t.evaluate(4, dataset=t.train_set)
+        assert seen == [100, 100, 50]
+        del seen[:]
+        t.evaluate(4, dataset=t.train_set, batch_size=120)
+        assert seen == [120, 120, 10]
+
+    @pytest.mark.parametrize("size", [-5, 0, 2.5])
+    def test_a_batch_size_that_is_no_positive_integer_is_rejected(self, size):
+        t = make_trainer(mode="coquant", epochs=1)
+        with pytest.raises(ContractError, match="batch size must be a positive integer"):
+            t.evaluate(8, batch_size=size)
+
 
 class TestPreferenceShiftHistogram:
     def test_synthetic_entropy_swap_shifts_counts(self):
