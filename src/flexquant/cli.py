@@ -71,7 +71,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _calibration_dataset(trainer: Trainer, spec_arg: str | None):
+def _calibration_dataset(spec_arg: str | None):
     if not spec_arg or spec_arg == "train":
         return None  # trainer falls back to its own training split
     spec = DatasetSpec.from_dict(parse_json_object(read_file(spec_arg), "--data"))
@@ -81,7 +81,7 @@ def _calibration_dataset(trainer: Trainer, spec_arg: str | None):
 
 def cmd_calibrate(args) -> int:
     trainer = load_checkpoint(args.ckpt)
-    data = _calibration_dataset(trainer, args.data)
+    data = _calibration_dataset(args.data)
     for b in _parse_bits(args.bits):
         trainer.calibrate(b, dataset=data)
         print(f"calibrated bit-width {b}")

@@ -479,7 +479,7 @@ class QuantNet:
             raise ContractError("a network loaded from codes is eval-only")
         if mode == "eval" and ag.active_tape() is not None:  # before any op records a node
             raise ContractError("eval-mode batchnorm has no backward rule; run eval under no_grad")
-        self.bank.entry(b)  # fail fast: b outside [2, b1], or no entry for b
+        entries = {b: self.bank.entry(b)}  # fail fast: b outside [2, b1], or no entry for b
         if mask is not None:
             if len(mask.beta) != self.arch.num_blocks:
                 raise ContractError(
@@ -493,30 +493,29 @@ class QuantNet:
                     raise ContractError(
                         f"teacher bit-width {teacher_b} must be in {self.bits.bits} and > {b}"
                     )
-                self.bank.entry(teacher_b)
+                entries[teacher_b] = self.bank.entry(teacher_b)
         cur = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        owner, fused, layers = b, None, self.arch.layers
+        # owner: the entry whose clipping values and BN state the next layers read
+        owner, fused, layers = entries[b], None, self.arch.layers
         for i, (spec, name) in enumerate(zip(layers, self.arch.names)):
             kind = spec.kind
             if kind in _LEARNABLE:
                 block = self.arch.block_index.get(name)
                 if block is None:
                     w = self.weights[name]
-                    owner = b
+                    owner = entries[b]
                 else:
-                    student = mask is None or bool(mask.beta[block - 1])
-                    b_eff = b if student else teacher_b
-                    alpha = self.bank.entry(b_eff).alpha[name]
-                    cur = quantize_activation(cur, alpha, b_eff)
+                    b_eff = b if mask is None or mask.beta[block - 1] else teacher_b
+                    owner = entries[b_eff]
+                    cur = quantize_activation(cur, owner.alpha[name], b_eff)
                     w = self.weight_at(name, b_eff)
-                    owner = b_eff
                 if kind == "dense":
                     cur = ag.matmul(cur, w)
                 else:
                     cur = ag.conv2d(cur, w, stride=spec.stride, padding=spec.padding)
             elif kind == "bn":
-                st = self.bank.entry(owner).bn[name]
-                if mode == "calibrate" and collector is not None:
+                st = owner.bn[name]
+                if collector is not None:
                     collector.update(name, cur.data)
                 # train mode runs the ReLU after a batch norm in its node
                 if mode != "eval" and i + 1 < len(layers) and layers[i + 1].kind == "relu":
@@ -542,8 +541,6 @@ class QuantNet:
         for bb in (bi, bj):
             if bb not in self.bits:
                 raise BitWidthError(f"bit-width {bb} not in {self.bits.bits}")
-        if bi == bj:
-            return 0.0
         total = 0.0
         for name in self.arch.quantized_names:
             wi = self.weight_at(name, bi).data

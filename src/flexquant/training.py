@@ -19,10 +19,10 @@ import numpy as np
 from . import autograd as ag
 from . import numerics
 from .autograd import Tape, Tensor, no_grad
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .datasets import Dataset, load_dataset
 from .metrics import BatchRecord, MetricsLog
-from .network import ContractError, PrecisionBank, QuantNet, StatsCollector, SwapMask
+from .network import ArchSpec, ContractError, PrecisionBank, QuantNet, StatsCollector, SwapMask
 from .optim import SGD, ParamGroup, step_decay_factor
 from .rng import RngStreams
 
@@ -136,6 +136,25 @@ def delta_b(accuracies: dict[int, float], reference: dict[int, float]) -> float:
 # the trainer
 # ---------------------------------------------------------------------------
 
+def _check_widths(arch: ArchSpec, datasets: tuple[Dataset, ...]) -> None:
+    """ConfigError unless the net's two ends fit the data: the first learnable
+    layer's input width against each split's samples (unless a flatten comes
+    before it), and a dense head's width against the class count. A narrow
+    head fails mid-epoch and a wide one trains silently, so both fail here."""
+    names = arch.learnable_names
+    first, last = arch.by_name[names[0]], arch.by_name[names[-1]]
+    width = first.in_features if first.kind == "dense" else first.in_channels
+    if not any(spec.kind == "flatten" for spec in arch.layers[:arch.names.index(names[0])]):
+        for data in datasets:
+            if data.features.shape[1] != width:
+                raise ConfigError(f"arch: {names[0]} takes inputs of width {width}, but the "
+                                  f"dataset's samples have width {data.features.shape[1]}")
+    classes = datasets[0].classes
+    if last.kind == "dense" and last.out_features != classes:
+        raise ConfigError(f"arch: {names[-1]} outputs {last.out_features} logits, but the "
+                          f"dataset has {classes} classes")
+
+
 class Trainer:
     """Owns the network, banks, optimizer, RNG streams, and metrics for one run."""
 
@@ -145,6 +164,7 @@ class Trainer:
         self.bits = config.bit_set()
         self.arch = config.build_arch()
         self.train_set, self.eval_set = load_dataset(config.dataset)
+        _check_widths(self.arch, (self.train_set, self.eval_set))
         self.streams = RngStreams(config.seed)
 
         kind = config.mode_kind

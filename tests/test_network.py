@@ -107,6 +107,21 @@ class TestForwardContracts:
             teacher = net.forward_at(batch, 8, mode="eval").data
         np.testing.assert_array_equal(swapped, teacher)
 
+    @pytest.mark.parametrize("mode", ["train", "eval", "calibrate"])
+    def test_each_bank_entry_is_read_once_per_call(self, batch, mode, monkeypatch):
+        net = make_net()
+        reads = []
+        entry = PrecisionBank.entry
+        monkeypatch.setattr(PrecisionBank, "entry",
+                            lambda bank, b: reads.append(b) or entry(bank, b))
+        swap = SwapMask([False, True])  # block 1 runs at the teacher's 8 bits
+        extra = {"collector": StatsCollector()} if mode == "calibrate" else {}
+        with Tape() if mode == "train" else no_grad():
+            net.forward_at(batch, 2, mode=mode, **extra)
+            assert reads == [2]
+            net.forward_at(batch, 2, mask=swap, teacher_b=8, mode=mode, **extra)
+        assert reads == [2, 2, 8]
+
     def test_eval_is_deterministic(self, batch):
         net = make_net()
         with no_grad():

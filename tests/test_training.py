@@ -9,9 +9,10 @@ import pytest
 from flexquant import autograd as ag
 from flexquant import numerics, quantizers, training
 from flexquant.autograd import Tape, Tensor
-from flexquant.config import RunConfig
+from flexquant.config import ConfigError, RunConfig
 from flexquant.metrics import BatchRecord, MetricsLog, teacher_histogram
 from flexquant.network import ContractError
+from flexquant.numerics import FlexquantError
 from flexquant.quantizers import BitWidthError
 from flexquant.training import (
     LossParts,
@@ -54,23 +55,30 @@ def row_with_entropy(target: float) -> np.ndarray:
     return np.array([[q, (1 - q) / 2, (1 - q) / 2]])
 
 
-def _reuse_trainer(mode: str, arch: str, tmp_path) -> Trainer:
-    """A desk-like MLP, or a tiny CNN on 24 random 8x8 IDX images."""
-    if arch == "mlp":
-        return make_trainer(mode=mode, epochs=1, samples=300, batch_size=100)
-    from test_datasets import write_idx_images, write_idx_labels
-    rng = np.random.default_rng(3)
-    write_idx_images(tmp_path / "imgs", rng.integers(0, 256, size=(24, 8, 8)))
-    write_idx_labels(tmp_path / "labs", np.arange(24) % 3)
-    return Trainer(RunConfig.from_dict({
+def _cnn_config(mode: str, tmp_path, write: bool = True, **arch) -> dict:
+    """A tiny CNN on 24 random 3-class 8x8 IDX images in tmp_path; arch
+    overrides the cnn keys, and write=False reuses the files already there."""
+    if write:
+        from test_datasets import write_idx_images, write_idx_labels
+        rng = np.random.default_rng(3)
+        write_idx_images(tmp_path / "imgs", rng.integers(0, 256, size=(24, 8, 8)))
+        write_idx_labels(tmp_path / "labs", np.arange(24) % 3)
+    return {
         "schema_version": 1, "mode": mode, "bits": [8, 4, 2],
         "dataset": {"kind": "idx_images", "train_images": str(tmp_path / "imgs"),
                     "train_labels": str(tmp_path / "labs"),
                     "mean": 0.5, "std": 0.5, "classes": 3},
         "arch": {"kind": "cnn", "in_channels": 1, "image_size": 8,
-                 "classes": 3, "channels": [4, 4, 4]},
+                 "classes": 3, "channels": [4, 4, 4], **arch},
         "epochs": 1, "batch_size": 8, "seed": 0,
-    }))
+    }
+
+
+def _reuse_trainer(mode: str, arch: str, tmp_path) -> Trainer:
+    """A desk-like MLP, or _cnn_config's tiny CNN."""
+    if arch == "mlp":
+        return make_trainer(mode=mode, epochs=1, samples=300, batch_size=100)
+    return Trainer(RunConfig.from_dict(_cnn_config(mode, tmp_path)))
 
 
 def _three_steps(trainer: Trainer, fresh_copies: bool, patch) -> tuple[dict, dict]:
@@ -603,6 +611,97 @@ class TestFiniteBoundaries:
             np.testing.assert_array_equal(st.running_mean, before[name][0])
             np.testing.assert_array_equal(st.running_var, before[name][1])
         assert 8 not in trainer.calibrated_bits
+
+
+class TestWidthChecks:
+    """A net whose ends do not fit the data fails at construction with a
+    ConfigError naming both widths: a narrow head used to fail mid-epoch with
+    a bare IndexError, and a wide one trained silently."""
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_mlp_head_must_match_the_class_count(self, classes):
+        cfg = blob_config(epochs=1)
+        cfg["arch"]["classes"] = classes
+        with pytest.raises(ConfigError, match=f"dense6 outputs {classes} logits, but the "
+                                              "dataset has 4 classes"):
+            Trainer(RunConfig.from_dict(cfg))
+
+    def test_mlp_input_width_must_match_the_samples(self):
+        cfg = blob_config(epochs=1)
+        cfg["arch"]["input_dim"] = 9
+        with pytest.raises(ConfigError, match="dense0 takes inputs of width 9, but the "
+                                              "dataset's samples have width 8"):
+            Trainer(RunConfig.from_dict(cfg))
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_cnn_head_must_match_the_class_count(self, classes, tmp_path):
+        cfg = _cnn_config("coquant", tmp_path, classes=classes)
+        with pytest.raises(ConfigError, match=f"outputs {classes} logits, but the "
+                                              "dataset has 3 classes"):
+            Trainer(RunConfig.from_dict(cfg))
+
+    def test_cnn_input_channels_must_match_the_images(self, tmp_path):
+        cfg = _cnn_config("coquant", tmp_path, in_channels=3)
+        with pytest.raises(ConfigError, match="conv0 takes inputs of width 3, but the "
+                                              "dataset's samples have width 1"):
+            Trainer(RunConfig.from_dict(cfg))
+
+    def test_a_flatten_first_net_takes_the_flattened_width(self, tmp_path):
+        cfg = _cnn_config("coquant", tmp_path)
+        cfg["arch"] = {"kind": "layers", "layers": [
+            {"kind": "flatten"}, {"kind": "dense", "in_features": 64, "out_features": 3},
+            {"kind": "bn", "features": 3}]}
+        trainer = Trainer(RunConfig.from_dict(cfg))
+        trainer.train_step(trainer.train_set.features[:8], trainer.train_set.labels[:8], 0, 0)
+
+    def test_every_split_is_checked(self, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(6, 3))
+        labels = np.arange(6)[:, None] % 2
+        np.savetxt(tmp_path / "train.csv", np.hstack([rows, labels]), delimiter=",")
+        np.savetxt(tmp_path / "eval.csv", np.hstack([rows[:, :2], labels]), delimiter=",")
+        cfg = blob_config(epochs=1, dim=3, classes=2, hidden=(4,))
+        cfg["dataset"] = {"kind": "csv_table", "path": str(tmp_path / "train.csv"),
+                          "eval_path": str(tmp_path / "eval.csv"), "classes": 2}
+        with pytest.raises(ConfigError, match="samples have width 2"):
+            Trainer(RunConfig.from_dict(cfg))
+
+    def test_generated_widths_train_or_are_rejected(self, tmp_path):
+        """Generated mlp widths (on 3-dim, 3-class blobs) and conv channel
+        counts (on the 1-channel, 3-class images) either build a Trainer that
+        runs one step, or raise a FlexquantError; one that fits the data runs."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        _cnn_config("coquant", tmp_path)  # the IDX files, written once
+
+        @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            def width(fit: int, misfits: list[int]) -> int:  # the fit half the time
+                return fit if data.draw(st.booleans()) else data.draw(st.sampled_from(misfits))
+
+            kind = data.draw(st.sampled_from(["mlp", "cnn"]))
+            widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+            classes = width(3, [1, 2, 4, 5])
+            if kind == "mlp":
+                width_in, data_width = width(3, [1, 2, 4]), 3
+                cfg = blob_config(epochs=1, dim=3, classes=3, samples=12, batch_size=12,
+                                  hidden=widths)
+                cfg["arch"].update(input_dim=width_in, classes=classes)
+            else:
+                width_in, data_width = width(1, [2, 3]), 1
+                cfg = _cnn_config("coquant", tmp_path, write=False, in_channels=width_in,
+                                  channels=widths, classes=classes)
+            try:
+                trainer = Trainer(RunConfig.from_dict(cfg))
+                features, labels = trainer.train_set.features, trainer.train_set.labels
+                trainer.train_step(features[:12], labels[:12], 0, 0)
+            except FlexquantError:
+                assert (width_in, classes) != (data_width, 3), cfg["arch"]
+            else:
+                assert (width_in, classes) == (data_width, 3), cfg["arch"]
+
+        check()
 
 
 class TestBankSharingByMode:
