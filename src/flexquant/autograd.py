@@ -11,7 +11,8 @@ order, which is already a topological order, so ``backward`` is a single
 reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
-fed to a first dense or conv layer) and skip computing it; the engine skips None.
+fed to a first dense or conv layer, or kl_div's target) and skip computing it;
+the engine skips None. add and mul take operands of one shape.
 A train-mode batch norm and the ReLU after it may record one node
 (``batchnorm(..., relu=True)``), which keeps no pre-activation tensor.
 
@@ -31,7 +32,8 @@ written in place from a tape's first op until its backward has run. Each call
 still records its own node, so the tape and the bits are the same as without
 the reuse. ``no_grad`` blocks reuse parameter-derived values only, never
 per-batch results: a long one (a serving loop) would otherwise keep every
-batch's results until it ends.
+batch's results until it ends. Nor does one change state: train-mode batch
+norm folds its statistics into the running estimates everywhere but inside one.
 
 Gradient ownership: a rule never writes into its upstream gradient or into
 any array captured from its forward, so calling it twice gives the same
@@ -77,10 +79,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Constant copy of this value; gradients stop here."""
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -231,39 +229,28 @@ def _accumulate(inputs: tuple, grads, out_grad: np.ndarray) -> None:
             inp.grad += g
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add expects one shape, got {a.data.shape} + {b.data.shape}")
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return record(out, (a, b), bwd, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mul expects one shape, got {a.data.shape} * {b.data.shape}")
     out = a.data * b.data
 
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return g * b.data, g * a.data
 
     return record(out, (a, b), bwd, "mul")
 
@@ -376,8 +363,9 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
 def kl_div(p: Tensor, q: Tensor) -> Tensor:
     """Mean over the batch of sum_i p_i * log(p_i / q_i); rows are distributions.
 
-    Zero entries of p contribute nothing (0 * log 0 := 0); zero entries of q
-    under positive p are clamped to EPS and counted.
+    p is the target and takes no gradient, even where it requires one; only
+    q does. Zero entries of p contribute nothing (0 * log 0 := 0); zero
+    entries of q under positive p are clamped to EPS and counted.
     """
     pd, qd = p.data, q.data
     if pd.shape != qd.shape or pd.ndim != 2:
@@ -388,10 +376,8 @@ def kl_div(p: Tensor, q: Tensor) -> Tensor:
     out = np.asarray(np.sum(np.where(pos, pd * log_ratio, 0.0)) / n)
 
     def bwd(g):
-        gq = np.where(pos & (qd >= numerics.EPS),
-                      -float(g) * pd / (n * np.maximum(qd, numerics.EPS)), 0.0)
-        gp = np.where(pos, float(g) * (log_ratio + 1.0) / n, 0.0)
-        return gp, gq
+        return None, np.where(pos & (qd >= numerics.EPS),
+                              -float(g) * pd / (n * np.maximum(qd, numerics.EPS)), 0.0)
 
     return record(out, (p, q), bwd, "kl_div")
 
@@ -416,12 +402,11 @@ def batchnorm(
     running_var: np.ndarray,
     momentum: float,
     mode: str,
-    update_running: bool = True,
     relu: bool = False,
 ) -> Tensor:
-    """Normalize per feature/channel. Train mode uses batch statistics and,
-    unless told otherwise, folds them into the running estimates (never
-    inside no_grad); eval mode applies the running estimates as one
+    """Normalize per feature/channel. Train mode uses batch statistics and
+    folds them into the running estimates, except inside no_grad (which
+    changes no state); eval mode applies the running estimates as one
     per-channel affine map and records nothing, so never runs under a Tape.
     Variances are biased (ddof=0) throughout. relu applies the ReLU after it
     in the output buffer, and train mode masks the gradient by that output
@@ -436,9 +421,6 @@ def batchnorm(
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     if mode == "train":
-        if update_running and _blocks.stack and active_tape() is None:
-            raise numerics.ContractError("train-mode batchnorm cannot update running statistics "
-                                         "inside no_grad, whose eval affines derive from them")
         m = xd.size // pshape[1]
         spare = []  # the squares buffer, when this call computes the statistics
 
@@ -462,9 +444,10 @@ def batchnorm(
         # the batch statistics depend on the input only, so every bit-width
         # whose BN layer sees the same input (the first layer's) shares them
         mu, var, s, x_hat = once_per_tape(("batchnorm",), (xd,), stats)
-        # a non-finite batch (a step the trainer will reject) leaves the
-        # running estimates as they were
-        if update_running and np.isfinite(mu).all() and np.isfinite(var).all():
+        # a no_grad block (its eval affines derive from the running estimates)
+        # and a non-finite batch (a step the trainer will reject) leave them be
+        if ((active_tape() is not None or not _blocks.stack)
+                and np.isfinite(mu).all() and np.isfinite(var).all()):
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu
             running_var *= 1.0 - momentum

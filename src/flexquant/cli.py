@@ -74,7 +74,7 @@ def cmd_eval(args) -> int:
 def _calibration_dataset(spec_arg: str | None):
     if not spec_arg or spec_arg == "train":
         return None  # trainer falls back to its own training split
-    spec = DatasetSpec.from_dict(parse_json_object(read_file(spec_arg), "--data"))
+    spec = DatasetSpec.from_dict(parse_json_object(read_file(spec_arg), "--data")).validate()
     train, _ = load_dataset(spec)
     return train
 

@@ -52,6 +52,13 @@ def _check_field_types(settings, where: str) -> None:
         _check_type(getattr(settings, f.name), f.type, f"{where}.{f.name}")
 
 
+def _parse_settings(cls, d, where: str):
+    """cls from the JSON object d; ConfigError for another value or an unknown key."""
+    _check_type(d, "dict", where)
+    _require_keys(d, {f.name for f in fields(cls)}, set(), where)
+    return cls(**d)
+
+
 def parse_json(text: str | bytes):
     """The JSON value in text (the package's one JSON parse); ConfigError with
     the parser's message for bad UTF-8 or JSON, a huge integer or deep nesting."""
@@ -80,18 +87,15 @@ class OptimizerSettings:
     weight_decay: float = 1e-4
     schedule: str = "step"  # "step": x0.1 at 50% and 75% of epochs; or "constant"
 
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerSettings":
-        _require_keys(d, {f.name for f in fields(OptimizerSettings)}, set(), "optimizer")
-        s = OptimizerSettings(**d)
-        _check_field_types(s, "optimizer")
-        if s.lr <= 0:
-            raise ConfigError(f"optimizer.lr must be positive, got {s.lr}")
-        if not 0 <= s.momentum < 1:
-            raise ConfigError(f"optimizer.momentum must be in [0, 1), got {s.momentum}")
-        if s.schedule not in ("step", "constant"):
-            raise ConfigError(f"optimizer.schedule must be 'step' or 'constant', got {s.schedule!r}")
-        return s
+    def validate(self) -> None:
+        _check_field_types(self, "optimizer")
+        if self.lr <= 0:
+            raise ConfigError(f"optimizer.lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"optimizer.momentum must be in [0, 1), got {self.momentum}")
+        if self.schedule not in ("step", "constant"):
+            raise ConfigError(
+                f"optimizer.schedule must be 'step' or 'constant', got {self.schedule!r}")
 
 
 @dataclass
@@ -100,14 +104,10 @@ class AlphaSettings:
     lr: float = 0.01
     weight_decay: float = 0.0
 
-    @staticmethod
-    def from_dict(d: dict) -> "AlphaSettings":
-        _require_keys(d, {f.name for f in fields(AlphaSettings)}, set(), "alpha")
-        s = AlphaSettings(**d)
-        _check_field_types(s, "alpha")
-        if s.init <= 0 or s.lr <= 0:
+    def validate(self) -> None:
+        _check_field_types(self, "alpha")
+        if self.init <= 0 or self.lr <= 0:
             raise ConfigError("alpha.init and alpha.lr must be positive")
-        return s
 
 
 # Per dataset kind: the keys it reads and writes (besides "kind"), and the
@@ -147,24 +147,31 @@ class DatasetSpec:
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
         _check_type(d, "dict", "dataset")
-        kind = d.get("kind")
-        if not isinstance(kind, str) or kind not in _DATASET_KEYS:
-            raise ConfigError(f"dataset.kind must be one of {', '.join(_DATASET_KEYS)}; "
-                              f"got {kind!r}")
-        keys, required = _DATASET_KEYS[kind]
+        keys, required = _dataset_keys(d.get("kind"))
         _require_keys(d, {"kind", *keys}, {"kind", *required}, "dataset")
-        spec = DatasetSpec(**d)
-        _check_field_types(spec, "dataset")
-        if spec.seed < 0:
-            raise ConfigError(f"dataset.seed must be non-negative, got {spec.seed}")
-        if kind == "synthetic_blobs":
-            if spec.eval_samples <= 0:
-                spec.eval_samples = max(spec.classes, spec.samples // 4)
-        return spec
+        return DatasetSpec(**d)
+
+    def validate(self) -> "DatasetSpec":
+        """Check the values, and give synthetic blobs their default eval split."""
+        _dataset_keys(self.kind)
+        _check_field_types(self, "dataset")
+        if self.seed < 0:
+            raise ConfigError(f"dataset.seed must be non-negative, got {self.seed}")
+        if self.kind == "synthetic_blobs" and self.eval_samples <= 0:
+            self.eval_samples = max(self.classes, self.samples // 4)
+        return self
 
     def to_dict(self) -> dict:
         keys, _ = _DATASET_KEYS[self.kind]
         return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
+
+
+def _dataset_keys(kind) -> tuple:
+    """(keys, required keys) of a dataset kind; ConfigError for any other value."""
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        raise ConfigError(f"dataset.kind must be one of {', '.join(_DATASET_KEYS)}; "
+                          f"got {kind!r}")
+    return _DATASET_KEYS[kind]
 
 
 # Per arch kind: the type of each key it takes besides "kind"; all but the
@@ -234,6 +241,13 @@ class RunConfig:
     # -- validation / serialization ------------------------------------------
 
     def validate(self) -> "RunConfig":
+        """Check every value, parsed or set in code; cast int-valued float scalars."""
+        for key, (attr, cast) in _SCALARS.items():
+            _check_type(getattr(self, attr), cast.__name__, key)
+            setattr(self, attr, cast(getattr(self, attr)))
+        self.dataset.validate()
+        self.optimizer.validate()
+        self.alpha.validate()
         _check_type(self.mode, "str", "mode")
         kind = self.mode_kind
         if kind not in MODES:
@@ -241,6 +255,9 @@ class RunConfig:
         suffix = self.mode.partition(":")[2]  # a bit-width is at most 16, so 2 digits
         if ":" in self.mode and not (suffix.isdigit() and len(suffix) <= 2):
             raise ConfigError(f"mode {self.mode!r}: the suffix must be a bit-width")
+        _check_type(self.bits, "list", "bits")
+        for b in self.bits:
+            _check_type(b, "int", "bits")
         try:
             bits = self.bit_set()
         except BitWidthError as e:
@@ -280,22 +297,15 @@ class RunConfig:
         version = d["schema_version"]
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version {version} unsupported (expected {SCHEMA_VERSION})")
-        _check_type(d["bits"], "list", "bits")
-        for b in d["bits"]:
-            _check_type(b, "int", "bits")
-        for key in ("arch", "optimizer", "alpha"):
-            _check_type(d.get(key, {}), "dict", key)
-        for key, (_, cast) in _SCALARS.items():
-            if key in d:
-                _check_type(d[key], cast.__name__, key)
+        _check_type(d["arch"], "dict", "arch")
         cfg = RunConfig(
             mode=d["mode"],
-            bits=list(d["bits"]),
+            bits=d["bits"],
             dataset=DatasetSpec.from_dict(d["dataset"]),
             arch=dict(d["arch"]),
-            optimizer=OptimizerSettings.from_dict(dict(d.get("optimizer", {}))),
-            alpha=AlphaSettings.from_dict(dict(d.get("alpha", {}))),
-            **{attr: cast(d[key]) for key, (attr, cast) in _SCALARS.items() if key in d},
+            optimizer=_parse_settings(OptimizerSettings, d.get("optimizer", {}), "optimizer"),
+            alpha=_parse_settings(AlphaSettings, d.get("alpha", {}), "alpha"),
+            **{attr: d[key] for key, (attr, _) in _SCALARS.items() if key in d},
         )
         return cfg.validate()
 

@@ -117,8 +117,8 @@ def gen_synthetic_blobs(classes: int, samples: int, dim: int, spread: float,
         raise FormatError(f"need at least 2 classes, got {classes}")
     if samples < classes:
         raise FormatError(f"need at least {classes} samples, got {samples}")
-    if dim < 1 or spread <= 0:
-        raise FormatError(f"invalid dim={dim} or spread={spread}")
+    if dim < 1 or spread <= 0 or center_scale < 0:
+        raise FormatError(f"invalid dim={dim}, spread={spread} or center_scale={center_scale}")
     splits = ("train", "eval")
     if split not in splits:
         raise FormatError(f"split must be one of {splits}, got {split!r}")

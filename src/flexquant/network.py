@@ -471,9 +471,10 @@ class QuantNet:
         weights, teacher clipping value, teacher BN entry. Unquantized
         first/last layers keep full-precision weights but use the student
         bit-width's BN entries. Eval-mode logits are checked for NaN/Inf.
+        Train mode inside no_grad, where calibration collects BN inputs, changes no state.
         """
         b = int(b)
-        if mode not in ("train", "eval", "calibrate"):
+        if mode not in ("train", "eval"):
             raise ContractError(f"unknown mode {mode!r}")
         if self.frozen and mode != "eval":
             raise ContractError("a network loaded from codes is eval-only")
@@ -518,11 +519,10 @@ class QuantNet:
                 if collector is not None:
                     collector.update(name, cur.data)
                 # train mode runs the ReLU after a batch norm in its node
-                if mode != "eval" and i + 1 < len(layers) and layers[i + 1].kind == "relu":
+                if mode == "train" and i + 1 < len(layers) and layers[i + 1].kind == "relu":
                     fused = i + 1
                 cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean, st.running_var,
-                                   self.bank.bn_momentum, "eval" if mode == "eval" else "train",
-                                   update_running=mode == "train", relu=fused == i + 1)
+                                   self.bank.bn_momentum, mode, relu=fused == i + 1)
             elif kind == "relu":
                 if fused != i:
                     cur = ag.relu(cur)

@@ -6,8 +6,8 @@ weights. The highest precision always executes all-student and takes only
 the task loss. Each lower precision picks the higher precision whose batch
 entropy plus weighted weight-space distance is smallest, samples a swap
 mask, executes with the chosen teacher's blocks swapped in where the mask
-says so, and adds a distillation term against the teacher's (detached)
-soft logits. All losses sum into one backward and one shared update.
+says so, and adds a distillation term toward the teacher's soft logits,
+which take no gradient. All losses sum into one backward and one shared update.
 """
 
 from __future__ import annotations
@@ -110,14 +110,14 @@ def loss_for_bit(b: int, logits: Tensor, labels: np.ndarray,
                  teacher_probs: Tensor | np.ndarray | None = None) -> LossParts:
     """Task loss plus, for lower precisions, distillation against the teacher.
 
-    The teacher distribution is detached: the distillation term moves only
-    the student-side execution.
+    The teacher distribution is kl_div's target, which takes no gradient:
+    the distillation term moves only the student-side execution.
     """
     probs = ag.softmax(logits)
     ce = ag.cross_entropy(probs, labels)
     if teacher_probs is None:
         return LossParts(ce, probs, float(ce.data), 0.0)
-    t = teacher_probs.detach() if isinstance(teacher_probs, Tensor) else Tensor(teacher_probs)
+    t = teacher_probs if isinstance(teacher_probs, Tensor) else Tensor(teacher_probs)
     kl = ag.kl_div(t, probs)
     return LossParts(ag.add(ce, kl), probs, float(ce.data), float(kl.data))
 
@@ -136,11 +136,12 @@ def delta_b(accuracies: dict[int, float], reference: dict[int, float]) -> float:
 # the trainer
 # ---------------------------------------------------------------------------
 
-def _check_widths(arch: ArchSpec, datasets: tuple[Dataset, ...]) -> None:
+def _check_widths(arch: ArchSpec, datasets: tuple[Dataset, ...],
+                  image_size: int | None) -> None:
     """ConfigError unless the net's two ends fit the data: the first learnable
-    layer's input width against each split's samples (unless a flatten comes
-    before it), and a dense head's width against the class count. A narrow
-    head fails mid-epoch and a wide one trains silently, so both fail here."""
+    layer's input width (and a cnn config's image_size) against each split's
+    samples, unless a flatten comes before it, and a dense head's width against
+    the class count. Each mismatch fails mid-epoch or trains silently otherwise."""
     names = arch.learnable_names
     first, last = arch.by_name[names[0]], arch.by_name[names[-1]]
     width = first.in_features if first.kind == "dense" else first.in_channels
@@ -149,6 +150,9 @@ def _check_widths(arch: ArchSpec, datasets: tuple[Dataset, ...]) -> None:
             if data.features.shape[1] != width:
                 raise ConfigError(f"arch: {names[0]} takes inputs of width {width}, but the "
                                   f"dataset's samples have width {data.features.shape[1]}")
+            if image_size is not None and data.features.shape[2:] != (image_size,) * 2:
+                raise ConfigError(f"arch: image_size is {image_size}, but the dataset's "
+                                  f"samples have shape {data.features.shape[1:]}")
     classes = datasets[0].classes
     if last.kind == "dense" and last.out_features != classes:
         raise ConfigError(f"arch: {names[-1]} outputs {last.out_features} logits, but the "
@@ -164,7 +168,7 @@ class Trainer:
         self.bits = config.bit_set()
         self.arch = config.build_arch()
         self.train_set, self.eval_set = load_dataset(config.dataset)
-        _check_widths(self.arch, (self.train_set, self.eval_set))
+        _check_widths(self.arch, (self.train_set, self.eval_set), config.arch.get("image_size"))
         self.streams = RngStreams(config.seed)
 
         kind = config.mode_kind
@@ -314,7 +318,7 @@ class Trainer:
             collector = StatsCollector()
             with no_grad():
                 for xb, _ in data.batches(self.config.batch_size):
-                    self.net.forward_at(xb, b, mode="calibrate", collector=collector)
+                    self.net.forward_at(xb, b, mode="train", collector=collector)
             stats = collector.finalize()
             for name, (mean, var) in stats.items():  # check all before writing any
                 numerics.check_finite(mean, f"calibrate b={b} {name} running_mean")

@@ -152,40 +152,43 @@ class TestBatchnorm:
                          np.zeros(3), np.ones(3), 0.1, "eval")
         assert len(tape) == 0
 
-    def test_running_update_inside_no_grad_raises(self):
+    def test_running_update_only_outside_no_grad(self):
         """A no_grad block memoizes eval affines from the running statistics,
-        so nothing may change them in place inside one."""
+        so train mode changes them everywhere but inside one."""
         x = Tensor(np.random.default_rng(9).normal(size=(5, 3)))
         mean, var = np.zeros(3), np.ones(3)
 
-        def train(update_running=True):
-            ag.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), mean, var, 0.1, "train",
-                         update_running=update_running)
+        def train():
+            ag.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), mean, var, 0.1, "train")
 
+        def moments():
+            return mean.tobytes() + var.tobytes()
+
+        untouched = moments()
         with no_grad():
-            with pytest.raises(ContractError, match="inside no_grad"):
-                train()
-            train(update_running=False)  # calibration's form
-        assert mean.tobytes() == np.zeros(3).tobytes() and var.tobytes() == np.ones(3).tobytes()
-        with Tape():
-            with no_grad(), pytest.raises(ContractError, match="inside no_grad"):
-                train()
             train()
+        with Tape(), no_grad():
+            train()
+        assert moments() == untouched
+        with no_grad(), Tape():  # the innermost block decides
+            train()
+        folded = moments()
+        assert folded != untouched
         train()  # outside any block
-        assert np.all(mean != 0.0)
+        assert moments() != folded
 
     def test_train_constant_batch_gives_beta(self):
         x = Tensor(np.full((5, 3), 2.5))
         beta = np.array([1.0, -2.0, 0.5])
         out = ag.batchnorm(x, Tensor(np.ones(3)), Tensor(beta),
-                           np.zeros(3), np.ones(3), 0.1, "train", update_running=False)
+                           np.zeros(3), np.ones(3), 0.1, "train")
         np.testing.assert_allclose(out.data, np.broadcast_to(beta, (5, 3)), atol=1e-9)
 
     def test_gamma_zero_gives_beta(self):
         x = Tensor(np.random.default_rng(8).normal(size=(5, 3)))
         beta = np.array([3.0, 0.0, -1.0])
         out = ag.batchnorm(x, Tensor(np.zeros(3)), Tensor(beta),
-                           np.zeros(3), np.ones(3), 0.1, "train", update_running=False)
+                           np.zeros(3), np.ones(3), 0.1, "train")
         np.testing.assert_allclose(out.data, np.broadcast_to(beta, (5, 3)), atol=1e-12)
 
     def test_running_stats_update(self):
@@ -202,7 +205,7 @@ class TestBatchnorm:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 3, 4, 4))
         out = ag.batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                           np.zeros(3), np.ones(3), 0.1, "train", update_running=False)
+                           np.zeros(3), np.ones(3), 0.1, "train")
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), np.ones(3), rtol=1e-6)
 
@@ -299,15 +302,37 @@ class TestBackward:
 
     def test_second_backward_adds_the_same_gradients(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        w = Tensor(2.0, requires_grad=True)
+        w = Tensor([2.0, 2.0, 2.0], requires_grad=True)
         with Tape() as tape:
             loss = ag.sum_(ag.relu(ag.mul(x, w)))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 0.0, 2.0])
-        assert w.grad == 4.0
+        np.testing.assert_array_equal(w.grad, [1.0, 0.0, 3.0])
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [4.0, 0.0, 4.0])
-        assert w.grad == 8.0
+        np.testing.assert_array_equal(w.grad, [2.0, 0.0, 6.0])
+
+    @pytest.mark.parametrize("op", [ag.add, ag.mul])
+    @pytest.mark.parametrize("shapes", [((3,), ()), ((2, 3), (3,)), ((2, 3), (2, 1)),
+                                        ((1,), ())])
+    def test_add_and_mul_take_one_shape(self, op, shapes):
+        a, b = (Tensor(np.ones(shape), requires_grad=True) for shape in shapes)
+        with Tape() as tape:
+            for args in ((a, b), (b, a)):
+                with pytest.raises(DimensionError, match=f"^{op.__name__} expects one shape"):
+                    op(*args)
+        assert len(tape) == 0
+
+    def test_kl_target_takes_no_gradient(self):
+        rng = np.random.default_rng(53)
+        target = Tensor(ag.softmax(Tensor(rng.normal(size=(4, 3)))).data, requires_grad=True)
+        logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = ag.kl_div(target, ag.softmax(logits))
+        assert tape.nodes[-1].backward_fn(np.asarray(1.0))[0] is None
+        tape.backward(loss)
+        assert target.grad is None
+        assert logits.grad is not None and np.any(logits.grad != 0.0)
 
     def test_only_leaves_hold_gradients_after_backward(self):
         rng = np.random.default_rng(5)
@@ -442,15 +467,12 @@ class TestFiniteDifferences:
             labels = rng.integers(0, 5, size=2)
             self._check(lambda: ag.cross_entropy(ag.softmax(x), labels), x)
 
-    def test_kl_both_sides(self):
+    def test_kl_student_side(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            logits_p = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+            logits_p = Tensor(rng.normal(size=(2, 5)))
             logits_q = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-            self._check(lambda: ag.kl_div(ag.softmax(logits_p), ag.softmax(logits_q.detach())),
-                        logits_p)
-            self._check(lambda: ag.kl_div(ag.softmax(logits_p.detach()), ag.softmax(logits_q)),
-                        logits_q)
+            self._check(lambda: ag.kl_div(ag.softmax(logits_p), ag.softmax(logits_q)), logits_q)
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(44)
@@ -506,8 +528,7 @@ class TestFiniteDifferences:
         beta = Tensor(rng.normal(size=3), requires_grad=True)
 
         def make_loss():
-            out = ag.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), 0.1,
-                               "train", update_running=False)
+            out = ag.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), 0.1, "train")
             return ag.sum_(ag.mul(out, out))
 
         for t in (x, gamma, beta):
@@ -521,8 +542,7 @@ class TestFiniteDifferences:
         c = Tensor(rng.normal(size=(3, 2, 3, 2)))
 
         def make_loss():
-            out = ag.batchnorm(x, gamma, beta, np.zeros(2), np.ones(2), 0.1,
-                               "train", update_running=False)
+            out = ag.batchnorm(x, gamma, beta, np.zeros(2), np.ones(2), 0.1, "train")
             return ag.sum_(ag.mul(ag.tanh(out), c))
 
         for t in (x, gamma, beta):

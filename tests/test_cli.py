@@ -278,6 +278,17 @@ class TestEvalCalibrateExport:
         assert main(["calibrate", "--ckpt", ckpt, "--bits", "5,3", "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_calibrate_data_runs_the_dataset_rules(self, trained_run, tmp_path, capsys):
+        ckpt, out = os.path.join(trained_run, "checkpoint.ckpt"), str(tmp_path / "cal.ckpt")
+        spec = tmp_path / "data.json"
+        spec.write_text(json.dumps({**blob_config()["dataset"], "seed": -1}))
+        args = ["calibrate", "--ckpt", ckpt, "--bits", "3", "--data", str(spec), "--out", out]
+        assert main(args) == 1
+        assert "error: dataset.seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        spec.write_text(json.dumps(blob_config()["dataset"]))
+        assert main(args) == 0
+
     def test_calibrate_above_b1_exits_one(self, trained_run, tmp_path, capsys):
         out = str(tmp_path / "cal.ckpt")
         rc = main(["calibrate", "--ckpt", os.path.join(trained_run, "checkpoint.ckpt"),

@@ -25,11 +25,12 @@ CNN_STEP_TRACED_PEAK_BYTES = 39_700_000
 # Trainer.evaluate on that trainer's 512 images, in batches of its 64, reads
 # 6.53 MB; it read 51.49 MB in one 512-image batch.
 CNN_EVALUATE_TRACED_PEAK_BYTES = 6_700_000
-# One desk step (the criterion-6 MLP 16-64-64-4, batch 200) makes 979
-# Python-level calls, numpy's own Python functions included (991 while
+# One desk step (the criterion-6 MLP 16-64-64-4, batch 200) makes 963
+# Python-level calls, numpy's own Python functions included (979 while each
+# KL target was a detached copy and add unbroadcast its gradients, 991 while
 # forward_at looked up a bank entry per layer, 1,045 with a ReLU node of its
 # own after each batch norm).
-DESK_STEP_PY_CALLS = 985
+DESK_STEP_PY_CALLS = 969
 
 
 def _second_step(trainer: Trainer, batch: int):

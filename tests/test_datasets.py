@@ -156,6 +156,11 @@ class TestBlobs:
         with pytest.raises(ValueError):
             gen_synthetic_blobs(4, 100, 3, -1.0, seed=0)
 
+    def test_negative_center_scale_rejected(self):
+        # it used to reach numpy as a bare "ValueError: scale < 0"
+        with pytest.raises(FormatError, match="^invalid dim=3, spread=1.0 or center_scale=-1.0$"):
+            gen_synthetic_blobs(4, 100, 3, 1.0, seed=0, center_scale=-1.0)
+
     def test_batches_follow_permutation(self):
         ds = gen_synthetic_blobs(2, 10, 2, 1.0, seed=3)
         order = np.arange(10)[::-1]

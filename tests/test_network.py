@@ -107,16 +107,18 @@ class TestForwardContracts:
             teacher = net.forward_at(batch, 8, mode="eval").data
         np.testing.assert_array_equal(swapped, teacher)
 
-    @pytest.mark.parametrize("mode", ["train", "eval", "calibrate"])
-    def test_each_bank_entry_is_read_once_per_call(self, batch, mode, monkeypatch):
+    @pytest.mark.parametrize("call", ["train", "eval", "calibrate"])
+    def test_each_bank_entry_is_read_once_per_call(self, batch, call, monkeypatch):
         net = make_net()
         reads = []
         entry = PrecisionBank.entry
         monkeypatch.setattr(PrecisionBank, "entry",
                             lambda bank, b: reads.append(b) or entry(bank, b))
         swap = SwapMask([False, True])  # block 1 runs at the teacher's 8 bits
-        extra = {"collector": StatsCollector()} if mode == "calibrate" else {}
-        with Tape() if mode == "train" else no_grad():
+        # calibration runs train mode with a collector inside no_grad
+        mode = "eval" if call == "eval" else "train"
+        extra = {"collector": StatsCollector()} if call == "calibrate" else {}
+        with Tape() if call == "train" else no_grad():
             net.forward_at(batch, 2, mode=mode, **extra)
             assert reads == [2]
             net.forward_at(batch, 2, mask=swap, teacher_b=8, mode=mode, **extra)
@@ -129,12 +131,15 @@ class TestForwardContracts:
             b = net.forward_at(batch, 4, mode="eval").data
         np.testing.assert_array_equal(a, b)
 
-    def test_eval_under_a_tape_and_train_inside_no_grad_raise(self, batch):
+    def test_eval_under_a_tape_raises(self, batch):
         net = make_net()
         with Tape(), pytest.raises(ContractError, match="eval-mode batchnorm"):
             net.forward_at(batch, 8, mode="eval")
-        with no_grad(), pytest.raises(ContractError, match="inside no_grad"):
-            net.forward_at(batch, 8, mode="train")
+
+    @pytest.mark.parametrize("mode", ["calibrate", "Train"])
+    def test_forward_at_takes_two_modes(self, batch, mode):
+        with no_grad(), pytest.raises(ContractError, match=f"unknown mode '{mode}'"):
+            make_net().forward_at(batch, 8, mode=mode)
 
     def test_eval_under_a_tape_records_nothing(self, batch):
         net = make_net()  # its first layer's weights require grad
@@ -283,7 +288,7 @@ class TestSharedWeights:
                 xb = rng.normal(size=(7, 6))
                 for b in (8, 4, 2):
                     net.forward_at(xb, b, mode="eval")
-                net.forward_at(xb, 4, mode="calibrate")  # train-mode batch norm
+                net.forward_at(xb, 4, mode="train")  # train-mode batch norm
             keys = set(block.memo)
         # only parameter-derived values: the quantized weights, one per
         # (block, bit-width), and eval batch norm's affine, one per (BN layer, entry)
@@ -497,19 +502,41 @@ class TestBankBatchNorm:
         return {(b, name): st.running_mean.tobytes() + st.running_var.tobytes()
                 for b, entry in net.bank.entries.items() for name, st in entry.bn.items()}
 
-    @pytest.mark.parametrize("mode", ["eval", "calibrate"])
-    def test_eval_and_calibrate_leave_running_statistics(self, batch, mode):
+    @staticmethod
+    def moved_net(batch):
         net = make_net()
         with Tape():
             for b in net.bits:  # move the statistics off their defaults first
                 net.forward_at(batch, b, mode="train")
+        return net
+
+    @pytest.mark.parametrize("call", ["eval", "calibrate"])
+    def test_eval_and_calibrate_leave_running_statistics(self, batch, call):
+        net = self.moved_net(batch)
         before = self.running_bytes(net)
-        with no_grad():
+        with no_grad():  # calibration runs train mode with a collector here
             for b in net.bits:
                 mask = SwapMask(np.array([False, True])) if b < 8 else None
-                net.forward_at(batch, b, mask=mask, teacher_b=8, mode=mode,
-                               collector=StatsCollector() if mode == "calibrate" else None)
+                net.forward_at(batch, b, mask=mask, teacher_b=8,
+                               mode="eval" if call == "eval" else "train",
+                               collector=StatsCollector() if call == "calibrate" else None)
         assert self.running_bytes(net) == before
+
+    def test_train_inside_no_grad_changes_no_running_statistic(self, batch):
+        # a no_grad block changes no state, whatever runs in it: every
+        # bit-width, swapped blocks, batches of other statistics
+        net = self.moved_net(batch)
+        before = self.running_bytes(net)
+        rng = np.random.default_rng(3)
+        with no_grad():
+            for b in net.bits:
+                for mask in (None, SwapMask(np.array([False, False]))) if b < 8 else (None,):
+                    net.forward_at(rng.normal(2.0, 3.0, size=batch.shape), b, mask=mask,
+                                   teacher_b=8, mode="train")
+        assert self.running_bytes(net) == before
+        with Tape():  # a tape folds them, so the check above can fail
+            net.forward_at(batch, 4, mode="train")
+        assert self.running_bytes(net) != before
 
     def test_train_folds_with_the_bank_momentum(self, batch):
         arch = mlp(6, [16, 16, 16], 3)
@@ -517,7 +544,7 @@ class TestBankBatchNorm:
         net = QuantNet(bank, rng=np.random.default_rng(0))
         collector = StatsCollector()
         with no_grad():  # the same batch statistics, folded nowhere
-            net.forward_at(batch, 4, mode="calibrate", collector=collector)
+            net.forward_at(batch, 4, mode="train", collector=collector)
         with Tape():
             net.forward_at(batch, 4, mode="train")
         for name, (mean, _) in collector.finalize().items():

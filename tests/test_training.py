@@ -9,7 +9,8 @@ import pytest
 from flexquant import autograd as ag
 from flexquant import numerics, quantizers, training
 from flexquant.autograd import Tape, Tensor
-from flexquant.config import ConfigError, RunConfig
+from flexquant.checkpoint import load_checkpoint, save_checkpoint
+from flexquant.config import AlphaSettings, ConfigError, DatasetSpec, OptimizerSettings, RunConfig
 from flexquant.metrics import BatchRecord, MetricsLog, teacher_histogram
 from flexquant.network import ContractError
 from flexquant.numerics import FlexquantError
@@ -444,7 +445,7 @@ class TestTrainStep:
         with Tape() as tape:
             p_teacher = ag.softmax(trainer.net.forward_at(xb, 8, mode="train"))
             p_student = ag.softmax(trainer.net.forward_at(xb, 2, mode="train"))
-            kl = ag.kl_div(p_teacher.detach(), p_student)
+            kl = ag.kl_div(p_teacher, p_student)
         tape.backward(kl)
         for name, st in trainer.bank.entry(8).bn.items():
             assert st.gamma.grad is None, f"teacher-side {name} gamma got a KL gradient"
@@ -646,6 +647,14 @@ class TestWidthChecks:
                                               "dataset's samples have width 1"):
             Trainer(RunConfig.from_dict(cfg))
 
+    @pytest.mark.parametrize("image_size", [4, 10])
+    def test_cnn_image_size_must_match_the_images(self, image_size, tmp_path):
+        # image_size 4 used to fail at the first step, as a DimensionError from matmul
+        cfg = _cnn_config("coquant", tmp_path, image_size=image_size)
+        with pytest.raises(ConfigError, match=rf"^arch: image_size is {image_size}, but the "
+                                              r"dataset's samples have shape \(1, 8, 8\)$"):
+            Trainer(RunConfig.from_dict(cfg))
+
     def test_a_flatten_first_net_takes_the_flattened_width(self, tmp_path):
         cfg = _cnn_config("coquant", tmp_path)
         cfg["arch"] = {"kind": "layers", "layers": [
@@ -702,6 +711,131 @@ class TestWidthChecks:
                 assert (width_in, classes) == (data_width, 3), cfg["arch"]
 
         check()
+
+
+class TestConfigSetInCode:
+    """Trainer(config) runs the JSON parsers' value rules on fields set in
+    code: each config below used to train (or fail later, with another
+    error), and the checkpoint it wrote then failed to load."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("alpha", AlphaSettings(init=-1.0), "^alpha.init and alpha.lr must be positive$"),
+        ("optimizer", OptimizerSettings(schedule="cosine"),
+         "^optimizer.schedule must be 'step' or 'constant', got 'cosine'$"),
+        ("optimizer", OptimizerSettings(lr=-0.1), "^optimizer.lr must be positive, got -0.1$"),
+        ("optimizer", OptimizerSettings(momentum=True), "^optimizer.momentum must be float"),
+        ("dataset", DatasetSpec("synthetic_blobs", classes=4, samples=600, dim=8, seed=-1),
+         "^dataset.seed must be non-negative, got -1$"),
+        ("dataset", DatasetSpec("blobs"), "^dataset.kind must be one of"),
+        ("epochs", "2", "^epochs must be int, got '2'$"),
+        ("lam", float("nan"), "^lambda must be a finite number, got nan$"),
+        ("bits", ["8", "4", "2"], "^bits must be int, got '8'$"),
+    ], ids=["alpha_init", "schedule", "lr", "momentum_bool", "dataset_seed", "dataset_kind",
+            "epochs_str", "lambda_nan", "bits_str"])
+    def test_value_rules_run_at_trainer(self, field, value, match):
+        cfg = RunConfig.from_dict(blob_config(epochs=1))
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=match):
+            Trainer(cfg)
+
+    def test_blobs_without_eval_samples_train_on_the_default_split(self):
+        parsed = Trainer(RunConfig.from_dict(blob_config(epochs=1)))
+        cfg = RunConfig.from_dict(blob_config(epochs=1))
+        cfg.dataset = DatasetSpec("synthetic_blobs", classes=4, samples=600, dim=8, seed=7)
+        trainer = Trainer(cfg)
+        assert cfg.dataset.eval_samples == len(trainer.eval_set) == 150
+        np.testing.assert_array_equal(trainer.eval_set.features, parsed.eval_set.features)
+        assert cfg.to_json() == parsed.config.to_json()
+        assert trainer.run() == parsed.run()
+
+    def test_generated_configs_reload_or_are_rejected(self, tmp_path):
+        """Generated optimizer, alpha, dataset, bits and scalar values, given as
+        JSON or set in code on a parsed config, either raise a FlexquantError
+        before training starts, or train one epoch and reload from their
+        checkpoint to a config with an equal to_json()."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings, strategies as st
+
+        floats = st.floats
+        valid = {  # edge values included
+            "optimizer": {"lr": floats(0.001, 0.5) | st.just(1),
+                          "momentum": floats(0.0, 0.95) | st.just(0),
+                          "weight_decay": floats(-0.01, 0.01) | st.just(0),
+                          "schedule": st.sampled_from(["step", "constant"])},
+            "alpha": {"init": floats(0.1, 8.0) | st.just(2), "lr": floats(0.001, 0.1),
+                      "weight_decay": floats(0.0, 0.01) | st.just(0)},
+            "dataset": {"classes": st.just(3), "samples": st.integers(3, 48),
+                        "dim": st.just(3), "spread": floats(0.1, 3.0),
+                        "seed": st.integers(0, 2**64), "center_scale": floats(0.0, 5.0),
+                        "center_offset": floats(-10.0, 10.0),
+                        "eval_samples": st.integers(-2, 48).filter(lambda n: n not in (1, 2))},
+            "scalars": {"lambda": floats(0.0, 2.0) | st.just(0),
+                        "p1_initial": floats(0.01, 1.0) | st.just(1),
+                        "epochs": st.integers(1, 3), "batch_size": st.integers(1, 32),
+                        "seed": st.integers(0, 2**64), "bn_momentum": floats(0.01, 1.0),
+                        "bits": st.sampled_from([[8, 4, 2], [8, 2], [6, 3], [2, 5]])},
+        }
+        nan, inf = float("nan"), float("inf")
+        invalid = [(group, key, bad) for group, key, values in [
+            ("optimizer", "lr", (0, -0.1, nan, "0.1")),
+            ("optimizer", "momentum", (1, 1.5, -0.1, True)),
+            ("optimizer", "weight_decay", (inf,)),
+            ("optimizer", "schedule", ("cosine", 1)),
+            ("alpha", "init", (0, -1.0, None)), ("alpha", "lr", (0.0, -0.01, nan)),
+            ("alpha", "weight_decay", (-inf,)),
+            ("dataset", "classes", (0, 1, 4, 3.0)), ("dataset", "samples", (0, 2, -5)),
+            ("dataset", "dim", (0, 2, "3")), ("dataset", "spread", (0, -1.0, nan)),
+            ("dataset", "seed", (-1, 1.5)), ("dataset", "center_scale", (-1.0,)),
+            ("dataset", "center_offset", (inf,)), ("dataset", "eval_samples", (1, "12", 1.0)),
+            ("scalars", "lambda", (-0.5, nan)), ("scalars", "p1_initial", (0, 1.5)),
+            ("scalars", "epochs", (0, 1.0, "2")), ("scalars", "batch_size", (0, -1, 2.0)),
+            ("scalars", "seed", (-1, None)), ("scalars", "bn_momentum", (0, 1.5, inf)),
+            ("scalars", "bits", ([8, "4"], [8, 8], [1], [], 8, (8, 4))),
+        ] for bad in values]
+        attrs = {"lambda": "lam"}
+        path = str(tmp_path / "checkpoint.ckpt")
+
+        @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+        @given(st.booleans(), st.fixed_dictionaries(
+            {group: st.fixed_dictionaries({}, optional=keys) for group, keys in valid.items()}),
+            st.none() | st.sampled_from(invalid))
+        def check(in_code, drawn, bad):
+            drawn = {group: dict(values) for group, values in drawn.items()}
+            if bad is not None:  # at most one invalid value, so most examples train
+                drawn[bad[0]][bad[1]] = bad[2]
+            cfg = blob_config(mode="coquant", epochs=1, samples=24, classes=3, dim=3,
+                              hidden=(4, 4), batch_size=12)
+            try:
+                if in_code:
+                    config = RunConfig.from_dict(cfg)
+                    for group in ("optimizer", "alpha", "dataset"):
+                        for key, val in drawn[group].items():
+                            setattr(getattr(config, group), key, val)
+                    for key, val in drawn["scalars"].items():
+                        setattr(config, attrs.get(key, key), val)
+                else:
+                    cfg.update(drawn["scalars"])
+                    for group in ("optimizer", "alpha", "dataset"):
+                        cfg.setdefault(group, {}).update(drawn[group])
+                    config = RunConfig.from_dict(cfg)
+                trainer = Trainer(config)
+            except FlexquantError:
+                return
+            trainer.train_epoch()
+            save_checkpoint(path, trainer)
+            assert load_checkpoint(path).config.to_json() == trainer.config.to_json()
+
+        for in_code in (False, True):  # every invalid value alone, in both forms
+            for bad in invalid:
+                check = example(in_code, {group: {} for group in valid}, bad)(check)
+        check()
+
+    def test_top_level_scalars_are_cast_as_from_json(self):
+        cfg = RunConfig.from_dict(blob_config(epochs=1))
+        cfg.lam, cfg.p1_initial = 1, 1
+        Trainer(cfg)
+        assert (type(cfg.lam), type(cfg.p1_initial)) == (float, float)
+        assert cfg.to_json() == RunConfig.from_json(cfg.to_json()).to_json()
 
 
 class TestBankSharingByMode:
