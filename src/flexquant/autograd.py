@@ -12,7 +12,7 @@ reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer, or kl_div's target) and skip computing it;
-the engine skips None. add and mul take operands of one shape.
+the engine skips None. add takes operands of one shape.
 A train-mode batch norm and the ReLU after it may record one node
 (``batchnorm(..., relu=True)``), which keeps no pre-activation tensor.
 
@@ -76,9 +76,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -244,17 +241,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul expects one shape, got {a.data.shape} * {b.data.shape}")
-    out = a.data * b.data
-
-    def bwd(g):
-        return g * b.data, g * a.data
-
-    return record(out, (a, b), bwd, "mul")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
@@ -275,26 +261,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0.0),)
 
     return record(out, (a,), bwd, "relu")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return record(out, (a,), bwd, "tanh")
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with the library-wide EPS clamp; clamped entries get zero grad."""
-    out = numerics.clamped_log(a.data)
-
-    def bwd(g):
-        inside = a.data >= numerics.EPS
-        return (np.where(inside, g / np.maximum(a.data, numerics.EPS), 0.0),)
-
-    return record(out, (a,), bwd, "log")
 
 
 def sum_(a: Tensor) -> Tensor:

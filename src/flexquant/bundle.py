@@ -11,11 +11,12 @@ Layout (version 1, little-endian, CRC32 trailer over everything before it):
   magic "AQDB" | version u32 | arch JSON (length-prefixed UTF-8)
   per learnable layer: name | code bit-width u8 (0 = full precision)
                        array header | packed codes + mean_b1 f64, or raw f64 weights
-  bank: every entry of the network's PrecisionBank, trained or zero-shot,
-        as a checkpoint holds them: n_bits u8, bit u8 each (descending);
-        per bit: per BN layer gamma/beta/mean/var f64 arrays, then per
-        quantized layer alpha f64 (the bank-entry layout checkpoints share,
-        see serialize.write_bank_entry)
+  bank: every entry of the network's PrecisionBank, trained or zero-shot:
+        n_bits u8, then every bit u8 (descending), then the entries in that
+        order, each per BN layer gamma/beta/mean/var f64 arrays, then per
+        quantized layer alpha f64 (a checkpoint writes each bit directly
+        before its entry; the two share only the entry layout, see
+        serialize.write_bank_entry)
 The loader checks each field against the architecture the file declares:
 layer names in order, code bit-width 0 on exactly the first and last
 layers and one b1 in [2, 16] on the rest, every shape, codes below 2^b1,

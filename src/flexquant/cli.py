@@ -72,7 +72,7 @@ def cmd_eval(args) -> int:
 
 
 def _calibration_dataset(spec_arg: str | None):
-    if not spec_arg or spec_arg == "train":
+    if spec_arg is None:
         return None  # trainer falls back to its own training split
     spec = DatasetSpec.from_dict(parse_json_object(read_file(spec_arg), "--data")).validate()
     train, _ = load_dataset(spec)
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bits", required=True)
     p.add_argument("--data", default=None,
-                   help="DatasetSpec JSON file, or 'train' for the run's own data")
+                   help="DatasetSpec JSON file (default: the run's own training split)")
     p.add_argument("--out", default=None, help="write the updated checkpoint here")
     p.set_defaults(fn=cmd_calibrate)
 

@@ -216,9 +216,6 @@ class RunConfig:
             return int(self.mode.split(":", 1)[1])
         return None
 
-    def bit_set(self) -> BitWidthSet:
-        return BitWidthSet(self.bits)
-
     def build_arch(self) -> ArchSpec:
         arch = self.arch
         kind = arch.get("kind")
@@ -240,8 +237,9 @@ class RunConfig:
 
     # -- validation / serialization ------------------------------------------
 
-    def validate(self) -> "RunConfig":
-        """Check every value, parsed or set in code; cast int-valued float scalars."""
+    def validate(self) -> tuple[BitWidthSet, ArchSpec]:
+        """Check every value, parsed or set in code; cast int-valued float
+        scalars. Returns the bit-width set and architecture it built."""
         for key, (attr, cast) in _SCALARS.items():
             _check_type(getattr(self, attr), cast.__name__, key)
             setattr(self, attr, cast(getattr(self, attr)))
@@ -259,7 +257,7 @@ class RunConfig:
         for b in self.bits:
             _check_type(b, "int", "bits")
         try:
-            bits = self.bit_set()
+            bits = BitWidthSet(self.bits)
         except BitWidthError as e:
             raise ConfigError(f"bits: {e}") from None
         if kind in ("individual", "direct"):
@@ -283,8 +281,7 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.bn_momentum <= 1.0:
             raise ConfigError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
-        self.build_arch()  # fail early on malformed arch
-        return self
+        return bits, self.build_arch()
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -307,7 +304,8 @@ class RunConfig:
             alpha=_parse_settings(AlphaSettings, d.get("alpha", {}), "alpha"),
             **{attr: d[key] for key, (attr, _) in _SCALARS.items() if key in d},
         )
-        return cfg.validate()
+        cfg.validate()
+        return cfg
 
     def to_dict(self) -> dict:
         return {

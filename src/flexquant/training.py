@@ -107,7 +107,7 @@ class LossParts:
 
 
 def loss_for_bit(b: int, logits: Tensor, labels: np.ndarray,
-                 teacher_probs: Tensor | np.ndarray | None = None) -> LossParts:
+                 teacher_probs: Tensor | None = None) -> LossParts:
     """Task loss plus, for lower precisions, distillation against the teacher.
 
     The teacher distribution is kl_div's target, which takes no gradient:
@@ -117,8 +117,7 @@ def loss_for_bit(b: int, logits: Tensor, labels: np.ndarray,
     ce = ag.cross_entropy(probs, labels)
     if teacher_probs is None:
         return LossParts(ce, probs, float(ce.data), 0.0)
-    t = teacher_probs if isinstance(teacher_probs, Tensor) else Tensor(teacher_probs)
-    kl = ag.kl_div(t, probs)
+    kl = ag.kl_div(teacher_probs, probs)
     return LossParts(ag.add(ce, kl), probs, float(ce.data), float(kl.data))
 
 
@@ -163,10 +162,8 @@ class Trainer:
     """Owns the network, banks, optimizer, RNG streams, and metrics for one run."""
 
     def __init__(self, config: RunConfig):
-        config.validate()
+        self.bits, self.arch = config.validate()
         self.config = config
-        self.bits = config.bit_set()
-        self.arch = config.build_arch()
         self.train_set, self.eval_set = load_dataset(config.dataset)
         _check_widths(self.arch, (self.train_set, self.eval_set), config.arch.get("image_size"))
         self.streams = RngStreams(config.seed)

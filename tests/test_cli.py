@@ -289,6 +289,30 @@ class TestEvalCalibrateExport:
         spec.write_text(json.dumps(blob_config()["dataset"]))
         assert main(args) == 0
 
+    def test_calibrate_data_reads_a_spec_file_named_train(self, trained_run, tmp_path,
+                                                          monkeypatch):
+        ckpt = os.path.join(trained_run, "checkpoint.ckpt")
+        other = json.dumps({**blob_config()["dataset"], "seed": 99})
+        (tmp_path / "train").write_text(other)
+        (tmp_path / "other.json").write_text(other)
+        monkeypatch.chdir(tmp_path)
+        for data, out in (("train", "a.ckpt"), ("other.json", "b.ckpt")):
+            assert main(["calibrate", "--ckpt", ckpt, "--bits", "3", "--data", data,
+                         "--out", out]) == 0
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3", "--out", "own.ckpt"]) == 0
+        a, b, own = (open(n, "rb").read() for n in ("a.ckpt", "b.ckpt", "own.ckpt"))
+        assert a == b != own
+
+    def test_calibrate_without_data_uses_the_runs_training_split(self, trained_run, tmp_path):
+        ckpt = os.path.join(trained_run, "checkpoint.ckpt")
+        spec = tmp_path / "own.json"
+        spec.write_text(json.dumps(blob_config()["dataset"]))  # the run's own dataset
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3", "--out", a]) == 0
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3", "--data", str(spec),
+                     "--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
     def test_calibrate_above_b1_exits_one(self, trained_run, tmp_path, capsys):
         out = str(tmp_path / "cal.ckpt")
         rc = main(["calibrate", "--ckpt", os.path.join(trained_run, "checkpoint.ckpt"),

@@ -27,6 +27,8 @@ from flexquant.network import (
 from flexquant.numerics import NonFiniteError
 from flexquant.quantizers import BitWidthError, weight_forward
 
+from test_autograd import sum_of_squares
+
 
 def make_net(bits=(8, 4, 2), hidden=(16, 16, 16), dim=6, classes=3, seed=0,
              share_bn=False, share_alpha=False):
@@ -226,7 +228,7 @@ class TestSharedWeights:
                 w.grad = None
             with Tape() as tape:
                 logits = net.forward_at(batch, 4, mode="train")
-                loss = ag.sum_(ag.mul(logits, logits))
+                loss = sum_of_squares(logits)
             tape.backward(loss)
             for name in net.arch.quantized_names:
                 assert net.weights[name].grad is not None, name
@@ -364,7 +366,7 @@ class TestSharedWeights:
         mask = SwapMask(np.array([False, False]))
         with Tape() as tape:
             logits = net.forward_at(batch, 2, mask=mask, teacher_b=8, mode="train")
-            loss = ag.sum_(ag.mul(logits, logits))
+            loss = sum_of_squares(logits)
         tape.backward(loss)
         for name in net.arch.quantized_names:
             assert net.weights[name].grad is not None

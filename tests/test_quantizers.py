@@ -19,7 +19,7 @@ from flexquant.quantizers import (
     weight_forward,
 )
 
-from test_autograd import grad_of
+from test_autograd import grad_of, weighted_sum
 
 
 def reference_weight_pipeline(w: np.ndarray, b: int, b1: int) -> np.ndarray:
@@ -240,9 +240,9 @@ class TestWeightPipeline:
     def test_ste_passes_arbitrary_upstream_exactly(self):
         rng = np.random.default_rng(12)
         w = Tensor(rng.normal(size=20), requires_grad=True)
-        c = Tensor(rng.normal(size=20))
-        (g,) = grad_of(lambda: ag.sum_(ag.mul(quantize_weights_at(w, 4, 8), c)), w)
-        np.testing.assert_array_equal(g, c.data)
+        c = rng.normal(size=20)
+        (g,) = grad_of(lambda: weighted_sum(quantize_weights_at(w, 4, 8), c), w)
+        np.testing.assert_array_equal(g, c)
 
 
 class TestActivationQuantizer:
@@ -281,8 +281,7 @@ class TestActivationQuantizer:
         a_vals = rng.uniform(-1.0, 2.0, size=40)
         upstream = rng.normal(size=40)
         a = Tensor(a_vals, requires_grad=True)
-        c = Tensor(upstream)
-        (galpha,) = grad_of(lambda: ag.sum_(ag.mul(quantize_activation(a, alpha, 4), c)),
+        (galpha,) = grad_of(lambda: weighted_sum(quantize_activation(a, alpha, 4), upstream),
                             alpha)
         # brute-force per-element oracle
         expect = sum(upstream[i] for i in range(40) if a_vals[i] > 0.7)
@@ -303,6 +302,6 @@ class TestActivationQuantizer:
         rng = np.random.default_rng(14)
         alpha = Tensor(np.asarray(1.0))
         a = Tensor(rng.uniform(0.05, 0.95, size=30), requires_grad=True)
-        c = Tensor(rng.normal(size=30))
-        (ga,) = grad_of(lambda: ag.sum_(ag.mul(quantize_activation(a, alpha, 3), c)), a)
-        np.testing.assert_array_equal(ga, c.data)
+        c = rng.normal(size=30)
+        (ga,) = grad_of(lambda: weighted_sum(quantize_activation(a, alpha, 3), c), a)
+        np.testing.assert_array_equal(ga, c)

@@ -1067,11 +1067,4 @@ def test_no_library_code_is_named_only_by_tests():
             defined.update({f"{n}:{q}": ref for q, ref in _definitions(tree, module).items()})
     unnamed = {q for q, (module, name) in defined.items()
                if (module, name) not in refs and (module is not None or name not in attrs)}
-    # no library code calls these; tests/test_acceptance.py does (ROADMAP item 5)
-    allowed = {
-        "autograd.py:Tensor.item": "criterion 5 reads scalar losses with it",
-        "autograd.py:mul": "criterion 2 weights upstream gradients with it",
-        "autograd.py:tanh": "criterion 2's finite-difference graph",
-        "autograd.py:log": "criterion 2's finite-difference graph",
-    }
-    assert unnamed == set(allowed)
+    assert unnamed == set()

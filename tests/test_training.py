@@ -282,7 +282,7 @@ class TestLossForBit:
         labels = np.array([0, 1, 2, 0])
         parts = loss_for_bit(8, logits, labels, teacher_probs=None)
         assert parts.kl == 0.0
-        assert parts.loss.item() == pytest.approx(parts.ce, abs=1e-15)
+        assert float(parts.loss.data) == pytest.approx(parts.ce, abs=1e-15)
 
     def test_identical_teacher_gives_zero_kl(self):
         logits = Tensor(np.random.default_rng(6).normal(size=(4, 3)))
@@ -294,7 +294,7 @@ class TestLossForBit:
     def test_fixed_three_class_example(self):
         # teacher (0.7, 0.2, 0.1), student (0.5, 0.3, 0.2), label 0
         student_logits = Tensor(np.log(np.array([[0.5, 0.3, 0.2]])))
-        teacher = np.array([[0.7, 0.2, 0.1]])
+        teacher = Tensor(np.array([[0.7, 0.2, 0.1]]))
         parts = loss_for_bit(4, student_logits, np.array([0]), teacher_probs=teacher)
         assert parts.ce == pytest.approx(0.6931471805599453, abs=1e-9)
         # direct evaluation of sum p ln(p/q); the value rounds to 0.0851228
@@ -712,6 +712,46 @@ class TestWidthChecks:
 
         check()
 
+    def test_generated_layer_stacks_train_or_are_rejected(self):
+        """Generated dense stacks on 3-dim, 3-class blobs, each dense layer
+        followed by an optional batch norm and an optional ReLU, train one
+        epoch in every multi-bit mode when their widths chain, and raise a
+        FlexquantError, never a bare exception, with one width changed."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        seen = set()
+
+        @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            widths = [3, *data.draw(st.lists(st.integers(1, 5), max_size=3)), 3]
+            layers = []
+            for width_in, width_out in zip(widths, widths[1:]):
+                layers.append({"kind": "dense", "in_features": width_in,
+                               "out_features": width_out})
+                if data.draw(st.booleans()):
+                    layers.append({"kind": "bn", "features": width_out})
+                if data.draw(st.booleans()):
+                    layers.append({"kind": "relu"})
+            mode = data.draw(st.sampled_from(["coquant", "joint", "switchable_bn", "adabits"]))
+            cfg = blob_config(mode=mode, epochs=1, dim=3, classes=3, samples=24, batch_size=12)
+            cfg["arch"] = {"kind": "layers", "layers": layers}
+            Trainer(RunConfig.from_dict(cfg)).run()
+            seen.add(mode)
+            seen.update(("dense", "relu") for a, b in zip(layers, layers[1:])
+                        if (a["kind"], b["kind"]) == ("dense", "relu"))
+
+            sized = [(i, key) for i, layer in enumerate(layers) for key in layer if key != "kind"]
+            i, key = data.draw(st.sampled_from(sized))
+            old = layers[i][key]
+            layers[i][key] = data.draw(st.integers(1, 6).filter(lambda w: w != old))
+            with pytest.raises(FlexquantError):
+                Trainer(RunConfig.from_dict(cfg)).run()
+
+        check()
+        assert seen == {"coquant", "joint", "switchable_bn", "adabits", ("dense", "relu")}
+
 
 class TestConfigSetInCode:
     """Trainer(config) runs the JSON parsers' value rules on fields set in
@@ -829,6 +869,14 @@ class TestConfigSetInCode:
             for bad in invalid:
                 check = example(in_code, {group: {} for group in valid}, bad)(check)
         check()
+
+    def test_trainer_builds_the_arch_once(self, monkeypatch):
+        cfg = RunConfig.from_dict(blob_config(epochs=1))
+        build, calls = RunConfig.build_arch, []
+        monkeypatch.setattr(RunConfig, "build_arch",
+                            lambda self: calls.append(self) or build(self))
+        Trainer(cfg)
+        assert calls == [cfg]
 
     def test_top_level_scalars_are_cast_as_from_json(self):
         cfg = RunConfig.from_dict(blob_config(epochs=1))
