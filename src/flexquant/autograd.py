@@ -374,9 +374,10 @@ def batchnorm(
     folds them into the running estimates, except inside no_grad (which
     changes no state); eval mode applies the running estimates as one
     per-channel affine map and records nothing, so never runs under a Tape.
-    Variances are biased (ddof=0) throughout. relu applies the ReLU after it
-    in the output buffer, and train mode masks the gradient by that output
-    (> 0 where its input is): one node, the bits of two, no pre-activation.
+    Variances are biased (ddof=0) throughout. relu, in train mode only,
+    applies the ReLU after it in the output buffer and masks the gradient by
+    that output (> 0 where its input is): one node, the bits of two, no
+    pre-activation.
     """
     xd = x.data
     axes, pshape = _bn_axes(xd)
@@ -388,23 +389,17 @@ def batchnorm(
     bet = beta.data.reshape(pshape)
     if mode == "train":
         m = xd.size // pshape[1]
-        spare = []  # the squares buffer, when this call computes the statistics
 
         def stats():
             # np.mean is a sum then a true divide, and np.var squares the
             # centred input: the same operations here, in the same order,
-            # give the same bits with the centred input computed once. Two
-            # full-size buffers: the centred input becomes x_hat in place,
-            # and the squares buffer becomes the output (freed instead, its
-            # space goes to the small arrays that follow and the output
-            # elsewhere, which fragments the heap).
+            # give the same bits with the centred input computed once, and
+            # it becomes x_hat in place.
             mu = np.add.reduce(xd, axes) / m
             x_hat = xd - mu.reshape(pshape)
-            sq = np.multiply(x_hat, x_hat)
-            var = np.add.reduce(sq, axes) / m
+            var = np.add.reduce(np.multiply(x_hat, x_hat), axes) / m
             s = np.sqrt(var.reshape(pshape) + numerics.EPS)
             x_hat /= s
-            spare.append(sq)
             return mu, var, s, x_hat
 
         # the batch statistics depend on the input only, so every bit-width
@@ -418,11 +413,7 @@ def batchnorm(
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
-        if spare:
-            out = spare[0]
-            np.multiply(gam, x_hat, out=out)
-        else:
-            out = gam * x_hat
+        out = gam * x_hat
         out += bet
         if relu:
             np.maximum(out, 0.0, out=out)
@@ -446,6 +437,8 @@ def batchnorm(
         return record(out, (x, gamma, beta), bwd, "batchnorm_train")
 
     if mode == "eval":
+        if relu:
+            raise numerics.ContractError("eval-mode batchnorm fuses no ReLU; apply relu after it")
         if active_tape() is not None:
             raise numerics.ContractError("eval-mode batchnorm has no backward rule; "
                                          "run it under no_grad")
@@ -459,8 +452,6 @@ def batchnorm(
                                 (gamma.data, beta.data, running_mean, running_var), affine)
         out = xd * scale
         out += shift
-        if relu:
-            np.maximum(out, 0.0, out=out)
         return Tensor(out)
 
     raise numerics.ContractError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")

@@ -62,8 +62,8 @@ def event_counts() -> dict[str, int]:
     return dict(_event_counts)
 
 
-def clamped_log(x: np.ndarray, event: str = "log_clamp") -> np.ndarray:
-    """log(max(x, EPS)), counting how many entries needed the clamp."""
+def clamped_log(x: np.ndarray, event: str) -> np.ndarray:
+    """log(max(x, EPS)), counting under event how many entries needed the clamp."""
     n_clamped = int(np.count_nonzero(x < EPS))
     count_event(event, n_clamped)
     return np.log(np.maximum(x, EPS))

@@ -135,27 +135,31 @@ def delta_b(accuracies: dict[int, float], reference: dict[int, float]) -> float:
 # the trainer
 # ---------------------------------------------------------------------------
 
-def _check_widths(arch: ArchSpec, datasets: tuple[Dataset, ...],
-                  image_size: int | None) -> None:
-    """ConfigError unless the net's two ends fit the data: the first learnable
-    layer's input width (and a cnn config's image_size) against each split's
-    samples, unless a flatten comes before it, and a dense head's width against
-    the class count. Each mismatch fails mid-epoch or trains silently otherwise."""
-    names = arch.learnable_names
-    first, last = arch.by_name[names[0]], arch.by_name[names[-1]]
-    width = first.in_features if first.kind == "dense" else first.in_channels
-    if not any(spec.kind == "flatten" for spec in arch.layers[:arch.names.index(names[0])]):
-        for data in datasets:
-            if data.features.shape[1] != width:
-                raise ConfigError(f"arch: {names[0]} takes inputs of width {width}, but the "
-                                  f"dataset's samples have width {data.features.shape[1]}")
-            if image_size is not None and data.features.shape[2:] != (image_size,) * 2:
-                raise ConfigError(f"arch: image_size is {image_size}, but the dataset's "
-                                  f"samples have shape {data.features.shape[1:]}")
-    classes = datasets[0].classes
-    if last.kind == "dense" and last.out_features != classes:
-        raise ConfigError(f"arch: {names[-1]} outputs {last.out_features} logits, but the "
-                          f"dataset has {classes} classes")
+def _check_inputs(arch: ArchSpec, data: Dataset, image_size: int | None) -> None:
+    """ConfigError unless the first learnable layer's input width (and a cnn
+    config's image_size) fits data's samples, unless a flatten comes before
+    it: a mismatch fails mid-pass otherwise, with an op's shape error."""
+    first = arch.learnable_names[0]
+    spec = arch.by_name[first]
+    if any(s.kind == "flatten" for s in arch.layers[:arch.names.index(first)]):
+        return
+    width = spec.in_features if spec.kind == "dense" else spec.in_channels
+    if data.features.shape[1] != width:
+        raise ConfigError(f"arch: {first} takes inputs of width {width}, but the "
+                          f"dataset's samples have width {data.features.shape[1]}")
+    if image_size is not None and data.features.shape[2:] != (image_size,) * 2:
+        raise ConfigError(f"arch: image_size is {image_size}, but the dataset's "
+                          f"samples have shape {data.features.shape[1:]}")
+
+
+def _check_head(arch: ArchSpec, data: Dataset) -> None:
+    """ConfigError unless a dense head's width is data's class count: a
+    mismatch trains or scores silently otherwise."""
+    last = arch.learnable_names[-1]
+    spec = arch.by_name[last]
+    if spec.kind == "dense" and spec.out_features != data.classes:
+        raise ConfigError(f"arch: {last} outputs {spec.out_features} logits, but the "
+                          f"dataset has {data.classes} classes")
 
 
 class Trainer:
@@ -165,7 +169,9 @@ class Trainer:
         self.bits, self.arch = config.validate()
         self.config = config
         self.train_set, self.eval_set = load_dataset(config.dataset)
-        _check_widths(self.arch, (self.train_set, self.eval_set), config.arch.get("image_size"))
+        for data in (self.train_set, self.eval_set):
+            _check_inputs(self.arch, data, config.arch.get("image_size"))
+        _check_head(self.arch, self.train_set)
         self.streams = RngStreams(config.seed)
 
         kind = config.mode_kind
@@ -285,8 +291,12 @@ class Trainer:
 
     def evaluate(self, b: int, dataset: Dataset | None = None,
                  batch_size: int | None = None) -> float:
-        """Eval-mode top-1 accuracy in percent at bit-width b; batches default to the run's size."""
+        """Eval-mode top-1 accuracy in percent at bit-width b; batches default
+        to the run's size. A dataset given is checked against both ends of the net."""
         data = dataset if dataset is not None else self.eval_set
+        if dataset is not None:
+            _check_inputs(self.arch, dataset, self.config.arch.get("image_size"))
+            _check_head(self.arch, dataset)
         size = self.config.batch_size if batch_size is None else batch_size
         if len(data) == 0:
             raise TrainingError("evaluation needs a non-empty dataset")
@@ -303,9 +313,12 @@ class Trainer:
 
         Weights and clipping values stay frozen; a missing bank entry is
         created by borrowing the nearest trained bit-width's parameters, and
-        removed again if the calibration fails.
+        removed again if the calibration fails. A dataset given is checked
+        against the net's input end (calibration reads no labels).
         """
         data = dataset if dataset is not None else self.train_set
+        if dataset is not None:
+            _check_inputs(self.arch, dataset, self.config.arch.get("image_size"))
         if len(data) == 0:
             raise TrainingError("calibration needs a non-empty dataset")
         b = int(b)

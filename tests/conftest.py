@@ -13,6 +13,16 @@ import pytest  # noqa: E402
 
 from flexquant import autograd  # noqa: E402
 
+try:
+    from hypothesis import settings
+except ImportError:  # the properties skip themselves without hypothesis
+    pass
+else:
+    # Every property runs the same examples on every run, has no time limit
+    # per example, and writes no example database; each sets max_examples.
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture(autouse=True)
 def no_leaked_blocks():

@@ -144,6 +144,18 @@ class TestLosses:
         assert float(ag.cross_entropy(probs, labels).data) == pytest.approx(np.log(m),
                                                                            abs=1e-12)
 
+    def test_clamped_log_counts_under_the_callers_event(self):
+        from flexquant import numerics
+        x = np.array([0.0, 1e-300, 0.5])
+        with pytest.raises(TypeError):
+            numerics.clamped_log(x)
+        before = numerics.event_counts()
+        np.testing.assert_array_equal(numerics.clamped_log(x, "ce_clamp"),
+                                      np.log([numerics.EPS, numerics.EPS, 0.5]))
+        after = numerics.event_counts()
+        assert after["ce_clamp"] - before.get("ce_clamp", 0) == 2
+        assert after.get("log_clamp", 0) == before.get("log_clamp", 0)
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         p = ag.softmax(Tensor(rng.normal(scale=5.0, size=(8, 11))))

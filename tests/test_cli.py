@@ -183,6 +183,22 @@ def test_killed_run_resumes_from_its_last_epoch(tmp_path):
     assert read_artifacts(out) == read_artifacts(full)
 
 
+def _checkpoints_under_blas_threads(tmp_path, config) -> list[bytes]:
+    """The checkpoint bytes of one training run of config under 1 and 2 BLAS threads."""
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexquant.cli", "train", "--config", str(config_file),
+             "--out", str(out)],
+            cwd=tmp_path, env=_cli_env(threads), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        checkpoints.append((out / "checkpoint.ckpt").read_bytes())
+    return checkpoints
+
+
 def test_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
     """The desk config (criterion 6, cut to 3 epochs) under 1 and 2 BLAS threads."""
     config = {
@@ -195,18 +211,29 @@ def test_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
         "optimizer": {"lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4, "schedule": "step"},
         "alpha": {"init": 1.0, "lr": 0.01, "weight_decay": 5e-4},
     }
-    config_file = tmp_path / "desk.json"
-    config_file.write_text(json.dumps(config))
-    checkpoints = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "flexquant.cli", "train", "--config", str(config_file),
-             "--out", str(out)],
-            cwd=tmp_path, env=_cli_env(threads), capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        checkpoints.append((out / "checkpoint.ckpt").read_bytes())
-    assert checkpoints[0] == checkpoints[1]
+    first, second = _checkpoints_under_blas_threads(tmp_path, config)
+    assert first == second
+
+
+def test_cnn_checkpoint_bitwise_identical_across_blas_threads(tmp_path):
+    """A cnn shaped like the benchmark's, one epoch of 128 16x16 images in
+    batches of 64: its conv gemms (4096x144 by 144x32, for one) are large
+    enough for the BLAS to split across threads."""
+    from test_datasets import write_idx_images, write_idx_labels
+    rng = np.random.default_rng(5)
+    write_idx_images(tmp_path / "imgs", rng.integers(0, 256, size=(128, 16, 16)))
+    write_idx_labels(tmp_path / "labs", np.arange(128) % 4)
+    config = {
+        "schema_version": 1, "mode": "coquant", "bits": [8, 4, 2],
+        "dataset": {"kind": "idx_images", "train_images": str(tmp_path / "imgs"),
+                    "train_labels": str(tmp_path / "labs"), "mean": 0.5, "std": 0.25,
+                    "classes": 4},
+        "arch": {"kind": "cnn", "in_channels": 1, "image_size": 16, "classes": 4,
+                 "channels": [16, 16, 32]},
+        "epochs": 1, "batch_size": 64, "seed": 0,
+    }
+    first, second = _checkpoints_under_blas_threads(tmp_path, config)
+    assert first == second
 
 
 class TestEvalCalibrateExport:

@@ -247,6 +247,19 @@ def _bn_relu_run(x, params, g, fused, pre):
     return [(o.data, rm, rv, *gs) for o, (_, _, rm, rv), gs in zip(outs, params, grads)]
 
 
+def assert_fused_matches_unfused(xd, g, params, pre):
+    """_bn_relu_run unfused and fused on fresh copies of params agree bit for bit."""
+    runs = []
+    for fused in (False, True):
+        tensors = [(Tensor(gm, requires_grad=True), Tensor(bt, requires_grad=True),
+                    rm.copy(), rv.copy()) for gm, bt, rm, rv in params]
+        with np.errstate(invalid="ignore"):
+            runs.append(_bn_relu_run(Tensor(xd, requires_grad=True), tensors, g, fused, pre))
+    for want, got in zip(*runs):
+        for w, a in zip(want, got):
+            assert_same_bits(a, w)
+
+
 @pytest.mark.parametrize("shape", [(9, 4), (3, 4, 5, 6)])
 @pytest.mark.parametrize("special", [False, True])
 @pytest.mark.parametrize("shared", [1, 2])
@@ -263,19 +276,32 @@ def test_batchnorm_relu_matches_batchnorm_then_relu(shape, special, shared):
                rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
               for sign in (-1.0, 1.0)[:shared]]
 
-    runs, pre = [], []
-    for fused in (False, True):
-        tensors = [(Tensor(gm, requires_grad=True), Tensor(bt, requires_grad=True),
-                    rm.copy(), rv.copy()) for gm, bt, rm, rv in params]
-        with np.errstate(invalid="ignore"):
-            runs.append(_bn_relu_run(Tensor(xd, requires_grad=True), tensors, g, fused, pre))
-    for want, got in zip(*runs):
-        for w, a in zip(want, got):
-            assert_same_bits(a, w)
+    pre = []
+    assert_fused_matches_unfused(xd, g, params, pre)
     # the ReLU saw exact zeros of both signs, and non-finite values when asked
     zeros = np.signbit(np.concatenate([y[y == 0.0] for y in pre]))
     assert zeros.any() and not zeros.all()
     assert all(np.isnan(y).any() == special for y in pre)
+
+
+def test_generated_batchnorm_relu_matches_batchnorm_then_relu():
+    """Generated 2-D and 4-D shapes, one or two parameter sets on one input
+    (the second reuses the first's statistics): fused and unfused agree bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(2, 4),
+           st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def check(dims, c, shared, seed):
+        shape = (dims[0], c) if len(dims) < 3 else (dims[0], c, *dims[1:])
+        rng = np.random.default_rng(seed)
+        xd, g = _bn_relu_input(rng, shape), with_signed_zeros(rng, rng.normal(size=shape))
+        params = [(rng.uniform(0.5, 1.5, size=c), rng.normal(size=c), rng.normal(size=c),
+                   rng.uniform(0.5, 2.0, size=c)) for _ in range(shared)]
+        assert_fused_matches_unfused(xd, g, params, [])
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +331,9 @@ def test_batchnorm_eval_matches_reference(shape, seed):
             assert_bitwise(out, ref_batchnorm_eval(xd, gamma, beta, rm, rv))
             np.testing.assert_allclose(
                 out, ref_batchnorm_eval_four_pass(xd, gamma, beta, rm, rv), rtol=0, atol=1e-14)
-    # relu applies the ReLU after it, in eval mode too
-    fused = ag.batchnorm(Tensor(xs[0]), *params, 0.1, "eval", relu=True).data
-    assert_bitwise(fused, ag.relu(Tensor(outs[0])).data)
+    # only train mode fuses the ReLU after it
+    with pytest.raises(numerics.ContractError, match="eval-mode batchnorm fuses no ReLU"):
+        ag.batchnorm(Tensor(xs[0]), *params, 0.1, "eval", relu=True)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +363,37 @@ def test_conv2d_matches_reference(stride, padding, kernel):
             assert dx.flags.c_contiguous
         else:
             assert dx is None
+
+
+def test_generated_conv2d_matches_reference():
+    """Generated batch, channel, size, filter, kernel, stride and padding."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def check(n, c, h, w, f, kernel, stride, padding, input_grad, seed):
+        assume(kernel <= min(h, w) + 2 * padding)
+        rng = np.random.default_rng(seed)
+        xd = with_signed_zeros(rng, rng.normal(size=(n, c, h, w)))
+        wd = rng.normal(size=(f, c, kernel, kernel))
+        ho = (h + 2 * padding - kernel) // stride + 1
+        wo = (w + 2 * padding - kernel) // stride + 1
+        g = with_signed_zeros(rng, rng.normal(size=(n, f, ho, wo)))
+        want_out, want_dx, want_dw = ref_conv2d(xd, wd, stride, padding, g)
+        out, (dx, dw) = forward_backward(
+            lambda: ag.conv2d(Tensor(xd, requires_grad=input_grad),
+                              Tensor(wd, requires_grad=True), stride, padding), g)
+        assert_bitwise(out, want_out)
+        assert_bitwise(dw, want_dw)
+        if input_grad:
+            assert_bitwise(dx, want_dx)
+        else:
+            assert dx is None
+
+    check()
 
 
 @pytest.mark.parametrize("n,c,size,f", [(2, 3, 7, 4), (64, 16, 8, 16), (256, 16, 8, 32),
@@ -391,6 +448,28 @@ def test_maxpool2d_matches_reference(k, shape, seed):
             lambda: ag.maxpool2d(Tensor(xd, requires_grad=True), k), g)
         assert_bitwise(out, want_out)
         assert_bitwise(dx, want_dx)
+
+
+def test_generated_maxpool2d_matches_reference():
+    """Generated windows of 2 and 3 over odd and even sizes, on values from a
+    small set with both zeros, so windows tie often, -0.0 against 0.0 included."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 7),
+           st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def check(k, n, c, dh, dw, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, c, k + dh, k + dw)
+        xd = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=shape)
+        g = with_signed_zeros(rng, rng.normal(size=(n, c, shape[2] // k, shape[3] // k)))
+        want_out, want_dx = ref_maxpool2d(xd, k, g)
+        out, (dx,) = forward_backward(lambda: ag.maxpool2d(Tensor(xd, requires_grad=True), k), g)
+        assert_bitwise(out, want_out)
+        assert_bitwise(dx, want_dx)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

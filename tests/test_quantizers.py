@@ -305,3 +305,51 @@ class TestActivationQuantizer:
         c = rng.normal(size=30)
         (ga,) = grad_of(lambda: weighted_sum(quantize_activation(a, alpha, 3), c), a)
         np.testing.assert_array_equal(ga, c)
+
+
+class TestGeneratedProperties:
+    def test_weight_codes_and_top_precision(self):
+        """Codes lie in [0, 2^b1 - 1]; at b = b1 (at least 2, as every net
+        runs) the weights are the dequantized codes shifted to mean_b1,
+        which is their own mean."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        from flexquant.quantizers import weights_from_codes
+
+        @settings(max_examples=60)
+        @given(st.integers(2, 16), st.integers(1, 40), st.floats(1e-3, 1e3),
+               st.integers(0, 2**32 - 1))
+        def check(b1, size, scale, seed):
+            w = scale * np.random.default_rng(seed).normal(size=size)
+            view = quantize_weights_dorefa(w, b1)
+            assert view.codes.dtype == np.uint16
+            assert view.codes.min() >= 0 and view.codes.max() <= 2**b1 - 1
+            dequantized = dequantize_codes(view.codes, b1)
+            assert np.mean(dequantized) == view.mean_b1
+            top = weights_from_codes(view, b1)
+            np.testing.assert_array_equal(top, mean_align(dequantized, view.mean_b1))
+            np.testing.assert_array_equal(top, dequantized)
+
+        check()
+
+    def test_activation_outputs_lie_on_the_levels(self):
+        """Every output is (k / n) * alpha for an integer k in [0, n], n = 2^b - 1."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=60)
+        @given(st.integers(1, 16), st.floats(1e-3, 1e3), st.integers(1, 40),
+               st.integers(0, 2**32 - 1))
+        def check(b, alpha, size, seed):
+            rng = np.random.default_rng(seed)
+            a = alpha * rng.uniform(-0.5, 1.5, size=size)
+            a[rng.random(size) < 0.1] = np.inf
+            out = quantize_activation(Tensor(a), Tensor(np.asarray(alpha)), b).data
+            n = 2**b - 1
+            assert (out >= 0.0).all() and (out <= alpha).all()
+            k = np.rint(out / alpha * n)
+            assert ((k >= 0) & (k <= n)).all()
+            np.testing.assert_array_equal(out, k / n * alpha)
+
+        check()

@@ -664,6 +664,56 @@ class TestVersion1Checkpoint:
         assert {r.epoch for r in resumed.log.batch_rows} == {1}
 
 
+def test_generated_runs_round_trip(tmp_path):
+    """Generated dense stacks, modes and bit sets, each trained one epoch with
+    one zero-shot entry calibrated: checkpoint save -> load -> save and bundle
+    export -> load -> export write the same bytes, and the loaded bundle serves
+    the in-memory eval logits bit for bit at every entry."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    ckpts = [str(tmp_path / f"{name}.ckpt") for name in "ab"]
+    bundles = [str(tmp_path / f"{name}.aqdb") for name in "ab"]
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def check(data):
+        widths = [3, *data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)), 3]
+        layers = []
+        for width_in, width_out in zip(widths, widths[1:]):
+            layers.append({"kind": "dense", "in_features": width_in, "out_features": width_out})
+            if data.draw(st.booleans()):
+                layers.append({"kind": "bn", "features": width_out})
+            if data.draw(st.booleans()):
+                layers.append({"kind": "relu"})
+        mode = data.draw(st.sampled_from(["coquant", "joint", "switchable_bn", "adabits"]))
+        bits = data.draw(st.sampled_from([[8, 4, 2], [8, 2], [6, 3], [2, 5]]))
+        cfg = blob_config(mode=mode, bits=bits, epochs=1, dim=3, classes=3, samples=24,
+                          batch_size=12)
+        cfg["arch"] = {"kind": "layers", "layers": layers}
+        trainer = Trainer(RunConfig.from_dict(cfg))
+        trainer.run()
+        trainer.calibrate(data.draw(st.sampled_from(
+            [b for b in range(2, max(bits)) if b not in bits])))
+
+        save_checkpoint(ckpts[0], trainer)
+        save_checkpoint(ckpts[1], load_checkpoint(ckpts[0]))
+        assert open(ckpts[0], "rb").read() == open(ckpts[1], "rb").read()
+        export_bundle(bundles[0], trainer.net)
+        net = load_bundle(bundles[0]).build_network()
+        export_bundle(bundles[1], net)
+        assert open(bundles[0], "rb").read() == open(bundles[1], "rb").read()
+        x = trainer.eval_set.features
+        assert sorted(net.bank.entries) == sorted(trainer.bank.entries)
+        for b in net.bank.entries:
+            with no_grad():
+                served = net.forward_at(x, b, mode="eval").data
+                in_memory = trainer.net.forward_at(x, b, mode="eval").data
+            assert served.tobytes() == in_memory.tobytes()
+
+    check()
+
+
 def _trained_bundle(tmp_path, bits=(8, 4, 2)):
     """Path and body bytes (without CRC) of a one-epoch bundle with two quantized
     layers, dense3 and dense6, between full-precision dense0 and dense9."""

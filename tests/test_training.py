@@ -1,6 +1,7 @@
 """Training-loop tests: teacher selection, swap curricula, loss identities,
 mode equivalences, calibration, and run-level determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from flexquant import numerics, quantizers, training
 from flexquant.autograd import Tape, Tensor
 from flexquant.checkpoint import load_checkpoint, save_checkpoint
 from flexquant.config import AlphaSettings, ConfigError, DatasetSpec, OptimizerSettings, RunConfig
+from flexquant.datasets import Dataset
 from flexquant.metrics import BatchRecord, MetricsLog, teacher_histogram
 from flexquant.network import ContractError
 from flexquant.numerics import FlexquantError
@@ -655,6 +657,31 @@ class TestWidthChecks:
                                               r"dataset's samples have shape \(1, 8, 8\)$"):
             Trainer(RunConfig.from_dict(cfg))
 
+    @pytest.mark.parametrize("arch, first, width", [("mlp", "dense0", 4), ("cnn", "conv0", 1)])
+    def test_calibration_data_must_fit_the_input_end(self, arch, first, width, tmp_path, capsys):
+        """calibrate --data used to fail mid-pass, with matmul's or conv2d's shape error."""
+        from flexquant.cli import main
+        cfg = (blob_config(epochs=1, dim=4, hidden=(8,)) if arch == "mlp"
+               else _cnn_config("coquant", tmp_path))
+        ckpt, spec = str(tmp_path / "run.ckpt"), tmp_path / "data.json"
+        save_checkpoint(ckpt, Trainer(RunConfig.from_dict(cfg)))
+        spec.write_text(json.dumps(blob_config(dim=5)["dataset"]))
+        assert main(["calibrate", "--ckpt", ckpt, "--bits", "3", "--data", str(spec),
+                     "--out", str(tmp_path / "cal.ckpt")]) == 1
+        assert capsys.readouterr().err == (f"error: arch: {first} takes inputs of width {width}, "
+                                           "but the dataset's samples have width 5\n")
+
+    def test_eval_data_must_fit_the_head(self):
+        """A 7-class dataset on a 3-logit head used to score silently; calibration,
+        which reads no labels, takes it."""
+        trainer = make_trainer(epochs=1, dim=3, classes=3, samples=24, hidden=(4,))
+        features = trainer.eval_set.features
+        seven = Dataset(features, np.arange(len(features)) % 7, 7)
+        with pytest.raises(ConfigError, match="^arch: dense3 outputs 3 logits, but the "
+                                              "dataset has 7 classes$"):
+            trainer.evaluate(8, seven)
+        trainer.calibrate(3, seven)
+
     def test_a_flatten_first_net_takes_the_flattened_width(self, tmp_path):
         cfg = _cnn_config("coquant", tmp_path)
         cfg["arch"] = {"kind": "layers", "layers": [
@@ -683,7 +710,7 @@ class TestWidthChecks:
 
         _cnn_config("coquant", tmp_path)  # the IDX files, written once
 
-        @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+        @settings(max_examples=40)
         @given(st.data())
         def check(data):
             def width(fit: int, misfits: list[int]) -> int:  # the fit half the time
@@ -722,7 +749,7 @@ class TestWidthChecks:
 
         seen = set()
 
-        @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+        @settings(max_examples=50)
         @given(st.data())
         def check(data):
             widths = [3, *data.draw(st.lists(st.integers(1, 5), max_size=3)), 3]
@@ -835,7 +862,7 @@ class TestConfigSetInCode:
         attrs = {"lambda": "lam"}
         path = str(tmp_path / "checkpoint.ckpt")
 
-        @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+        @settings(max_examples=100)
         @given(st.booleans(), st.fixed_dictionaries(
             {group: st.fixed_dictionaries({}, optional=keys) for group, keys in valid.items()}),
             st.none() | st.sampled_from(invalid))
