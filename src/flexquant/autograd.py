@@ -14,7 +14,8 @@ input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer, or kl_div's target) and skip computing it;
 the engine skips None. add takes operands of one shape.
 A train-mode batch norm and the ReLU after it may record one node
-(``batchnorm(..., relu=True)``), which keeps no pre-activation tensor.
+(``batchnorm(..., relu=True)``), which keeps no pre-activation tensor and no
+normalized copy.
 
 Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
 and dies with it. Blocks nest per thread, so threads that each open their
@@ -24,16 +25,18 @@ network's quantized weights, eval batch norm's per-channel affine) are never
 seen by another block, so what they derive from may change between blocks,
 never inside one. A Tape's memo also holds op results that do not depend on
 the bit-width (``once_per_tape``): a training step runs every bit-width on
-the same batch, so the first layer's output and its batch statistics, and
-each latent weight tensor's b1 codes, are computed once per step. They are
-keyed by the identity of the input arrays, and a conv2d node keeps its input,
-not its im2col columns, which its backward rebuilds. So no tensor's .data is
-written in place from a tape's first op until its backward has run. Each call
-still records its own node, so the tape and the bits are the same as without
-the reuse. ``no_grad`` blocks reuse parameter-derived values only, never
-per-batch results: a long one (a serving loop) would otherwise keep every
-batch's results until it ends. Nor does one change state: train-mode batch
-norm folds its statistics into the running estimates everywhere but inside one.
+the same batch, so the first layer's output and its per-channel batch
+statistics (not a normalized copy), and each latent weight tensor's b1 codes,
+are computed once per step. They are keyed by the identity of the input
+arrays. A conv2d node keeps its input, not its im2col columns, and a
+train-mode batch norm its input, not x_hat: each backward rebuilds what its
+forward let go. So no tensor's .data is written in place from a tape's first
+op until its backward has run. Each call still records its own node, so the
+tape and the bits are the same as without the reuse. ``no_grad`` blocks
+reuse parameter-derived values only, never per-batch results: a long one (a
+serving loop) would otherwise keep every batch's results until it ends. Nor
+does one change state: train-mode batch norm folds its statistics into the
+running estimates everywhere but inside one.
 
 Gradient ownership: a rule never writes into its upstream gradient or into
 any array captured from its forward, so calling it twice gives the same
@@ -374,10 +377,12 @@ def batchnorm(
     folds them into the running estimates, except inside no_grad (which
     changes no state); eval mode applies the running estimates as one
     per-channel affine map and records nothing, so never runs under a Tape.
-    Variances are biased (ddof=0) throughout. relu, in train mode only,
-    applies the ReLU after it in the output buffer and masks the gradient by
-    that output (> 0 where its input is): one node, the bits of two, no
-    pre-activation.
+    Variances are biased (ddof=0) throughout. A train-mode node keeps its
+    input, its output and the per-channel mu and s; its backward rebuilds
+    x_hat from the input by the forward's operations, so the bits are those
+    of keeping it. relu, in train mode only, applies the ReLU after it in the
+    output buffer and masks the gradient by that output (> 0 where its input
+    is): one node, the bits of two, no pre-activation.
     """
     xd = x.data
     axes, pshape = _bn_axes(xd)
@@ -392,19 +397,16 @@ def batchnorm(
 
         def stats():
             # np.mean is a sum then a true divide, and np.var squares the
-            # centred input: the same operations here, in the same order,
-            # give the same bits with the centred input computed once, and
-            # it becomes x_hat in place.
+            # centred input in place: the same operations, in the same
+            # order, give the same bits
             mu = np.add.reduce(xd, axes) / m
-            x_hat = xd - mu.reshape(pshape)
-            var = np.add.reduce(np.multiply(x_hat, x_hat), axes) / m
-            s = np.sqrt(var.reshape(pshape) + numerics.EPS)
-            x_hat /= s
-            return mu, var, s, x_hat
+            d = xd - mu.reshape(pshape)
+            var = np.add.reduce(np.multiply(d, d, out=d), axes) / m
+            return mu, var, np.sqrt(var.reshape(pshape) + numerics.EPS)
 
         # the batch statistics depend on the input only, so every bit-width
         # whose BN layer sees the same input (the first layer's) shares them
-        mu, var, s, x_hat = once_per_tape(("batchnorm",), (xd,), stats)
+        mu, var, s = once_per_tape(("batchnorm",), (xd,), stats)
         # a no_grad block (its eval affines derive from the running estimates)
         # and a non-finite batch (a step the trainer will reject) leave them be
         if ((active_tape() is not None or not _blocks.stack)
@@ -413,7 +415,11 @@ def batchnorm(
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
-        out = gam * x_hat
+        # x_hat, made the output in place: IEEE multiplication commutes, so
+        # x_hat * gam has the bits of gam * x_hat
+        out = xd - mu.reshape(pshape)
+        out /= s
+        out *= gam
         out += bet
         if relu:
             np.maximum(out, 0.0, out=out)
@@ -421,16 +427,19 @@ def batchnorm(
         def bwd(g):
             if relu:
                 g = g * (out > 0.0)  # the rule's own array, so dx is formed in it
-            # (gam / s) * (g - g_mean - x_hat * gx_mean), with the factor
+            # x_hat rebuilt from the input by the forward's two operations,
+            # then (gam / s) * (g - g_mean - x_hat * gx_mean), with the factor
             # applied last; IEEE multiplication commutes, so the bits match
+            x_hat = xd - mu.reshape(pshape)
+            x_hat /= s
             buf = g * x_hat
             dgamma = np.add.reduce(buf, axes)
             dbeta = np.add.reduce(g, axes)
             g_mean = (dbeta / m).reshape(pshape)
             gx_mean = (dgamma / m).reshape(pshape)
-            dx = np.subtract(g, g_mean, out=g if relu else None)
-            np.multiply(x_hat, gx_mean, out=buf)
-            dx -= buf
+            dx = np.subtract(g, g_mean, out=g if relu else buf)
+            x_hat *= gx_mean
+            dx -= x_hat
             dx *= gam / s
             return dx, dgamma, dbeta
 

@@ -12,16 +12,23 @@ import tracemalloc
 
 import numpy as np
 
+from flexquant import autograd as ag
 from flexquant.config import RunConfig
 from flexquant.training import Trainer
 
 from test_datasets import write_idx_images, write_idx_labels
 
 # One cnn_coquant-shaped step (channels [16, 16, 32], 16x16 images, batch 64,
-# bits 8/4/2) reads 38.91 MB; it read 49.93 MB while each train-mode batch
+# bits 8/4/2) reads 32.40 MB; it read 38.91 MB while each train-mode batch
+# norm kept its normalized input x_hat, 49.93 MB while each train-mode batch
 # norm and its ReLU were two nodes, and 79.25 MB while every conv node kept
 # its im2col columns.
-CNN_STEP_TRACED_PEAK_BYTES = 39_700_000
+CNN_STEP_TRACED_PEAK_BYTES = 32_700_000
+# What that step's forward holds when autograd.backward starts: 23.75 MB
+# (30.58 MB with x_hat kept). The peak above is set by transient buffers in
+# the backward sweep (the first fused batch norm + ReLU's, 0.3 MB above a
+# conv2d's), which can hide growth in what the tape keeps.
+CNN_STEP_FORWARD_STATE_BYTES = 24_000_000
 # Trainer.evaluate on that trainer's 512 images, in batches of its 64, reads
 # 6.53 MB; it read 51.49 MB in one 512-image batch.
 CNN_EVALUATE_TRACED_PEAK_BYTES = 6_700_000
@@ -81,6 +88,25 @@ def test_cnn_step_traced_peak_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= CNN_STEP_TRACED_PEAK_BYTES, f"traced peak {peak} bytes"
+
+
+def test_cnn_forward_state_at_backward_is_bounded(tmp_path, monkeypatch):
+    step = _second_step(cnn_trainer(tmp_path), 64)
+    held = []
+    backward = ag.backward
+
+    def measured_backward(tape, loss):
+        held.append(tracemalloc.get_traced_memory()[0])
+        backward(tape, loss)
+
+    monkeypatch.setattr(ag, "backward", measured_backward)
+    tracemalloc.start()
+    try:
+        step()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1, f"{len(held)} backward sweeps in one step"
+    assert held[0] <= CNN_STEP_FORWARD_STATE_BYTES, f"forward state {held[0]} bytes"
 
 
 def test_cnn_evaluate_traced_peak_is_bounded(tmp_path):

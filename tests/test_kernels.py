@@ -304,6 +304,25 @@ def test_generated_batchnorm_relu_matches_batchnorm_then_relu():
     check()
 
 
+@pytest.mark.parametrize("shape", [(9, 4), (3, 4, 5, 6)])
+@pytest.mark.parametrize("relu", [False, True])
+def test_batchnorm_train_keeps_no_normalized_copy(shape, relu):
+    """A train-mode node holds its input, its output and per-channel arrays:
+    its rule captures no other input-sized array (the backward rebuilds
+    x_hat), and the tape memo's batch statistics are per channel."""
+    op, (x, _, _) = _bn_case(shape, relu)(np.random.default_rng(3))
+    with Tape() as tape:
+        out = op()
+    (node,) = tape.nodes
+    captured = [cell.cell_contents for cell in node.backward_fn.__closure__]
+    assert any(a is out.data for a in captured)
+    extra = [a.shape for a in captured if isinstance(a, np.ndarray)
+             and a.size == x.data.size and a is not x.data and a is not out.data]
+    assert extra == []
+    (stats,) = [hit for key, (_, hit) in tape.memo.items() if key[0] == "batchnorm"]
+    assert [np.shape(a) for a in stats if np.size(a) != shape[1]] == []
+
+
 # ---------------------------------------------------------------------------
 # batch-norm, eval mode
 # ---------------------------------------------------------------------------
