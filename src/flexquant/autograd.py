@@ -13,9 +13,9 @@ array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer, or kl_div's target) and skip computing it;
 the engine skips None. add takes operands of one shape.
-A train-mode batch norm and the ReLU after it may record one node
-(``batchnorm(..., relu=True)``), which keeps no pre-activation tensor and no
-normalized copy.
+A train-mode batch norm and the ReLU and max-pool after it may record one node
+(``batchnorm(..., relu=True, pool=k)``), which keeps no pre-activation tensor,
+no normalized copy and no full-resolution output.
 
 Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
 and dies with it. Blocks nest per thread, so threads that each open their
@@ -372,6 +372,7 @@ def batchnorm(
     momentum: float,
     mode: str,
     relu: bool = False,
+    pool: int = 0,
 ) -> Tensor:
     """Normalize per feature/channel. Train mode uses batch statistics and
     folds them into the running estimates, except inside no_grad (which
@@ -382,7 +383,10 @@ def batchnorm(
     x_hat from the input by the forward's operations, so the bits are those
     of keeping it. relu, in train mode only, applies the ReLU after it in the
     output buffer and masks the gradient by that output (> 0 where its input
-    is): one node, the bits of two, no pre-activation.
+    is): one node, the bits of two, no pre-activation. pool (a window), in
+    train mode only, then max-pools that buffer by maxpool2d's code into the
+    output; the node keeps the window masks, not that buffer, and its rule
+    scatters the pooled-size gradient into a fresh input-sized one. Same bits.
     """
     xd = x.data
     axes, pshape = _bn_axes(xd)
@@ -407,14 +411,6 @@ def batchnorm(
         # the batch statistics depend on the input only, so every bit-width
         # whose BN layer sees the same input (the first layer's) shares them
         mu, var, s = once_per_tape(("batchnorm",), (xd,), stats)
-        # a no_grad block (its eval affines derive from the running estimates)
-        # and a non-finite batch (a step the trainer will reject) leave them be
-        if ((active_tape() is not None or not _blocks.stack)
-                and np.isfinite(mu).all() and np.isfinite(var).all()):
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
         # x_hat, made the output in place: IEEE multiplication commutes, so
         # x_hat * gam has the bits of gam * x_hat
         out = xd - mu.reshape(pshape)
@@ -423,10 +419,22 @@ def batchnorm(
         out += bet
         if relu:
             np.maximum(out, 0.0, out=out)
+        # the full-resolution output dies here; scatter is bound on every path
+        out, scatter = _maxpool(out, pool) if pool else (out, None)
+        # a no_grad block (its eval affines derive from the running estimates)
+        # and a non-finite batch (a step the trainer will reject) leave them be
+        if ((active_tape() is not None or not _blocks.stack)
+                and np.isfinite(mu).all() and np.isfinite(var).all()):
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu
+            running_var *= 1.0 - momentum
+            running_var += momentum * var
 
         def bwd(g):
             if relu:
                 g = g * (out > 0.0)  # the rule's own array, so dx is formed in it
+            if pool:
+                g = scatter(g)
             # x_hat rebuilt from the input by the forward's two operations,
             # then (gam / s) * (g - g_mean - x_hat * gx_mean), with the factor
             # applied last; IEEE multiplication commutes, so the bits match
@@ -446,8 +454,9 @@ def batchnorm(
         return record(out, (x, gamma, beta), bwd, "batchnorm_train")
 
     if mode == "eval":
-        if relu:
-            raise numerics.ContractError("eval-mode batchnorm fuses no ReLU; apply relu after it")
+        if relu or pool:
+            raise numerics.ContractError("eval-mode batchnorm fuses no ReLU or pool; "
+                                         "apply them after it")
         if active_tape() is not None:
             raise numerics.ContractError("eval-mode batchnorm has no backward rule; "
                                          "run it under no_grad")
@@ -530,13 +539,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return record(out, (x, w), bwd, "conv2d")
 
 
-def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride == window); trailing rows/cols drop.
+def _maxpool(xd: np.ndarray, k: int):
+    """Non-overlapping max pooling (stride == window) of NCHW xd; trailing
+    rows/cols drop. Returns the pooled array and scatter(g), which routes a
+    pooled-size gradient into a fresh input-sized zero array by window masks.
 
     Output and gradient go to the first maximum of each window in row-major
     window order, as argmax would pick it (ties include -0.0 == 0.0).
     """
-    xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"maxpool2d expects 4-D input, got {xd.shape}")
     n, c, h, w = xd.shape
@@ -562,10 +572,16 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
         np.copyto(out, v, where=first)
         firsts.append(first)
 
-    def bwd(g):
-        dx = np.zeros_like(xd)
+    def scatter(g):
+        dx = np.zeros((n, c, h, w))
         for (i, j), first in zip(offsets, firsts):
             np.copyto(dx[:, :, i : ho * k : k, j : wo * k : k], g, where=first)
-        return (dx,)
+        return dx
 
-    return record(out, (x,), bwd, "maxpool2d")
+    return out, scatter
+
+
+def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
+    """Max pooling as _maxpool routes it, as ``batchnorm(..., pool=k)`` does."""
+    out, scatter = _maxpool(x.data, k)
+    return record(out, (x,), lambda g: (scatter(g),), "maxpool2d")

@@ -497,9 +497,11 @@ class QuantNet:
                 entries[teacher_b] = self.bank.entry(teacher_b)
         cur = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         # owner: the entry whose clipping values and BN state the next layers read
-        owner, fused, layers = entries[b], None, self.arch.layers
+        owner, fused, layers = entries[b], -1, self.arch.layers
         for i, (spec, name) in enumerate(zip(layers, self.arch.names)):
             kind = spec.kind
+            if i <= fused:  # run inside the batch norm before it
+                continue
             if kind in _LEARNABLE:
                 block = self.arch.block_index.get(name)
                 if block is None:
@@ -518,14 +520,15 @@ class QuantNet:
                 st = owner.bn[name]
                 if collector is not None:
                     collector.update(name, cur.data)
-                # train mode runs the ReLU after a batch norm in its node
-                if mode == "train" and i + 1 < len(layers) and layers[i + 1].kind == "relu":
-                    fused = i + 1
+                # train mode runs a ReLU after a batch norm, and a max-pool after that, in its node
+                after = layers[i + 1 : i + 3] if mode == "train" else ()
+                relu = len(after) > 0 and after[0].kind == "relu"
+                pool = after[1].window if relu and len(after) > 1 and after[1].kind == "pool" else 0
+                fused = i + relu + (pool > 0)
                 cur = ag.batchnorm(cur, st.gamma, st.beta, st.running_mean, st.running_var,
-                                   self.bank.bn_momentum, mode, relu=fused == i + 1)
+                                   self.bank.bn_momentum, mode, relu=relu, pool=pool)
             elif kind == "relu":
-                if fused != i:
-                    cur = ag.relu(cur)
+                cur = ag.relu(cur)
             elif kind == "pool":
                 cur = ag.maxpool2d(cur, spec.window)
             else:

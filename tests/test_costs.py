@@ -19,16 +19,20 @@ from flexquant.training import Trainer
 from test_datasets import write_idx_images, write_idx_labels
 
 # One cnn_coquant-shaped step (channels [16, 16, 32], 16x16 images, batch 64,
-# bits 8/4/2) reads 32.40 MB; it read 38.91 MB while each train-mode batch
-# norm kept its normalized input x_hat, 49.93 MB while each train-mode batch
-# norm and its ReLU were two nodes, and 79.25 MB while every conv node kept
-# its im2col columns.
-CNN_STEP_TRACED_PEAK_BYTES = 32_700_000
-# What that step's forward holds when autograd.backward starts: 23.75 MB
-# (30.58 MB with x_hat kept). The peak above is set by transient buffers in
-# the backward sweep (the first fused batch norm + ReLU's, 0.3 MB above a
-# conv2d's), which can hide growth in what the tape keeps.
-CNN_STEP_FORWARD_STATE_BYTES = 24_000_000
+# bits 8/4/2) reads 25.79 MB; it read 32.40 MB while the max-pool after the
+# first batch norm and ReLU was a node of its own, 38.91 MB while each
+# train-mode batch norm kept its normalized input x_hat, 49.93 MB while each
+# train-mode batch norm and its ReLU were two nodes, and 79.25 MB while every
+# conv node kept its im2col columns.
+CNN_STEP_TRACED_PEAK_BYTES = 26_100_000
+# What that step's forward holds when autograd.backward starts: 17.46 MB
+# (23.75 MB with the pool a node of its own, 30.58 MB with x_hat kept). The
+# peak above is set by transient buffers in the backward sweep (the last
+# conv2d's, 16 -> 32 channels, at the first bit-width), which can hide growth
+# in what the tape keeps.
+CNN_STEP_FORWARD_STATE_BYTES = 17_700_000
+# The nodes that step records, exactly: 51 (54 with the pool a node of its own).
+CNN_STEP_TAPE_NODES = 51
 # Trainer.evaluate on that trainer's 512 images, in batches of its 64, reads
 # 6.53 MB; it read 51.49 MB in one 512-image batch.
 CNN_EVALUATE_TRACED_PEAK_BYTES = 6_700_000
@@ -92,11 +96,12 @@ def test_cnn_step_traced_peak_is_bounded(tmp_path):
 
 def test_cnn_forward_state_at_backward_is_bounded(tmp_path, monkeypatch):
     step = _second_step(cnn_trainer(tmp_path), 64)
-    held = []
+    held, nodes = [], []
     backward = ag.backward
 
     def measured_backward(tape, loss):
         held.append(tracemalloc.get_traced_memory()[0])
+        nodes.append(len(tape.nodes))
         backward(tape, loss)
 
     monkeypatch.setattr(ag, "backward", measured_backward)
@@ -107,6 +112,7 @@ def test_cnn_forward_state_at_backward_is_bounded(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(held) == 1, f"{len(held)} backward sweeps in one step"
     assert held[0] <= CNN_STEP_FORWARD_STATE_BYTES, f"forward state {held[0]} bytes"
+    assert nodes[0] == CNN_STEP_TAPE_NODES, f"{nodes[0]} tape nodes"
 
 
 def test_cnn_evaluate_traced_peak_is_bounded(tmp_path):

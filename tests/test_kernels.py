@@ -132,12 +132,19 @@ def ref_conv2d_channel_first(xd, wd, stride, padding, g):
     return out, dx, dw
 
 
+def _windows(y, k):
+    """The k x k pooling windows of NCHW y, trailing rows and columns dropped,
+    as (n, c, ho, wo, k * k)."""
+    n, c, h, w = y.shape
+    ho, wo = h // k, w // k
+    return y[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(
+        0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+
+
 def ref_maxpool2d(xd, k, g):
     n, c, h, w = xd.shape
     ho, wo = h // k, w // k
-    trimmed = xd[:, :, : ho * k, : wo * k]
-    blocks = trimmed.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, ho, wo, k * k)
+    blocks = _windows(xd, k)
     arg = np.argmax(blocks, axis=-1)
     out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
     dblocks = np.zeros((n, c, ho, wo, k * k))
@@ -222,39 +229,54 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _bn_relu_run(x, params, g, fused, pre):
+def _bn_relu_run(x, params, g, fused, pre, relu=True, pool=0):
     """Outputs, running statistics and gradients of one tape that runs each
     (gamma, beta, rm, rv) set on x in turn: the first call computes the batch
-    statistics, the others reuse them. Unfused, each pre-activation goes to pre."""
-    outs, grads = [], []
+    statistics, the others reuse them. Each runs batch norm, then a ReLU if
+    relu, then a pool-window max-pool if pool: as one node if fused, else as
+    a node each, with each batch-norm output going to pre and each max-pool
+    checked against the argmax reference."""
+    outs, chains = [], []
     with Tape() as tape:
         for gamma, beta, rm, rv in params:
-            y = ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=fused)
-            outs.append(y if fused else ag.relu(y))
-            if not fused:
+            start = len(tape.nodes)
+            if fused:
+                y = ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=relu, pool=pool)
+            else:
+                y = ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train")
                 pre.append(y.data)
-    nodes = iter(tape.nodes)
-    for _ in params:
-        if fused:
-            grads.append(next(nodes).backward_fn(g))
-        else:
-            bn, relu = next(nodes), next(nodes)
-            assert relu.inputs == (bn.output,)
-            (gy,) = relu.backward_fn(g)
-            grads.append(bn.backward_fn(gy))
-    assert [n.name for n in tape.nodes] == (
-        ["batchnorm_train"] * len(params) if fused else ["batchnorm_train", "relu"] * len(params))
+                y = ag.relu(y) if relu else y
+                y = ag.maxpool2d(y, pool) if pool else y
+            outs.append(y)
+            chains.append(tape.nodes[start:])
+    names = ["batchnorm_train"] + ([] if fused else ["relu"] * relu + ["maxpool2d"] * (pool > 0))
+    grads = []
+    for chain in chains:
+        assert [n.name for n in chain] == names
+        gy = g
+        for node, before in reversed(list(zip(chain[1:], chain))):
+            assert node.inputs == (before.output,)
+            (dy,) = node.backward_fn(gy)
+            if node.name == "maxpool2d":  # the routing the fused node shares, against argmax's
+                # a NaN window routes no gradient; argmax routes it to the first NaN
+                nan = np.isnan(node.output.data)
+                want_out, want_dx = ref_maxpool2d(before.output.data, pool, np.where(nan, 0.0, gy))
+                assert_same_bits(node.output.data, want_out)
+                assert_same_bits(dy, want_dx)
+            gy = dy
+        grads.append(chain[0].backward_fn(gy))
     return [(o.data, rm, rv, *gs) for o, (_, _, rm, rv), gs in zip(outs, params, grads)]
 
 
-def assert_fused_matches_unfused(xd, g, params, pre):
+def assert_fused_matches_unfused(xd, g, params, pre, relu=True, pool=0):
     """_bn_relu_run unfused and fused on fresh copies of params agree bit for bit."""
     runs = []
     for fused in (False, True):
         tensors = [(Tensor(gm, requires_grad=True), Tensor(bt, requires_grad=True),
                     rm.copy(), rv.copy()) for gm, bt, rm, rv in params]
         with np.errstate(invalid="ignore"):
-            runs.append(_bn_relu_run(Tensor(xd, requires_grad=True), tensors, g, fused, pre))
+            runs.append(_bn_relu_run(Tensor(xd, requires_grad=True), tensors, g, fused, pre,
+                                     relu, pool))
     for want, got in zip(*runs):
         for w, a in zip(want, got):
             assert_same_bits(a, w)
@@ -304,6 +326,64 @@ def test_generated_batchnorm_relu_matches_batchnorm_then_relu():
     check()
 
 
+@pytest.mark.parametrize("k,shape", [(2, (3, 4, 6, 6)), (2, (2, 4, 7, 9)), (3, (2, 4, 8, 10))])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("shared", [1, 2])
+def test_batchnorm_pool_matches_batchnorm_then_pool(k, shape, relu, special, shared):
+    """batchnorm(..., relu, pool=k) against batch-norm, ReLU and maxpool2d
+    nodes, trailing rows and columns dropped: channel 1's exact zeros of both
+    signs tie in their windows, and when special, channel 2 holds NaN in some
+    windows and none in others."""
+    rng = np.random.default_rng(k + shape[2] + 2 * relu + 4 * special + 8 * shared)
+    c = shape[1]
+    xd = _bn_relu_input(rng, shape)
+    gamma = rng.uniform(0.5, 1.5, size=c)
+    if special:
+        # channel 2 sums to exactly 0, so under an infinite gamma it
+        # normalizes to +-inf, and to NaN (0 * inf) wherever it is 0
+        half = rng.integers(1, 3, size=xd[:, 2].size // 2).astype(float)
+        half[::8] = 0.0
+        vals = np.concatenate([half, -half, np.zeros(xd[:, 2].size % 2)])
+        xd[:, 2] = rng.permutation(vals).reshape(xd[:, 2].shape)
+        gamma[2] = np.inf
+    g = with_signed_zeros(rng, rng.normal(size=(shape[0], c, shape[2] // k, shape[3] // k)))
+    params = [(gamma.copy(), np.where(np.arange(c) == 1, sign * 0.0, rng.normal(size=c)),
+               rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+              for sign in (-1.0, 1.0)[:shared]]
+
+    pre = []
+    assert_fused_matches_unfused(xd, g, params, pre, relu, k)
+    # some window tied +0.0 with -0.0, and NaN reached some windows but not all
+    signs = np.signbit(_windows(pre[0], k)[:, 1])
+    assert (signs.any(-1) & ~signs.all(-1)).any()
+    for y in pre:
+        nan = np.isnan(_windows(y, k)[:, 2]).any(-1)
+        assert nan.any() == special and not nan.all()
+
+
+def test_generated_batchnorm_pool_matches_batchnorm_then_pool():
+    """Generated windows of 2 and 3 over odd and even sizes, with and without
+    the ReLU, one or two parameter sets on one input, on values from a small
+    set with both zeros, so windows tie often: fused and unfused agree bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 3), st.integers(1, 3), st.integers(2, 3), st.integers(0, 4),
+           st.integers(0, 4), st.booleans(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def check(k, n, c, dh, dw, relu, shared, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, c, k + dh, k + dw)
+        xd = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=shape)
+        g = with_signed_zeros(rng, rng.normal(size=(n, c, shape[2] // k, shape[3] // k)))
+        params = [(rng.uniform(0.5, 1.5, size=c), rng.normal(size=c), rng.normal(size=c),
+                   rng.uniform(0.5, 2.0, size=c)) for _ in range(shared)]
+        assert_fused_matches_unfused(xd, g, params, [], relu, k)
+
+    check()
+
+
 @pytest.mark.parametrize("shape", [(9, 4), (3, 4, 5, 6)])
 @pytest.mark.parametrize("relu", [False, True])
 def test_batchnorm_train_keeps_no_normalized_copy(shape, relu):
@@ -321,6 +401,49 @@ def test_batchnorm_train_keeps_no_normalized_copy(shape, relu):
     assert extra == []
     (stats,) = [hit for key, (_, hit) in tape.memo.items() if key[0] == "batchnorm"]
     assert [np.shape(a) for a in stats if np.size(a) != shape[1]] == []
+
+
+def test_batchnorm_pool_window_larger_than_input_changes_no_state():
+    """The pool's shape check runs before the running estimates fold in."""
+    rm, rv = np.zeros(3), np.ones(3)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 2, 2)), requires_grad=True)
+    with Tape(), pytest.raises(ag.DimensionError, match="pool window 3 larger than input 2x2"):
+        ag.batchnorm(x, Tensor(np.ones(3), requires_grad=True),
+                     Tensor(np.zeros(3), requires_grad=True), rm, rv, 0.1, "train",
+                     relu=True, pool=3)
+    assert_same_bits(rm, np.zeros(3))
+    assert_same_bits(rv, np.ones(3))
+
+
+def _captured(fn):
+    """Every object fn's closure holds, through the functions, lists and
+    tuples it holds."""
+    found, todo = [], [cell.cell_contents for cell in fn.__closure__]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo += obj
+        elif getattr(obj, "__closure__", None):
+            todo += [cell.cell_contents for cell in obj.__closure__]
+        else:
+            found.append(obj)
+    return found
+
+
+@pytest.mark.parametrize("k,shape", [(2, (3, 4, 6, 6)), (3, (2, 4, 7, 8))])
+@pytest.mark.parametrize("relu", [False, True])
+def test_batchnorm_pool_keeps_no_full_resolution_output(k, shape, relu):
+    """With a pool window the node's output is the pooled tensor, and its
+    rule, the pool's scatter included, captures no array larger than that
+    output but its input: neither the full-resolution output nor x_hat."""
+    op, (x, _, _) = _bn_case(shape, relu, pool=k)(np.random.default_rng(3))
+    with Tape() as tape:
+        out = op()
+    (node,) = tape.nodes
+    assert out.shape == (shape[0], shape[1], shape[2] // k, shape[3] // k)
+    captured = [a for a in _captured(node.backward_fn) if isinstance(a, np.ndarray)]
+    assert any(a is out.data for a in captured)
+    assert [a.shape for a in captured if a.size > out.data.size and a is not x.data] == []
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +473,11 @@ def test_batchnorm_eval_matches_reference(shape, seed):
             assert_bitwise(out, ref_batchnorm_eval(xd, gamma, beta, rm, rv))
             np.testing.assert_allclose(
                 out, ref_batchnorm_eval_four_pass(xd, gamma, beta, rm, rv), rtol=0, atol=1e-14)
-    # only train mode fuses the ReLU after it
+    # only train mode fuses the ReLU and max-pool after it
     with pytest.raises(numerics.ContractError, match="eval-mode batchnorm fuses no ReLU"):
         ag.batchnorm(Tensor(xs[0]), *params, 0.1, "eval", relu=True)
+    with pytest.raises(numerics.ContractError, match="eval-mode batchnorm fuses no ReLU or pool"):
+        ag.batchnorm(Tensor(xs[0]), *params, 0.1, "eval", pool=2)
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +659,15 @@ def test_exact_half_levels_exist():
 # backward rules are pure
 # ---------------------------------------------------------------------------
 
-def _bn_case(shape, relu=False):
+def _bn_case(shape, relu=False, pool=0):
     def build(rng):
         c = shape[1]
         x = Tensor(rng.normal(2.0, 3.0, size=shape), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, size=c), requires_grad=True)
         beta = Tensor(rng.normal(size=c), requires_grad=True)
         rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=relu)), (
-            x, gamma, beta)
+        return (lambda: ag.batchnorm(x, gamma, beta, rm, rv, 0.1, "train", relu=relu,
+                                     pool=pool)), (x, gamma, beta)
     return build
 
 
@@ -591,6 +716,7 @@ PURE_BACKWARD_CASES = {
     "batchnorm_train_2d": _bn_case((9, 4)),
     "batchnorm_train_4d": _bn_case((3, 4, 5, 6)),
     "batchnorm_relu_train": _bn_case((3, 4, 5, 6), relu=True),
+    "batchnorm_relu_pool_train": _bn_case((3, 4, 6, 7), relu=True, pool=2),
     "conv2d": _conv_case,
     "maxpool2d": _maxpool_case,
     "relu": _relu_case,

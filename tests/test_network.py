@@ -625,6 +625,38 @@ class TestCnnForward:
                 with pytest.raises(NonFiniteError, match=f"forward_at b={b} eval logits"):
                     net.forward_at(x, b, mode="eval")
 
+    def test_train_tape_folds_the_pool_after_a_fused_relu_into_the_batch_norm(self,
+                                                                               monkeypatch):
+        """A cnn train forward records no maxpool2d or relu node: the first
+        batch norm's node outputs the pooled tensor. A pool after a batch norm
+        with no ReLU, or after a ReLU with no batch norm, records its own
+        node, and eval calls maxpool2d."""
+        x = np.random.default_rng(6).normal(size=(4, 1, 8, 8))
+
+        def train_nodes(layers):
+            """The net and its train tape's batch-norm, ReLU and max-pool nodes."""
+            net = QuantNet(PrecisionBank(BitWidthSet([8, 2]), ArchSpec(layers)),
+                           rng=np.random.default_rng(5))
+            with Tape() as tape:
+                net.forward_at(x, 2, mode="train")
+            return net, [n for n in tape.nodes
+                         if n.name in ("batchnorm_train", "relu", "maxpool2d")]
+
+        net, nodes = train_nodes(small_cnn(1, 8, 3, channels=[4, 4, 4]).layers)
+        assert [n.name for n in nodes] == ["batchnorm_train"] * 4
+        assert nodes[0].output.shape == (4, 4, 4, 4)
+        head = [Flatten(), Dense(64, 3), BatchNorm(3)]
+        for layers, unfused in [([BatchNorm(4), MaxPool(2)], ["batchnorm_train", "maxpool2d"]),
+                                ([ReLU(), MaxPool(2)], ["relu", "maxpool2d"])]:
+            _, nodes = train_nodes([Conv(1, 4, 3, padding=1), *layers, *head])
+            assert [n.name for n in nodes] == [*unfused, "batchnorm_train"]
+        calls = []
+        real = ag.maxpool2d
+        monkeypatch.setattr(ag, "maxpool2d", lambda a, k: (calls.append(k), real(a, k))[1])
+        with no_grad():
+            net.forward_at(x, 2, mode="eval")
+        assert calls == [2]
+
     def test_cnn_trains_and_evaluates(self):
         bits = BitWidthSet([8, 2])
         arch = small_cnn(1, 8, 3, channels=[4, 4, 4])
