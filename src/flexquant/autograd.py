@@ -12,10 +12,14 @@ reverse sweep. Backward rules receive the upstream gradient and return one
 array per input; the engine owns accumulation. A rule may return None for an
 input that needs no gradient (one with requires_grad False, such as the data
 fed to a first dense or conv layer, or kl_div's target) and skip computing it;
-the engine skips None. add takes operands of one shape.
-A train-mode batch norm and the ReLU and max-pool after it may record one node
-(``batchnorm(..., relu=True, pool=k)``), which keeps no pre-activation tensor,
-no normalized copy and no full-resolution output.
+the engine skips None. add takes operands of one shape. Fused nodes, each
+with the bits of its ops: a train-mode batch norm and the ReLU and max-pool
+after it (``batchnorm(..., relu=True, pool=k)``) keep no pre-activation, no
+normalized copy and no full-resolution output. A quantized block's activation
+quantizer and its matmul or conv2d (``quant=(alpha, quantize, masks)``, from
+``quantizers.activation_quantizer``) record one node on (x, alpha, w): it keeps
+x, not the activation, memoizes nothing, and its rule rebuilds the activation
+by quantize and applies masks to its gradient.
 
 Memo: each Tape and each ``no_grad`` block owns a ``memo`` dict that lives
 and dies with it. Blocks nest per thread, so threads that each open their
@@ -28,7 +32,8 @@ the bit-width (``once_per_tape``): a training step runs every bit-width on
 the same batch, so the first layer's output and its per-channel batch
 statistics (not a normalized copy), and each latent weight tensor's b1 codes,
 are computed once per step. They are keyed by the identity of the input
-arrays. A conv2d node keeps its input, not its im2col columns, and a
+arrays, so only these hit: the head's matmul and later batch norms' entries
+never do. A conv2d node keeps its input, not its im2col columns, and a
 train-mode batch norm its input, not x_hat: each backward rebuilds what its
 forward let go. So no tensor's .data is written in place from a tape's first
 op until its backward has run. Each call still records its own node, so the
@@ -244,17 +249,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd, "add")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = once_per_tape(("matmul",), (a.data, b.data), lambda: a.data @ b.data)
-
-    def bwd(g):
-        return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
-
-    return record(out, (a, b), bwd, "matmul")
+def matmul(a: Tensor, b: Tensor, quant=None) -> Tensor:
+    """a @ b; quant, a block's activation quantizer, runs in the node (module docstring)."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {ad.shape} @ {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul inner dims disagree: {ad.shape} @ {bd.shape}")
+    if quant is None:
+        out = once_per_tape(("matmul",), (ad, bd), lambda: ad @ bd)
+        return record(out, (a, b), lambda g: (
+            (g @ bd.T if a.requires_grad else None), ad.T @ g), "matmul")
+    alpha, quantize, masks = quant
+    return record(quantize(ad) @ bd, (a, alpha, b), lambda g: (
+        *masks(ad, g @ bd.T), quantize(ad).T @ g), "matmul")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -483,22 +491,28 @@ def _conv_out_size(h: int, k: int, stride: int, padding: int) -> int:
     return (h + 2 * padding - k) // stride + 1
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-            ho: int, wo: int) -> np.ndarray:
-    """Receptive fields of NCHW xd as rows in (kh, kw, C) order, cut from a
-    channel-last padded copy, so each window offset copies contiguous channels."""
+def _pad_channel_last(xd: np.ndarray, padding: int) -> np.ndarray:
+    """NCHW xd as a zero-padded channel-last (N, H, W, C) copy."""
     n, c, h, wid = xd.shape
     xp = np.zeros((n, h + 2 * padding, wid + 2 * padding, c))
     xp[:, padding : padding + h, padding : padding + wid] = xd.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Receptive fields of a padded channel-last xp as rows in (kh, kw, C)
+    order, so each window offset copies contiguous channels."""
+    n, c = xp.shape[0], xp.shape[3]
     sn, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(xp, shape=(n, ho, wo, kh, kw, c), strides=(
         sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
     return np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * c)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, quant=None) -> Tensor:
     """Cross-correlation of NCHW input with FCKK kernels. The node keeps the
-    input, not its im2col columns: the backward rebuilds them for dw."""
+    input, not its im2col columns: the backward rebuilds them for dw. quant,
+    a block's activation quantizer, runs in the node (module docstring)."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input and kernel, got {xd.shape}, {wd.shape}")
@@ -512,15 +526,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(wid, kw, stride, padding)
     wmat = wd.transpose(0, 2, 3, 1).reshape(f, kh * kw * c)  # the columns' K order
-    im2col = (xd, kh, kw, stride, padding, ho, wo)
-    # the first layer sees the same batch and weights at every bit-width
-    out = once_per_tape(("conv2d", stride, padding), (xd, wd), lambda: np.ascontiguousarray(
-        (_im2col(*im2col) @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)))
+    alpha, quantize, masks = quant if quant else (None,) * 3
+
+    def cols():
+        # a rebuilt activation dies once its padded copy exists, before the cut
+        xp = _pad_channel_last(xd if quant is None else quantize(xd), padding)
+        return _im2col(xp, kh, kw, stride, ho, wo)
+
+    def forward():
+        return np.ascontiguousarray((cols() @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        dw = (g2.T @ _im2col(*im2col)).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-        if not x.requires_grad:
+        dw = (g2.T @ cols()).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        if quant is None and not x.requires_grad:
             return None, dw
         dcols = (g2 @ wmat).reshape(n, ho, wo, kh, kw, c)
         # col2im into a channel-last (N, H, W, C) buffer, so each window
@@ -534,8 +553,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                 )
         if padding:
             dxp = dxp[:, padding:-padding, padding:-padding]
-        return np.ascontiguousarray(dxp.transpose(0, 3, 1, 2)), dw
+        del dcols  # before dx and the quantizer's masks allocate
+        dx = np.ascontiguousarray(dxp.transpose(0, 3, 1, 2))
+        return (dx, dw) if quant is None else (*masks(xd, dx), dw)
 
+    if quant is not None:
+        return record(forward(), (x, alpha, w), bwd, "conv2d")
+    # the first layer sees the same batch and weights at every bit-width
+    out = once_per_tape(("conv2d", stride, padding), (xd, wd), forward)
     return record(out, (x, w), bwd, "conv2d")
 
 

@@ -27,6 +27,7 @@ from .numerics import ContractError
 from .quantizers import (
     BitWidthError,
     QuantizedWeightView,
+    activation_quantizer,
     quantize_activation,
     quantize_weights_dorefa,
     quantize_weights_at,
@@ -503,19 +504,22 @@ class QuantNet:
             if i <= fused:  # run inside the batch norm before it
                 continue
             if kind in _LEARNABLE:
-                block = self.arch.block_index.get(name)
+                block, quant = self.arch.block_index.get(name), None
                 if block is None:
                     w = self.weights[name]
                     owner = entries[b]
                 else:
                     b_eff = b if mask is None or mask.beta[block - 1] else teacher_b
                     owner = entries[b_eff]
-                    cur = quantize_activation(cur, owner.alpha[name], b_eff)
+                    if mode == "train":  # quantized in the matmul or conv node, which keeps x
+                        quant = activation_quantizer(owner.alpha[name], b_eff)
+                    else:
+                        cur = quantize_activation(cur, owner.alpha[name], b_eff)
                     w = self.weight_at(name, b_eff)
                 if kind == "dense":
-                    cur = ag.matmul(cur, w)
+                    cur = ag.matmul(cur, w, quant)
                 else:
-                    cur = ag.conv2d(cur, w, stride=spec.stride, padding=spec.padding)
+                    cur = ag.conv2d(cur, w, spec.stride, spec.padding, quant)
             elif kind == "bn":
                 st = owner.bn[name]
                 if collector is not None:

@@ -9,6 +9,9 @@ pass straight through the whole chain to the latent weights.
 Activations: clipped to a learnable per-layer alpha, rounded to b-bit
 levels, rescaled by alpha. Gradients pass through inside [0, alpha]; the
 gradient of alpha collects the upstream gradient over saturated entries.
+``activation_quantizer`` holds that forward and mask rule once: a training
+block's matmul or conv2d node runs them inside itself, and eval (and the
+tests' references) through ``quantize_activation``'s node of their own.
 """
 
 from __future__ import annotations
@@ -127,37 +130,45 @@ def quantize_weights_at(w: Tensor, b: int, b1: int) -> Tensor:
     return record(out, (w,), bwd, "quantize_weights")
 
 
-def quantize_activation(a: Tensor, alpha: Tensor, b: int) -> Tensor:
-    """PACT-style activation quantizer: clip to alpha, round to b-bit levels.
-
-    Backward: the activation gradient passes through where 0 <= a <= alpha
-    and is zero outside; alpha's gradient is the sum of upstream gradients
-    over entries with a > alpha.
-    """
+def activation_quantizer(alpha: Tensor, b: int):
+    """The PACT-style quantizer at clipping value alpha and b bits, as autograd
+    takes it: (alpha, quantize, masks). quantize(ad) clips ad to alpha and
+    rounds it to b-bit levels. masks(ad, g) passes g through where
+    0 <= ad <= alpha, and gives alpha the sum of g over entries above it.
+    A non-positive alpha is counted and floored here, once per forward, so a
+    backward that rebuilds the activation by quantize counts nothing."""
     b = _check_bits(b)
     alpha_val = float(alpha.data.reshape(()))  # rejects non-scalar clip values
     if alpha_val <= 0.0:
         numerics.count_event("alpha_nonpositive")
         alpha_val = numerics.ALPHA_FLOOR
-    ad = a.data
-    # clip(ad) / alpha_val already lies in [0, 1], where quantize_levels'
-    # range check and clip change nothing and rounding half away from zero
-    # is floor(v + 0.5). Every step runs in one buffer; the scalings by n
-    # and alpha_val are written operand-swapped, which IEEE multiplication
-    # does not notice.
     n = (1 << b) - 1
-    out = np.clip(ad, 0.0, alpha_val)
-    out /= alpha_val
-    out *= n
-    out += 0.5
-    np.floor(out, out=out)
-    out /= n
-    out *= alpha_val
 
-    def bwd(g):
-        # the masks are built here, so forwards without a tape never pay for them
+    def quantize(ad):
+        # clip(ad) / alpha_val already lies in [0, 1], where quantize_levels'
+        # range check and clip change nothing and rounding half away from zero
+        # is floor(v + 0.5). Every step runs in one buffer; the scalings by n
+        # and alpha_val are written operand-swapped, which IEEE multiplication
+        # does not notice.
+        out = np.clip(ad, 0.0, alpha_val)
+        out /= alpha_val
+        out *= n
+        out += 0.5
+        np.floor(out, out=out)
+        out /= n
+        out *= alpha_val
+        return out
+
+    def masks(ad, g):
+        # built in the backward, so forwards without a tape never pay for them
         da = g * ((ad >= 0.0) & (ad <= alpha_val))
-        dalpha = np.asarray(np.sum(g, where=ad > alpha_val)).reshape(alpha.data.shape)
-        return da, dalpha
+        return da, np.asarray(np.sum(g, where=ad > alpha_val)).reshape(alpha.data.shape)
 
-    return record(out, (a, alpha), bwd, "quantize_activation")
+    return alpha, quantize, masks
+
+
+def quantize_activation(a: Tensor, alpha: Tensor, b: int) -> Tensor:
+    """activation_quantizer(alpha, b) applied to a, as a node of its own."""
+    _, quantize, masks = activation_quantizer(alpha, b)
+    ad = a.data
+    return record(quantize(ad), (a, alpha), lambda g: masks(ad, g), "quantize_activation")

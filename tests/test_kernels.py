@@ -7,7 +7,9 @@ batch norm, its per-channel affine map in plain numpy, and for conv2d an
 im2col cut window by window. The library kernels
 compute the same floating-point operations in the same order with fewer
 array passes, so their outputs and gradients must match these references bit
-for bit, signed zeros included.
+for bit, signed zeros included. A quantized block's matmul or conv2d node,
+which runs the activation quantizer inside itself, must match the two nodes
+it replaces (quantize_activation's, then the op's) the same way.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 from flexquant import autograd as ag
 from flexquant import numerics
 from flexquant.autograd import Tape, Tensor, no_grad
-from flexquant.quantizers import quantize_activation
+from flexquant.quantizers import activation_quantizer, quantize_activation
 
 
 def assert_bitwise(got, want):
@@ -656,6 +658,131 @@ def test_exact_half_levels_exist():
 
 
 # ---------------------------------------------------------------------------
+# activation quantizer fused into a matmul or conv2d node
+# ---------------------------------------------------------------------------
+
+def quantizer_input(rng, shape, alpha):
+    """Entries around [0, alpha], with a fraction each set to exactly 0.0,
+    -0.0 and alpha, and some saturated above alpha."""
+    eff = alpha if alpha > 0.0 else numerics.ALPHA_FLOOR
+    xd = rng.uniform(-0.5 * eff, 1.5 * eff, size=shape)
+    pick = rng.random(shape)
+    xd[pick < 0.1] = 0.0
+    xd[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    xd[(pick >= 0.2) & (pick < 0.3)] = eff
+    xd[(pick >= 0.3) & (pick < 0.35)] = 4.0 * eff
+    return xd
+
+
+def matmul_op(x, w, quant):
+    return ag.matmul(x, w, quant)
+
+
+def conv_op(stride, padding):
+    return lambda x, w, quant: ag.conv2d(x, w, stride, padding, quant)
+
+
+def assert_fused_quantizer_matches_unfused(op, xd, alpha, b, wd, input_grad, rng):
+    """op's node with the quantizer fused against quantize_activation's node
+    and then op's, each rule fed the gradient the engine would give it: the
+    output, dx (when x requires one), dalpha and dw, bit for bit."""
+    x = Tensor(xd, requires_grad=input_grad)
+    a = Tensor(alpha, requires_grad=True)
+    w = Tensor(wd, requires_grad=True)
+    with Tape() as tape:
+        fused = op(x, w, activation_quantizer(a, b))
+        unfused = op(quantize_activation(x, a, b), w, None)
+    fused_node, quant_node, op_node = tape.nodes
+    assert fused_node.inputs == (x, a, w)
+    assert_same_bits(fused.data, unfused.data)
+    g = with_signed_zeros(rng, rng.normal(size=fused.shape))
+    dx, dalpha, dw = fused_node.backward_fn(g)
+    dq, want_dw = op_node.backward_fn(g)
+    want_dx, want_dalpha = quant_node.backward_fn(dq)
+    assert_same_bits(dw, want_dw)
+    assert_same_bits(dalpha, want_dalpha)
+    if input_grad:
+        assert_same_bits(dx, want_dx)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -2.0])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_quantized_matmul_matches_quantizer_then_matmul(alpha, input_grad, b):
+    rng = np.random.default_rng(b)
+    assert_fused_quantizer_matches_unfused(
+        matmul_op, quantizer_input(rng, (9, 6), alpha), alpha, b, rng.normal(size=(6, 4)),
+        input_grad, rng)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 2)])
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -2.0])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_quantized_conv2d_matches_quantizer_then_conv2d(stride, padding, alpha, input_grad):
+    rng = np.random.default_rng(10 * stride + padding)
+    assert_fused_quantizer_matches_unfused(
+        conv_op(stride, padding), quantizer_input(rng, (2, 3, 7, 8), alpha), alpha, 2,
+        rng.normal(size=(4, 3, 3, 3)), input_grad, rng)
+
+
+def test_generated_quantized_ops_match_quantizer_then_op():
+    """Generated matmul and conv shapes, kernels, strides, paddings, bit-widths
+    and clipping values, non-positive ones included."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    alphas = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0]), st.floats(1e-3, 8.0))
+
+    @settings(max_examples=60)
+    @given(st.booleans(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 7),
+           st.integers(1, 7), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2), st.integers(1, 8), alphas, st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def check(conv, n, c, h, w, f, kernel, stride, padding, b, alpha, input_grad, seed):
+        rng = np.random.default_rng(seed)
+        if conv:
+            assume(kernel <= min(h, w) + 2 * padding)
+            op, shape, wd = (conv_op(stride, padding), (n, c, h, w),
+                             rng.normal(size=(f, c, kernel, kernel)))
+        else:
+            op, shape, wd = matmul_op, (n * h, c * w), rng.normal(size=(c * w, f))
+        assert_fused_quantizer_matches_unfused(
+            op, quantizer_input(rng, shape, alpha), alpha, b, wd, input_grad, rng)
+
+    check()
+
+
+@pytest.mark.parametrize("conv, message", [
+    (False, r"matmul inner dims disagree: \(4, 5\) @ \(6, 3\)"),
+    (True, "conv2d channel mismatch: input 3, kernel 2")])
+def test_quantized_op_rejects_a_width_mismatch_naming_both(conv, message):
+    x = Tensor(np.ones((2, 3, 5, 5) if conv else (4, 5)), requires_grad=True)
+    w = Tensor(np.ones((4, 2, 3, 3) if conv else (6, 3)), requires_grad=True)
+    with Tape(), pytest.raises(ag.DimensionError, match=message):
+        (conv_op(1, 0) if conv else matmul_op)(
+            x, w, activation_quantizer(Tensor(1.0, requires_grad=True), 3))
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_quantized_node_keeps_no_activation(conv):
+    """The node keeps x, the quantizer's input: its rule captures no other
+    array of the quantized activation's size, and the tape memo holds
+    nothing (no other bit-width's block sees the same x)."""
+    rng = np.random.default_rng(4)
+    shape, wshape = ((4, 3, 8, 8), (5, 3, 3, 3)) if conv else ((20, 6), (6, 4))
+    x = Tensor(quantizer_input(rng, shape, 1.0), requires_grad=True)
+    w = Tensor(rng.normal(size=wshape), requires_grad=True)
+    op = conv_op(1, 1) if conv else matmul_op
+    with Tape() as tape:
+        op(x, w, activation_quantizer(Tensor(1.0, requires_grad=True), 3))
+    (node,) = tape.nodes
+    captured = [a for a in _captured(node.backward_fn) if isinstance(a, np.ndarray)]
+    assert any(a is x.data for a in captured)
+    assert [a.shape for a in captured if a.size == x.data.size and a is not x.data] == []
+    assert tape.memo == {}
+
+
+# ---------------------------------------------------------------------------
 # backward rules are pure
 # ---------------------------------------------------------------------------
 
@@ -712,6 +839,17 @@ def _quantize_activation_case(rng):
     return (lambda: quantize_activation(a, alpha, 3)), (a, alpha)
 
 
+def _quantized_case(conv):
+    def build(rng):
+        x = Tensor(quantizer_input(rng, (2, 3, 7, 6) if conv else (6, 7), 1.25),
+                   requires_grad=True)
+        alpha = Tensor(1.25, requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3) if conv else (7, 3)), requires_grad=True)
+        op = conv_op(2, 1) if conv else matmul_op
+        return (lambda: op(x, w, activation_quantizer(alpha, 3))), (x, alpha, w)
+    return build
+
+
 PURE_BACKWARD_CASES = {
     "batchnorm_train_2d": _bn_case((9, 4)),
     "batchnorm_train_4d": _bn_case((3, 4, 5, 6)),
@@ -722,6 +860,8 @@ PURE_BACKWARD_CASES = {
     "relu": _relu_case,
     "matmul": _matmul_case,
     "quantize_activation": _quantize_activation_case,
+    "quantized_matmul": _quantized_case(conv=False),
+    "quantized_conv2d": _quantized_case(conv=True),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flexquant import autograd as ag
-from flexquant import network
+from flexquant import network, numerics
 from flexquant.autograd import Tape, Tensor, no_grad
 from flexquant.network import (
     ArchSpec,
@@ -339,6 +339,56 @@ class TestSharedWeights:
             other.forward_at(batch, 4, mode="train")
         assert [n.name for n in tape.nodes if n.name in ("relu", "batchnorm_train")] == [
             "relu", "batchnorm_train", "relu", "batchnorm_train"]
+
+    def test_train_tape_quantizes_inside_each_quantized_matmul(self, batch, monkeypatch):
+        """Train mode records no quantize_activation node: each quantized
+        block's matmul node takes (input, alpha, weights). Eval calls
+        quantize_activation once per block."""
+        net = make_net()
+        entry = net.bank.entry(4)
+        with Tape() as tape:
+            net.forward_at(batch, 4, mode="train")
+        assert "quantize_activation" not in [n.name for n in tape.nodes]
+        fused = [n for n in tape.nodes if n.name == "matmul" and len(n.inputs) == 3]
+        assert [n.inputs[1] for n in fused] == [entry.alpha[name]
+                                                for name in net.arch.quantized_names]
+        calls = []
+        real = network.quantize_activation
+        monkeypatch.setattr(network, "quantize_activation",
+                            lambda a, alpha, b: (calls.append(b), real(a, alpha, b))[1])
+        with no_grad():
+            net.forward_at(batch, 4, mode="eval")
+        assert calls == [4] * net.arch.num_blocks
+
+    @staticmethod
+    def nonpositive_alphas(net, b):
+        for name in net.arch.quantized_names:
+            net.bank.entry(b).alpha[name].data[...] = -1.0
+        return lambda: numerics.event_counts().get("alpha_nonpositive", 0)
+
+    def test_nonpositive_alpha_counts_once_per_forward_not_in_backward(self, batch):
+        """The fused node floors alpha once, in its forward; the backward
+        that rebuilds the activation counts nothing."""
+        net = make_net()
+        count = self.nonpositive_alphas(net, 4)
+        before = count()
+        with Tape() as tape:
+            loss = sum_of_squares(net.forward_at(batch, 4, mode="train"))
+        assert count() - before == net.arch.num_blocks
+        tape.backward(loss)
+        assert count() - before == net.arch.num_blocks
+
+    def test_calibration_forward_counts_nonpositive_alpha_once_and_records_nothing(self, batch):
+        """Train mode under no_grad, as calibration runs it, inside a tape:
+        one count per block, and no node on the tape."""
+        net = make_net()
+        count = self.nonpositive_alphas(net, 4)
+        before = count()
+        with Tape() as tape:
+            with no_grad():
+                net.forward_at(batch, 4, mode="train", collector=StatsCollector())
+        assert count() - before == net.arch.num_blocks
+        assert tape.nodes == []
 
     def test_eval_calls_relu_after_each_batch_norm(self, batch, monkeypatch):
         net = make_net()
